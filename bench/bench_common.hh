@@ -61,23 +61,19 @@ report(benchmark::State& state, const workload::FioResult& res,
  *                       DRAM cache + Z-NAND behind a modeled link, no
  *                       refresh windows, 256 B interleave), or the
  *                       emulated-pmem baseline machine.
- *      --threads=N|auto run the sharded parallel-in-time kernel with
- *                       N executors (auto = one per channel); results
- *                       are byte-identical for every N >= 1. Default:
- *                       the classic serial kernel.
  *      --latency-breakdown[=path]
  *                       record request spans and print a per-op-class
  *                       per-phase latency table after each benchmark,
  *                       appending a JSON line to @p path (default
  *                       latency_breakdown.jsonl). Deterministic: the
- *                       output is byte-identical for every --threads.
+ *                       output is byte-identical on every rerun.
  *      --telemetry[=path]
  *                       sample the deterministic time-series telemetry
  *                       every 4 x tREFI of simulated time and append
  *                       one JSONL series per benchmark (default
  *                       telemetry.jsonl). Implies span recording (the
  *                       windowed SLO percentiles ride on it). Output
- *                       is byte-identical for every --threads >= 1.
+ *                       is byte-identical on every rerun.
  *      --flight-dump[=path]
  *                       arm the crash flight recorder (last-N spans +
  *                       last-K telemetry intervals) and dump it at
@@ -158,12 +154,6 @@ initObservability(int* argc, char** argv)
                 std::exit(1);
             }
             benchBackend() = kind;
-        } else if (std::strcmp(a, "--threads=auto") == 0) {
-            benchThreads() = kBenchThreadsAuto;
-        } else if (std::strncmp(a, "--threads=", 10) == 0) {
-            int n = std::atoi(a + 10);
-            if (n >= 0)
-                benchThreads() = static_cast<std::uint32_t>(n);
         } else {
             argv[out++] = argv[i];
         }

@@ -3,8 +3,7 @@
  * Simulator-kernel microbenchmark: raw event throughput of
  * common/event_queue, independent of any device model.
  *
- * Four patterns, matching how the simulator actually drives the
- * queue:
+ * Patterns matching how the simulator actually drives the queue:
  *
  *  - chain: one outstanding one-shot event at a time, each firing
  *    schedules the next (a controller state machine stepping).
@@ -14,10 +13,6 @@
  *    (timeout guards, superseded wakeups).
  *  - intrusive_periodic: 64 owner-embedded events rescheduling
  *    themselves in place (iMC wakeups, controller steps).
- *  - mailbox_single / mailbox_batched: cross-shard mailbox delivery —
- *    a window's worth of pre-sorted messages admitted one heap push
- *    at a time vs as one staged batch (the coordinator's path), then
- *    drained interleaved with the queue's own churn.
  *  - shape_*: scheduler-shape probes pinning down the timing wheel's
  *    win/loss envelope — dense near-future (level-0 only), sparse
  *    far-future (cascade-dominated), cancel-heavy (lazy deletion),
@@ -148,76 +143,6 @@ BM_IntrusivePeriodic(benchmark::State& state)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(kEvents) *
                             state.iterations());
-}
-
-/**
- * Shared body for the mailbox-delivery pair: rounds of `kWindow`
- * cross-shard messages land on a queue that also runs its own
- * self-rescheduling churn (the shard's device events), mirroring what
- * ShardCoordinator::deliverToShards feeds a shard each round.
- * @p batched picks the admission path: per-message schedule() heap
- * pushes vs one scheduleBatch() staged lane.
- */
-void
-runMailboxRounds(benchmark::State& state, bool batched,
-                 std::uint64_t events)
-{
-    const std::uint64_t kWindow = 256; // Messages per round.
-    std::uint64_t sbo = 0;
-    for (auto _ : state) {
-        EventQueue eq;
-        std::uint64_t fired = 0;
-        std::uint64_t churn = 0;
-        // Background churn: 32 device events stepping every round.
-        std::vector<std::function<void()>> steps(32);
-        for (std::uint64_t i = 0; i < steps.size(); ++i) {
-            steps[i] = [&, i] {
-                if (++churn < events)
-                    eq.scheduleAfter(90 + (churn * 5 + i) % 31,
-                                     steps[i]);
-            };
-            eq.scheduleAfter(1 + i, steps[i]);
-        }
-        std::vector<EventQueue::TimedCallback> batch;
-        batch.reserve(kWindow);
-        while (fired < events) {
-            // Build one round's sorted delivery (stamps >= now + 100,
-            // the link latency).
-            Tick base = eq.now() + 100;
-            batch.clear();
-            for (std::uint64_t i = 0; i < kWindow; ++i)
-                batch.push_back(EventQueue::TimedCallback{
-                    base + i / 4, [&] { ++fired; }, 0});
-            if (batched) {
-                eq.scheduleBatch(batch);
-            } else {
-                for (auto& it : batch)
-                    eq.schedule(it.when, std::move(it.fn));
-                batch.clear();
-            }
-            eq.runWindow(base + kWindow);
-        }
-        eq.runAll();
-        benchmark::DoNotOptimize(fired + churn);
-        sbo = eq.sboOverflows();
-    }
-    // Callables that spilled the small-buffer inline storage (each one
-    // is a heap round-trip on the hot path; should stay 0).
-    state.counters["sbo_overflows"] = static_cast<double>(sbo);
-    state.SetItemsProcessed(static_cast<std::int64_t>(events) *
-                            state.iterations());
-}
-
-void
-BM_MailboxSingle(benchmark::State& state)
-{
-    runMailboxRounds(state, /*batched=*/false, 1'000'000);
-}
-
-void
-BM_MailboxBatched(benchmark::State& state)
-{
-    runMailboxRounds(state, /*batched=*/true, 1'000'000);
 }
 
 // ---------------------------------------------------------------------
@@ -363,8 +288,6 @@ BENCHMARK(BM_OneShotChain)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OneShotChurn4k)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ScheduleCancel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IntrusivePeriodic)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MailboxSingle)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MailboxBatched)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShapeDenseNear)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShapeSparseFar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShapeCancelHeavy)->Unit(benchmark::kMillisecond);

@@ -10,10 +10,10 @@
  *
  *   bench_faultload [--json FILE] [--seeds N] [--quick]
  *
- * Every power-fail row is run at --threads 1 and 2 and the campaign
- * fingerprints compared; a divergence or a corrupted committed record
- * (with ADR working) makes the process exit non-zero, so the CI matrix
- * job doubles as an integrity gate.
+ * A corrupted committed record on a power-fail row with ADR working,
+ * a silent media corruption, or a divergent checkpoint replay makes
+ * the process exit non-zero, so the CI matrix job doubles as an
+ * integrity gate.
  */
 
 #include <cstdint>
@@ -54,32 +54,26 @@ powerFailRow(std::uint64_t seed, double frac, bool adr)
     fault::PowerFailCampaignResult full = runPowerFailCampaign(cfg);
     cfg.haltAtTick = static_cast<Tick>(
         static_cast<double>(full.workloadElapsed) * frac);
-
-    cfg.threads = 1;
-    fault::PowerFailCampaignResult t1 = runPowerFailCampaign(cfg);
-    cfg.threads = 2;
-    fault::PowerFailCampaignResult t2 = runPowerFailCampaign(cfg);
+    fault::PowerFailCampaignResult cut = runPowerFailCampaign(cfg);
 
     std::ostringstream name;
     name << "powerfail/seed" << seed << "/cut"
          << static_cast<int>(frac * 100) << (adr ? "/adr" : "/noadr");
     Row row;
     row.name = name.str();
-    row.fingerprint = t1.fingerprint;
+    row.fingerprint = cut.fingerprint;
     row.metrics = {
         {"cut_tick_us", ticksToUs(cfg.haltAtTick)},
-        {"transactions", static_cast<double>(t1.transactions)},
-        {"committed", static_cast<double>(t1.committedRecords)},
-        {"in_flight", static_cast<double>(t1.inFlightWrites)},
-        {"corrupt", static_cast<double>(t1.corruptRecords)},
-        {"wpq_flushed", static_cast<double>(t1.wpqFlushed)},
-        {"wpq_lost", static_cast<double>(t1.wpqLost)},
-        {"pages_dumped", static_cast<double>(t1.pagesDumped)},
-        {"recovery_us", ticksToUs(t1.recoveryTicks)},
+        {"transactions", static_cast<double>(cut.transactions)},
+        {"committed", static_cast<double>(cut.committedRecords)},
+        {"in_flight", static_cast<double>(cut.inFlightWrites)},
+        {"corrupt", static_cast<double>(cut.corruptRecords)},
+        {"wpq_flushed", static_cast<double>(cut.wpqFlushed)},
+        {"wpq_lost", static_cast<double>(cut.wpqLost)},
+        {"pages_dumped", static_cast<double>(cut.pagesDumped)},
+        {"recovery_us", ticksToUs(cut.recoveryTicks)},
     };
-    if (t1.fingerprint != t2.fingerprint)
-        row.error = "fingerprint diverged across --threads";
-    else if (adr && t1.corruptRecords != 0)
+    if (adr && cut.corruptRecords != 0)
         row.error = "committed records corrupted despite ADR";
     return row;
 }

@@ -55,21 +55,6 @@ benchChannels()
 }
 
 /**
- * Simulation thread count every bench system is built with (the
- * --threads=N|auto knob). 0 = classic serial kernel (default);
- * kBenchThreadsAuto = one executor per shard; any other N runs the
- * sharded kernel with N executors.
- */
-inline constexpr std::uint32_t kBenchThreadsAuto = ~std::uint32_t{0};
-
-inline std::uint32_t&
-benchThreads()
-{
-    static std::uint32_t threads = 0;
-    return threads;
-}
-
-/**
  * Media-transport backend every bench system is built with (the
  * --backend=nvdimmc|cxl|pmem knob). The benches select a backend, not
  * a wiring recipe: the factories below translate the kind into the
@@ -80,23 +65,6 @@ benchBackend()
 {
     static backend::BackendKind kind = backend::BackendKind::Nvdimmc;
     return kind;
-}
-
-/**
- * Resolve the --threads request against the shard count @p cfg will
- * actually build: channels x 2 when the media split applies (Z-NAND
- * channels each contribute a DDR-side and a media shard), channels
- * otherwise. The system clamps to hardware concurrency on top.
- */
-inline std::uint32_t
-resolvedBenchThreads(const core::SystemConfig& cfg)
-{
-    std::uint32_t t = benchThreads();
-    if (t != kBenchThreadsAuto)
-        return t;
-    bool split =
-        cfg.mediaShards && cfg.media == core::MediaKind::ZNand;
-    return cfg.channels * (split ? 2 : 1);
 }
 
 /** Device access function over an NVDIMM-C system (timing-only). */
@@ -128,10 +96,10 @@ pmemAccess(core::BaselineSystem& sys)
 /**
  * The one backend-aware config factory every hybrid-device bench
  * build goes through: scaled bench preset, the --channels / --backend
- * / --threads globals applied in that order, then the point's tweak
- * (which may still override any of them, including the backend via
- * cfg.applyCxlBackend()), the --threads=auto resolution, and the span
- * auditor armed for the resulting refresh cadence.
+ * globals applied in that order, then the point's tweak (which may
+ * still override either, including the backend via
+ * cfg.applyCxlBackend()), and the span auditor armed for the
+ * resulting refresh cadence.
  */
 inline core::SystemConfig
 benchSystemConfig(std::function<void(core::SystemConfig&)> tweak = {})
@@ -146,8 +114,6 @@ benchSystemConfig(std::function<void(core::SystemConfig&)> tweak = {})
         cfg.applyCxlBackend();
     if (tweak)
         tweak(cfg);
-    if (cfg.threads == 0)
-        cfg.threads = resolvedBenchThreads(cfg);
     armSpanAuditor(cfg);
     return cfg;
 }
@@ -207,10 +173,8 @@ uncachedRegion(core::NvdimmcSystem& sys)
 }
 
 /**
- * Build the emulated-pmem baseline with the --channels / --threads
- * globals applied (the BaselineConfig analogue of
- * benchSystemConfig(); the pmem machine has no media shards, so
- * --threads=auto resolves to one executor per channel).
+ * Build the emulated-pmem baseline with the --channels global applied
+ * (the BaselineConfig analogue of benchSystemConfig()).
  */
 inline std::unique_ptr<core::BaselineSystem>
 makePmemSystem(std::function<void(core::BaselineConfig&)> tweak = {})
@@ -219,11 +183,6 @@ makePmemSystem(std::function<void(core::BaselineConfig&)> tweak = {})
     cfg.channels = benchChannels();
     if (tweak)
         tweak(cfg);
-    if (cfg.threads == 0 && benchThreads() != 0) {
-        cfg.threads = benchThreads() == kBenchThreadsAuto
-                          ? cfg.channels
-                          : benchThreads();
-    }
     return std::make_unique<core::BaselineSystem>(cfg);
 }
 

@@ -10,29 +10,20 @@
  * the sweep twice (serial, then parallel) and comparing the formatted
  * results.
  *
- * The "parallel" sweep exercises the other axis of parallelism — the
- * sharded parallel-in-time kernel *inside* one simulation — proving
- * executors=N byte-identical to executors=1 and recording the
- * threads x channels wall-clock scaling study (JSON `perf` blocks).
+ * The "latency" sweep records request spans on fig8-style loads and
+ * requires the span auditor to pass on every point.
  *
- * The "latency" sweep proves the request-span latency breakdown is
- * deterministic: executors=1 and executors=N must export byte-identical
- * per-phase JSON, and the span auditor must pass on both runs.
+ * The "telemetry" sweep exports the time-series telemetry of the fig8
+ * and mixedload machines and requires every run to record intervals
+ * and pass the span auditor.
  *
- * The "telemetry" sweep proves the time-series telemetry export is
- * deterministic: the same machine and workload at executors in
- * {1, 2, N} must export byte-identical telemetry JSONL (interval
- * ticks, exact-integer probe values, windowed SLO percentiles).
- *
- * The "backends" sweep runs the media-transport seam's contract:
- * per-backend (nvdimmc, cxl, pmem) byte-identity verify points across
- * executor counts, plus the fig8/fig11/mixedload head-to-head whose
- * JSON export is committed as BENCH_backends.json.
+ * The "backends" sweep runs the media-transport seam's fig8/fig11/
+ * mixedload head-to-head across the nvdimmc, cxl and pmem backends;
+ * its JSON export is committed as BENCH_backends.json.
  *
  * Usage:
  *   sweep_runner [--sweep ablation|variants|cache_policy|channels
- *                        |parallel|latency|telemetry|faults|backends
- *                        |all]
+ *                        |latency|telemetry|faults|backends|all]
  *                [--jobs N] [--json FILE] [--verify] [--list]
  */
 
@@ -66,15 +57,13 @@ namespace
 using workload::FioConfig;
 
 /**
- * One sweep point's outcome: named metrics plus host wall time.
- * `perf` carries host-machine measurements (wall clocks, speedups);
- * they land in the JSON export only, never in formatPoint, so the
- * --verify serial-vs-parallel comparison stays deterministic.
+ * One sweep point's outcome: named metrics plus host wall time. The
+ * wall time lands in the JSON export only, never in formatPoint, so
+ * the --verify serial-vs-parallel comparison stays deterministic.
  */
 struct PointResult
 {
     std::vector<std::pair<std::string, double>> metrics;
-    std::vector<std::pair<std::string, double>> perf;
     std::string error;
     double wallMs = 0.0;
 };
@@ -396,234 +385,16 @@ makeChannelsSweep()
 }
 
 /**
- * One measured run for the parallel-kernel sweep: a cached random
- * 4 KB FIO load on an N-channel system built with cfg.threads =
- * threads (0 = classic serial kernel, >= 1 = sharded kernel with that
- * many executors). The thread count travels through the config tweak
- * so points stay safe to run concurrently.
- */
-struct ShardedRun
-{
-    workload::FioResult fio;
-    std::string stats; ///< dumpStats text (deterministic).
-    double wallMs = 0.0;
-};
-
-ShardedRun
-runShardedFio(std::uint32_t channels, std::uint32_t threads,
-              FioConfig::Pattern pattern, bool media_shards = true,
-              bool uncached = false, Tick run_time = 0)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    auto tweak = [=](core::SystemConfig& c) {
-        c.channels = channels;
-        c.threads = threads;
-        c.mediaShards = media_shards;
-    };
-    auto sys =
-        uncached ? makeUncachedSystem(tweak) : makeCachedSystem(tweak);
-    FioConfig cfg;
-    cfg.pattern = pattern;
-    cfg.blockSize = 4096;
-    if (uncached) {
-        // All-miss: every access pays a writeback + cachefill, so the
-        // FTL + Z-NAND shards carry real load.
-        auto [base, bytes] = uncachedRegion(*sys);
-        cfg.regionOffset = base;
-        cfg.regionBytes = bytes;
-        cfg.threads = 4;
-        cfg.rampTime = 2 * kMs;
-        cfg.runTime = 40 * kMs;
-    } else {
-        cfg.threads = 8;
-        cfg.regionBytes = cachedRegionBytes(*sys);
-        cfg.rampTime = 2 * kMs;
-        cfg.runTime = 25 * kMs;
-    }
-    if (run_time)
-        cfg.runTime = run_time;
-    ShardedRun run;
-    run.fio = runFio(sys->eq(), nvdcAccess(*sys), cfg);
-    std::ostringstream stats;
-    sys->dumpStats(stats);
-    run.stats = stats.str();
-    run.wallMs = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-    return run;
-}
-
-/**
- * Byte-exactness proof for the sharded kernel: the same machine and
- * workload run twice in-point — executors=1 (the reference
- * interleaving) and executors=N — and every FioResult field plus the
- * full dumpStats text must match exactly. A divergence sets the
- * point's error, which fails the run (rc=1). Both wall clocks land in
- * the JSON `perf` block; the metrics carry only deterministic values.
+ * One latency-breakdown point: request spans on and a random 4 KB FIO
+ * load on an N-channel machine; the span count and the audit verdict
+ * are the result.
  */
 PointResult
-runParallelVerifyPoint(std::uint32_t channels, std::uint32_t threads,
-                       FioConfig::Pattern pattern,
-                       bool uncached = false, Tick run_time = 0)
-{
-    ShardedRun ser = runShardedFio(channels, 1, pattern,
-                                   /*media_shards=*/true, uncached,
-                                   run_time);
-    ShardedRun par = runShardedFio(channels, threads, pattern,
-                                   /*media_shards=*/true, uncached,
-                                   run_time);
-    const bool ok = ser.fio.mbps == par.fio.mbps &&
-                    ser.fio.kiops == par.fio.kiops &&
-                    ser.fio.ops == par.fio.ops &&
-                    ser.fio.meanLatency == par.fio.meanLatency &&
-                    ser.fio.p50 == par.fio.p50 &&
-                    ser.fio.p99 == par.fio.p99 &&
-                    ser.stats == par.stats;
-    PointResult out = fioPoint(par.fio);
-    out.metrics.emplace_back("channels",
-                             static_cast<double>(channels));
-    out.metrics.emplace_back("threads", static_cast<double>(threads));
-    out.metrics.emplace_back("verify_ok", ok ? 1.0 : 0.0);
-    out.perf = {{"wall_serial_ms", ser.wallMs},
-                {"wall_parallel_ms", par.wallMs},
-                {"speedup_x",
-                 par.wallMs > 0 ? ser.wallMs / par.wallMs : 0.0}};
-    if (!ok)
-        out.error = "sharded executors=" + std::to_string(threads) +
-                    " diverged from executors=1";
-    return out;
-}
-
-/** One threads x channels scaling-matrix point. @p run_time shortens
- *  the simulated window for wide machines (0 = the default 25 ms). */
-PointResult
-runParallelMatrixPoint(std::uint32_t channels, std::uint32_t threads,
-                       bool media_shards = true,
-                       bool uncached = false, Tick run_time = 0)
-{
-    ShardedRun run =
-        runShardedFio(channels, threads, FioConfig::Pattern::RandRead,
-                      media_shards, uncached, run_time);
-    PointResult out = fioPoint(run.fio);
-    out.metrics.emplace_back("channels",
-                             static_cast<double>(channels));
-    out.metrics.emplace_back("threads", static_cast<double>(threads));
-    out.metrics.emplace_back("media_shards", media_shards ? 1.0 : 0.0);
-    out.perf = {{"wall_run_ms", run.wallMs}};
-    return out;
-}
-
-/**
- * The parallel-in-time kernel sweep (EXPERIMENTS.md): verify/<N>ch*
- * points prove executors=N byte-identical to executors=1 on the same
- * sharded machine — including executor counts *above* the channel
- * count, which only the media-split shards can absorb, and an
- * uncached point that keeps the FTL + Z-NAND shards under real load;
- * matrix/<N>ch_t<T> points record the threads x channels wall-clock
- * scaling study folded into BENCH_parallel.json (t > N rows ride on
- * the media shards; the media/ pair isolates the split's own win at
- * a fixed channel count). threads=0 is the classic serial kernel
- * baseline (a different modeled machine — no host or media link — so
- * its throughput differs slightly by design); threads >= 1 is the
- * sharded kernel.
- */
-Sweep
-makeParallelSweep()
-{
-    Sweep sweep{"parallel", {}};
-    auto& p = sweep.points;
-    for (std::uint32_t n : {2u, 4u}) {
-        p.push_back({"verify/" + std::to_string(n) + "ch", [n] {
-            return runParallelVerifyPoint(
-                n, n, FioConfig::Pattern::RandRead);
-        }});
-        // Executors beyond the channel count: only sound because the
-        // media split doubled the shard vector.
-        p.push_back({"verify/" + std::to_string(n) + "ch_t" +
-                         std::to_string(2 * n),
-                     [n] {
-                         return runParallelVerifyPoint(
-                             n, 2 * n, FioConfig::Pattern::RandRead);
-                     }});
-    }
-    p.push_back({"verify/2ch_uncached_t4", [] {
-        return runParallelVerifyPoint(
-            2, 4, FioConfig::Pattern::RandRead, /*uncached=*/true);
-    }});
-    // Byte-identity at campaign width: a 16-channel machine with a
-    // full-width executor vector must still replay the executors=1
-    // interleaving exactly (short window, same reason as matrix/).
-    p.push_back({"verify/16ch_t16", [] {
-        return runParallelVerifyPoint(
-            16, 16, FioConfig::Pattern::RandRead,
-            /*uncached=*/false, /*run_time=*/4 * kMs);
-    }});
-    for (std::uint32_t n : {1u, 2u, 4u}) {
-        std::vector<std::uint32_t> threads = {0u, 1u};
-        if (n > 1)
-            threads.push_back(n);
-        threads.push_back(2 * n);
-        for (std::uint32_t t : threads) {
-            p.push_back({"matrix/" + std::to_string(n) + "ch_t" +
-                             std::to_string(t),
-                         [n, t] {
-                             return runParallelMatrixPoint(n, t);
-                         }});
-        }
-    }
-    // Wide-machine scaling study (16–64 channels): the per-simulated-ms
-    // event count grows with the channel count, so these points run a
-    // shorter simulated window — they exist to measure executor
-    // scaling on wide shard vectors, not to age the cache. Executor
-    // counts sample the ladder up to the channel count.
-    for (std::uint32_t n : {16u, 32u, 64u}) {
-        for (std::uint32_t t : {1u, 4u, n / 2, n}) {
-            p.push_back({"matrix/" + std::to_string(n) + "ch_t" +
-                             std::to_string(t),
-                         [n, t] {
-                             return runParallelMatrixPoint(
-                                 n, t, /*media_shards=*/true,
-                                 /*uncached=*/false,
-                                 /*run_time=*/4 * kMs);
-                         }});
-        }
-    }
-    // The media split's own contribution, all else fixed: an all-miss
-    // load on 4 channels with executors pinned at the channel count
-    // (media shards off) vs the full shard vector (on).
-    p.push_back({"media/4ch_uncached_off_t4", [] {
-        return runParallelMatrixPoint(4, 4, /*media_shards=*/false,
-                                      /*uncached=*/true);
-    }});
-    p.push_back({"media/4ch_uncached_on_t8", [] {
-        return runParallelMatrixPoint(4, 8, /*media_shards=*/true,
-                                      /*uncached=*/true);
-    }});
-    return sweep;
-}
-
-/**
- * One latency-breakdown measurement: request spans on, a random 4 KB
- * FIO load on an N-channel machine with the given executor count, and
- * the per-op-class per-phase JSON plus the span audit as the result.
- */
-struct BreakdownRun
-{
-    std::string json;
-    bool auditOk = false;
-    std::uint64_t spans = 0;
-};
-
-BreakdownRun
-runBreakdownFio(std::uint32_t channels, std::uint32_t threads,
-                bool uncached)
+runLatencyPoint(std::uint32_t channels, bool uncached)
 {
     span::enable();
     span::reset();
-    auto tweak = [=](core::SystemConfig& c) {
-        c.channels = channels;
-        c.threads = threads;
-    };
+    auto tweak = [=](core::SystemConfig& c) { c.channels = channels; };
     std::unique_ptr<core::NvdimmcSystem> sys;
     FioConfig cfg;
     cfg.blockSize = 4096;
@@ -645,44 +416,16 @@ runBreakdownFio(std::uint32_t channels, std::uint32_t threads,
     }
     runFio(sys->eq(), nvdcAccess(*sys), cfg);
 
-    BreakdownRun run;
+    // Every span closed, phases tile end-to-end, window waits bounded.
     span::AuditResult audit = span::audit();
-    run.auditOk = audit.ok();
-    run.spans = audit.closed;
-    std::ostringstream os;
-    span::writeBreakdownJson(os);
-    run.json = os.str();
     span::reset();
     span::disable();
-    return run;
-}
-
-/**
- * Determinism proof for the breakdown export: the identical machine
- * and workload run with executors=1 and executors=N must produce
- * byte-identical latency-breakdown JSON (same spans, same phase
- * tick counts, same percentiles), and both runs must pass the span
- * auditor (every span closed, phases tile end-to-end, window waits
- * bounded).
- */
-PointResult
-runLatencyVerifyPoint(std::uint32_t channels, std::uint32_t threads,
-                      bool uncached)
-{
-    BreakdownRun ser = runBreakdownFio(channels, 1, uncached);
-    BreakdownRun par = runBreakdownFio(channels, threads, uncached);
-    const bool identical = ser.json == par.json;
     PointResult out;
     out.metrics = {
-        {"spans", static_cast<double>(par.spans)},
-        {"audit_ok", ser.auditOk && par.auditOk ? 1.0 : 0.0},
-        {"breakdown_identical", identical ? 1.0 : 0.0},
+        {"spans", static_cast<double>(audit.closed)},
+        {"audit_ok", audit.ok() ? 1.0 : 0.0},
     };
-    if (!identical)
-        out.error = "breakdown JSON diverged between executors=1 and "
-                    "executors=" +
-                    std::to_string(threads);
-    else if (!ser.auditOk || !par.auditOk)
+    if (!audit.ok())
         out.error = "span audit failed";
     return out;
 }
@@ -692,55 +435,50 @@ makeLatencySweep()
 {
     Sweep sweep{"latency", {}, /*serialOnly=*/true};
     auto& p = sweep.points;
-    p.push_back({"verify/1ch_cached", [] {
-        return runLatencyVerifyPoint(1, 2, false);
-    }});
-    p.push_back({"verify/4ch_cached", [] {
-        return runLatencyVerifyPoint(4, 4, false);
-    }});
-    p.push_back({"verify/1ch_uncached", [] {
-        return runLatencyVerifyPoint(1, 2, true);
-    }});
+    p.push_back({"1ch_cached", [] { return runLatencyPoint(1, false); }});
+    p.push_back({"4ch_cached", [] { return runLatencyPoint(4, false); }});
+    p.push_back({"1ch_uncached", [] { return runLatencyPoint(1, true); }});
     return sweep;
 }
 
 /**
- * One telemetry measurement: the deterministic time-series layer on
- * (which implies span recording — the windowed SLO percentiles drain
- * the span layer), a workload, and the collector's full JSONL export
- * as the result. The export label is fixed per point, so runs that
- * differ only in executor count must produce byte-identical strings.
+ * Finish one telemetry point: export the collector's JSONL (the path
+ * the --telemetry bench flag drives) and report the interval count
+ * and the span audit verdict (the windowed SLO percentiles drain the
+ * span layer, so telemetry implies span recording).
  */
-struct TelemetryRun
+PointResult
+finishTelemetryPoint(core::NvdimmcSystem& sys, const char* label)
 {
-    std::string jsonl;
-    std::uint64_t intervals = 0;
-    bool auditOk = false;
-};
-
-TelemetryRun
-finishTelemetryRun(core::NvdimmcSystem& sys, const char* label)
-{
-    TelemetryRun run;
-    run.auditOk = span::audit().ok();
+    const bool audit_ok = span::audit().ok();
     std::ostringstream os;
     sys.telemetryCollector()->writeJsonl(os, label);
-    run.jsonl = os.str();
-    run.intervals = sys.telemetryCollector()->records().size();
-    return run;
+    const auto intervals = static_cast<double>(
+        sys.telemetryCollector()->records().size());
+    span::reset();
+    span::disable();
+    telemetry::disable();
+
+    PointResult out;
+    out.metrics = {
+        {"intervals", intervals},
+        {"audit_ok", audit_ok ? 1.0 : 0.0},
+    };
+    if (!audit_ok)
+        out.error = "span audit failed";
+    else if (intervals == 0)
+        out.error = "telemetry recorded no intervals";
+    return out;
 }
 
-TelemetryRun
-runTelemetryFio(std::uint32_t channels, std::uint32_t threads,
-                bool uncached, const char* label)
+PointResult
+runTelemetryFioPoint(std::uint32_t channels, bool uncached,
+                     const char* label)
 {
     telemetry::enable();
     span::enable();
     span::reset();
-    auto tweak = [=](core::SystemConfig& c) {
-        c.channels = channels;
-        c.threads = threads;
-    };
+    auto tweak = [=](core::SystemConfig& c) { c.channels = channels; };
     std::unique_ptr<core::NvdimmcSystem> sys;
     FioConfig cfg;
     cfg.blockSize = 4096;
@@ -761,24 +499,19 @@ runTelemetryFio(std::uint32_t channels, std::uint32_t threads,
         cfg.runTime = 25 * kMs;
     }
     runFio(sys->eq(), nvdcAccess(*sys), cfg);
-    TelemetryRun run = finishTelemetryRun(*sys, label);
-    span::reset();
-    span::disable();
-    telemetry::disable();
-    return run;
+    return finishTelemetryPoint(*sys, label);
 }
 
-TelemetryRun
-runTelemetryMixed(std::uint32_t threads, const char* label)
+PointResult
+runTelemetryMixedPoint(const char* label)
 {
     telemetry::enable();
     span::enable();
     span::reset();
     // Validation requires real bytes end to end: detailed memcpy.
     auto sys = std::make_unique<core::NvdimmcSystem>(
-        benchSystemConfig([threads](core::SystemConfig& c) {
+        benchSystemConfig([](core::SystemConfig& c) {
             c.channels = 2;
-            c.threads = threads;
             c.memcpy.bulkMode = false;
         }));
     workload::DataDevice dev;
@@ -798,62 +531,7 @@ runTelemetryMixed(std::uint32_t threads, const char* label)
     mc.recordBytes = 4096;
     mc.regionBytes = std::uint64_t{mc.users} * 32 * 4096;
     workload::runMixedLoad(sys->eq(), dev, mc);
-    TelemetryRun run = finishTelemetryRun(*sys, label);
-    span::reset();
-    span::disable();
-    telemetry::disable();
-    return run;
-}
-
-/**
- * Determinism proof for the telemetry export: the identical machine
- * and workload run at executors in {1, 2, N} must produce
- * byte-identical telemetry JSONL (same interval ticks, same
- * exact-integer probe values, same windowed percentiles), and every
- * run must pass the span auditor. The sample event rides the host
- * queue, so it observes device state at the barrier-safe window edge
- * regardless of executor count — this point is the enforcement.
- */
-PointResult
-telemetryVerdict(const TelemetryRun& t1, const TelemetryRun& t2,
-                 const TelemetryRun& tn, std::uint32_t n)
-{
-    const bool identical = t1.jsonl == t2.jsonl && t1.jsonl == tn.jsonl;
-    PointResult out;
-    out.metrics = {
-        {"intervals", static_cast<double>(t1.intervals)},
-        {"audit_ok",
-         t1.auditOk && t2.auditOk && tn.auditOk ? 1.0 : 0.0},
-        {"threads_identical", identical ? 1.0 : 0.0},
-    };
-    if (!identical)
-        out.error = "telemetry JSONL diverged across executors=1/2/" +
-                    std::to_string(n);
-    else if (!t1.auditOk || !t2.auditOk || !tn.auditOk)
-        out.error = "span audit failed";
-    else if (t1.intervals == 0)
-        out.error = "telemetry recorded no intervals";
-    return out;
-}
-
-PointResult
-runTelemetryFioVerifyPoint(std::uint32_t channels, bool uncached,
-                           const char* label)
-{
-    const std::uint32_t n = channels * 2; // full media-split vector
-    TelemetryRun t1 = runTelemetryFio(channels, 1, uncached, label);
-    TelemetryRun t2 = runTelemetryFio(channels, 2, uncached, label);
-    TelemetryRun tn = runTelemetryFio(channels, n, uncached, label);
-    return telemetryVerdict(t1, t2, tn, n);
-}
-
-PointResult
-runTelemetryMixedVerifyPoint(const char* label)
-{
-    TelemetryRun t1 = runTelemetryMixed(1, label);
-    TelemetryRun t2 = runTelemetryMixed(2, label);
-    TelemetryRun t4 = runTelemetryMixed(4, label);
-    return telemetryVerdict(t1, t2, t4, 4);
+    return finishTelemetryPoint(*sys, label);
 }
 
 Sweep
@@ -861,27 +539,25 @@ makeTelemetrySweep()
 {
     Sweep sweep{"telemetry", {}, /*serialOnly=*/true};
     auto& p = sweep.points;
-    p.push_back({"verify/1ch_cached", [] {
-        return runTelemetryFioVerifyPoint(1, false, "fig8/1ch_cached");
+    p.push_back({"1ch_cached", [] {
+        return runTelemetryFioPoint(1, false, "fig8/1ch_cached");
     }});
-    p.push_back({"verify/4ch_cached", [] {
-        return runTelemetryFioVerifyPoint(4, false, "fig8/4ch_cached");
+    p.push_back({"4ch_cached", [] {
+        return runTelemetryFioPoint(4, false, "fig8/4ch_cached");
     }});
-    p.push_back({"verify/1ch_uncached", [] {
-        return runTelemetryFioVerifyPoint(1, true,
-                                          "fig8/1ch_uncached");
+    p.push_back({"1ch_uncached", [] {
+        return runTelemetryFioPoint(1, true, "fig8/1ch_uncached");
     }});
-    p.push_back({"verify/mixedload", [] {
-        return runTelemetryMixedVerifyPoint("mixedload/125users");
+    p.push_back({"mixedload", [] {
+        return runTelemetryMixedPoint("mixedload/125users");
     }});
     return sweep;
 }
 
 /**
- * One power-fail sweep point: cut at @p frac of the uncut run, replay
- * recovery, and prove the whole campaign byte-identical across
- * executor counts. Integrity (corrupt=0 with ADR) and determinism
- * both land in the verified metrics.
+ * One power-fail sweep point: cut at @p frac of the uncut run and
+ * replay recovery. Integrity (corrupt=0 with ADR) lands in the
+ * verified metrics.
  */
 PointResult
 runPowerFailPoint(double frac, bool adr)
@@ -892,24 +568,17 @@ runPowerFailPoint(double frac, bool adr)
     fault::PowerFailCampaignResult full = runPowerFailCampaign(cfg);
     cfg.haltAtTick = static_cast<Tick>(
         static_cast<double>(full.workloadElapsed) * frac);
-    cfg.threads = 1;
-    fault::PowerFailCampaignResult t1 = runPowerFailCampaign(cfg);
-    cfg.threads = 2;
-    fault::PowerFailCampaignResult t2 = runPowerFailCampaign(cfg);
-    bool identical = t1.fingerprint == t2.fingerprint;
+    fault::PowerFailCampaignResult cut = runPowerFailCampaign(cfg);
 
     PointResult out;
     out.metrics = {
-        {"committed", static_cast<double>(t1.committedRecords)},
-        {"corrupt", static_cast<double>(t1.corruptRecords)},
-        {"pages_dumped", static_cast<double>(t1.pagesDumped)},
-        {"wpq_lost", static_cast<double>(t1.wpqLost)},
-        {"recovery_us", ticksToUs(t1.recoveryTicks)},
-        {"threads_identical", identical ? 1.0 : 0.0},
+        {"committed", static_cast<double>(cut.committedRecords)},
+        {"corrupt", static_cast<double>(cut.corruptRecords)},
+        {"pages_dumped", static_cast<double>(cut.pagesDumped)},
+        {"wpq_lost", static_cast<double>(cut.wpqLost)},
+        {"recovery_us", ticksToUs(cut.recoveryTicks)},
     };
-    if (!identical)
-        out.error = "campaign diverged across --threads";
-    else if (adr && t1.corruptRecords != 0)
+    if (adr && cut.corruptRecords != 0)
         out.error = "committed records corrupted despite ADR";
     return out;
 }
@@ -1021,84 +690,6 @@ makeBackendDevice(backend::BackendKind kind, bool uncached)
     dev.nvdc = uncached ? makeUncachedSystem(tweak)
                         : makeCachedSystem(tweak);
     return dev;
-}
-
-/**
- * One measured run for a backend byte-identity point: a cached random
- * 4 KB FIO load on a 2-channel machine fronted by @p kind, built with
- * the given executor count.
- */
-ShardedRun
-runBackendFio(backend::BackendKind kind, std::uint32_t channels,
-              std::uint32_t threads)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    ShardedRun run;
-    FioConfig cfg;
-    cfg.pattern = FioConfig::Pattern::RandRead;
-    cfg.blockSize = 4096;
-    cfg.threads = 8;
-    cfg.rampTime = 2 * kMs;
-    cfg.runTime = 25 * kMs;
-    std::ostringstream stats;
-    if (kind == backend::BackendKind::Pmem) {
-        auto sys = makePmemSystem([&](core::BaselineConfig& c) {
-            c.channels = channels;
-            c.threads = threads;
-        });
-        cfg.regionBytes = std::min<std::uint64_t>(
-            sys->driver().capacityBytes(), 2 * kGiB);
-        run.fio = runFio(sys->eq(), pmemAccess(*sys), cfg);
-        sys->dumpStats(stats);
-    } else {
-        auto sys = makeCachedSystem([&](core::SystemConfig& c) {
-            c.channels = channels;
-            c.threads = threads;
-            if (kind == backend::BackendKind::CxlHybrid)
-                c.applyCxlBackend();
-        });
-        cfg.regionBytes = cachedRegionBytes(*sys);
-        run.fio = runFio(sys->eq(), nvdcAccess(*sys), cfg);
-        sys->dumpStats(stats);
-    }
-    run.stats = stats.str();
-    run.wallMs = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-    return run;
-}
-
-/**
- * The per-backend byte-exactness proof: the same machine and workload
- * with executors=1 (reference) and executors=N must agree on every
- * FIO field and the full stats dump. Extends the sharded kernel's
- * verify contract to every transport behind the MediaBackend seam.
- */
-PointResult
-runBackendVerifyPoint(backend::BackendKind kind,
-                      std::uint32_t channels, std::uint32_t threads)
-{
-    ShardedRun ser = runBackendFio(kind, channels, 1);
-    ShardedRun par = runBackendFio(kind, channels, threads);
-    const bool ok = ser.fio.mbps == par.fio.mbps &&
-                    ser.fio.kiops == par.fio.kiops &&
-                    ser.fio.ops == par.fio.ops &&
-                    ser.fio.meanLatency == par.fio.meanLatency &&
-                    ser.fio.p50 == par.fio.p50 &&
-                    ser.fio.p99 == par.fio.p99 &&
-                    ser.stats == par.stats;
-    PointResult out = fioPoint(par.fio);
-    out.metrics.emplace_back("channels",
-                             static_cast<double>(channels));
-    out.metrics.emplace_back("threads", static_cast<double>(threads));
-    out.metrics.emplace_back("verify_ok", ok ? 1.0 : 0.0);
-    out.perf = {{"wall_serial_ms", ser.wallMs},
-                {"wall_parallel_ms", par.wallMs}};
-    if (!ok)
-        out.error = std::string(backend::toString(kind)) +
-                    " backend executors=" + std::to_string(threads) +
-                    " diverged from executors=1";
-    return out;
 }
 
 /** Sum of a phase's sum_ps fields across every op class in a span
@@ -1274,12 +865,10 @@ runBackendMixedloadPoint(backend::BackendKind kind)
 }
 
 /**
- * The backends sweep (the MediaBackend seam's verify + head-to-head
- * contract): per backend, byte-identity points at --threads in
- * {1, N, 2N} on a 2-channel machine (each point runs executors=1 as
- * the in-point reference), then the fig8/fig11/mixedload comparison
- * whose JSON export is committed as BENCH_backends.json. serialOnly:
- * the fig8 points use the process-global span recorder.
+ * The backends sweep (the MediaBackend seam's head-to-head): per
+ * backend, the fig8/fig11/mixedload comparison whose JSON export is
+ * committed as BENCH_backends.json. serialOnly: the fig8 points use
+ * the process-global span recorder.
  */
 Sweep
 makeBackendsSweep()
@@ -1290,16 +879,6 @@ makeBackendsSweep()
                       backend::BackendKind::CxlHybrid,
                       backend::BackendKind::Pmem}) {
         const std::string tag = backend::toString(kind);
-        // channels=2: N = 2 (one executor per channel) and 2N = 4
-        // (only the media-split shard vector can absorb the extra
-        // executors on the hybrid transports; the pmem machine clamps
-        // to its channel count, which must stay byte-identical too).
-        for (std::uint32_t t : {2u, 4u}) {
-            p.push_back({tag + "/verify/2ch_t" + std::to_string(t),
-                         [kind, t] {
-                             return runBackendVerifyPoint(kind, 2, t);
-                         }});
-        }
         p.push_back({tag + "/fig8/cached", [kind] {
             return runBackendFig8Point(kind, false);
         }});
@@ -1404,15 +983,6 @@ writeJson(std::ostream& os,
                 for (const auto& [key, value] : results[i].metrics)
                     os << ", \"" << key << "\": " << value;
             }
-            if (!results[i].perf.empty()) {
-                os << ", \"perf\": {";
-                for (std::size_t k = 0; k < results[i].perf.size();
-                     ++k)
-                    os << (k ? ", " : "") << "\""
-                       << results[i].perf[k].first
-                       << "\": " << results[i].perf[k].second;
-                os << "}";
-            }
             os << "}" << (i + 1 < results.size() ? "," : "") << "\n";
         }
         os << "    ]}" << (s + 1 < all.size() ? "," : "") << "\n";
@@ -1449,9 +1019,8 @@ sweepMain(int argc, char** argv)
             for (const Sweep& sweep :
                  {makeAblationSweep(), makeVariantsSweep(),
                   makeCachePolicySweep(), makeChannelsSweep(),
-                  makeParallelSweep(), makeLatencySweep(),
-                  makeTelemetrySweep(), makeFaultsSweep(),
-                  makeBackendsSweep()}) {
+                  makeLatencySweep(), makeTelemetrySweep(),
+                  makeFaultsSweep(), makeBackendsSweep()}) {
                 for (const auto& point : sweep.points)
                     std::cout << sweep.name << "/" << point.name
                               << "\n";
@@ -1461,7 +1030,7 @@ sweepMain(int argc, char** argv)
             std::cout
                 << "usage: sweep_runner"
                    " [--sweep ablation|variants|cache_policy|channels"
-                   "|parallel|latency|telemetry|faults|backends|all]\n"
+                   "|latency|telemetry|faults|backends|all]\n"
                    "                    [--jobs N] [--json FILE]"
                    " [--verify] [--list]\n";
             return 0;
@@ -1487,8 +1056,6 @@ sweepMain(int argc, char** argv)
         sweeps.push_back(makeCachePolicySweep());
     if (want("channels"))
         sweeps.push_back(makeChannelsSweep());
-    if (want("parallel"))
-        sweeps.push_back(makeParallelSweep());
     if (want("latency"))
         sweeps.push_back(makeLatencySweep());
     if (want("telemetry"))

@@ -11,7 +11,7 @@ Two input formats, auto-detected:
   halving throughput is the default bar.
 
 * sweep-runner exports (top-level "sweeps" key, e.g.
-  BENCH_parallel.json, BENCH_backends.json): every point's metrics are
+  BENCH_backends.json): every point's metrics are
   deterministic simulation outputs. Metrics on the stable allowlist
   (byte-identity verdicts, audit results, op/span/transaction counts,
   integrity counters) must match the committed baseline EXACTLY — any
@@ -49,10 +49,7 @@ SUPPORTED_SCHEMA = 1
 # committed baseline is a regression, never noise. Everything else in
 # a point is compared informationally.
 STABLE_METRICS = frozenset({
-    "threads_identical",
-    "breakdown_identical",
     "audit_ok",
-    "verify_ok",
     "identical",
     "invariants_ok",
     "validation_failures",

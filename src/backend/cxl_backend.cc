@@ -7,16 +7,14 @@
 namespace nvdimmc::backend
 {
 
-CxlHybridBackend::CxlHybridBackend(EventQueue& host_eq,
-                                   imc::HostPort& port,
+CxlHybridBackend::CxlHybridBackend(EventQueue& eq,
                                    const CxlBackendConfig& cfg)
-    : hostEq_(host_eq), port_(port), cfg_(cfg)
+    : eq_(eq), cfg_(cfg)
 {
     NVDC_ASSERT(cfg.maxPendingReads >= 1 && cfg.maxPendingWrites >= 1,
                 "CXL credit pools must be at least one deep");
     NVDC_ASSERT(cfg.reqLatency > 0 && cfg.respLatency > 0,
-                "CXL link crossings need positive latency (they are "
-                "the cross-shard lookahead)");
+                "CXL link crossings need positive latency");
     traits_.kind = BackendKind::CxlHybrid;
     traits_.name = "cxl";
     traits_.interleaveGranule = cfg.interleaveGranule;
@@ -26,7 +24,7 @@ CxlHybridBackend::CxlHybridBackend(EventQueue& host_eq,
 }
 
 void
-CxlHybridBackend::attachChannel(std::uint32_t ch, EventQueue& ch_eq,
+CxlHybridBackend::attachChannel(std::uint32_t ch,
                                 dram::DramDevice& dram,
                                 nvm::PageBackend& media,
                                 const nvmc::ReservedLayout& layout)
@@ -34,7 +32,6 @@ CxlHybridBackend::attachChannel(std::uint32_t ch, EventQueue& ch_eq,
     if (ch >= channels_.size())
         channels_.resize(ch + 1);
     Channel& c = channels_[ch];
-    c.eq = &ch_eq;
     c.dram = &dram;
     c.media = &media;
     c.layout = &layout;
@@ -99,23 +96,15 @@ CxlHybridBackend::pumpWaiters(std::uint32_t ch)
 }
 
 void
-CxlHybridBackend::toDevice(std::uint32_t ch, Callback fn)
+CxlHybridBackend::toDevice(Callback fn)
 {
-    if (port_.sharded()) {
-        port_.postDevice(ch, cfg_.reqLatency, std::move(fn));
-        return;
-    }
-    hostEq_.scheduleAfter(cfg_.reqLatency, std::move(fn));
+    eq_.scheduleAfter(cfg_.reqLatency, std::move(fn));
 }
 
 void
-CxlHybridBackend::toHost(std::uint32_t ch, Callback fn)
+CxlHybridBackend::toHost(Callback fn)
 {
-    if (port_.sharded()) {
-        port_.completeDevice(ch, cfg_.respLatency, std::move(fn));
-        return;
-    }
-    channels_[ch].eq->scheduleAfter(cfg_.respLatency, std::move(fn));
+    eq_.scheduleAfter(cfg_.respLatency, std::move(fn));
 }
 
 void
@@ -136,25 +125,25 @@ CxlHybridBackend::submit(std::uint32_t channel, const TransportOp& op,
         stats_.mergedOps.inc();
         break;
     }
-    const Tick submitted = hostEq_.now();
+    const Tick submitted = eq_.now();
     acquireCredits(channel, op.kind, [this, channel, op, submitted,
                                       done = std::move(done)]() mutable {
         // Credit in hand; everything since submit() was pool pressure.
-        span::phase(op.span, span::Phase::LinkWait, hostEq_.now());
+        span::phase(op.span, span::Phase::LinkWait, eq_.now());
         Callback respond = [this, channel, op, submitted,
                             done = std::move(done)] {
             // Runs device-side once the op's work is finished; the
             // response flit crosses back and completes on the host.
-            toHost(channel, [this, channel, op, submitted,
+            toHost([this, channel, op, submitted,
                              done = std::move(done)] {
                 span::phase(op.span, span::Phase::LinkResp,
-                            hostEq_.now());
-                stats_.opLatency.record(hostEq_.now() - submitted);
+                            eq_.now());
+                stats_.opLatency.record(eq_.now() - submitted);
                 releaseCredits(channel, op.kind);
                 done();
             });
         };
-        toDevice(channel, [this, channel, op,
+        toDevice([this, channel, op,
                            respond = std::move(respond)]() mutable {
             deviceExec(channel, op, std::move(respond));
         });
@@ -167,7 +156,7 @@ CxlHybridBackend::deviceExec(std::uint32_t ch, TransportOp op,
 {
     Channel& c = channels_[ch];
     // The request flit has arrived at the device controller.
-    span::phase(op.span, span::Phase::LinkReq, c.eq->now());
+    span::phase(op.span, span::Phase::LinkReq, eq_.now());
 
     if (op.kind == TransportOp::Kind::Cachefill) {
         deviceFill(ch, op, op.dramSlot, op.nandPage,
@@ -185,12 +174,12 @@ CxlHybridBackend::deviceExec(std::uint32_t ch, TransportOp op,
         nvm::PageBackend::kPageBytes);
     readDramDirect(ch, c.layout->slotAddr(slot),
                    nvm::PageBackend::kPageBytes, buf->data());
-    c.eq->scheduleAfter(cfg_.devCopyLatency, [this, ch, op, slot,
-                                              nand_page, buf,
-                                              respond = std::move(
-                                                  respond)]() mutable {
+    eq_.scheduleAfter(cfg_.devCopyLatency, [this, ch, op, slot,
+                                            nand_page, buf,
+                                            respond = std::move(
+                                                respond)]() mutable {
         Channel& cc = channels_[ch];
-        span::phase(op.span, span::Phase::DevCopy, cc.eq->now());
+        span::phase(op.span, span::Phase::DevCopy, eq_.now());
         // From this instant the slot may be overwritten by a fill;
         // the power-fail dump must not commit its bytes as the
         // victim's. The program retains the capture buffer.
@@ -224,8 +213,7 @@ CxlHybridBackend::deviceFill(std::uint32_t ch, const TransportOp& op,
         nand_page, buf->data(),
         [this, ch, op, slot, buf, respond = std::move(respond)]() mutable {
             // NAND data in the device buffer; copy it into the slot.
-            Channel& cc = channels_[ch];
-            cc.eq->scheduleAfter(
+            eq_.scheduleAfter(
                 cfg_.devCopyLatency,
                 [this, ch, op, slot, buf,
                  respond = std::move(respond)] {
@@ -234,7 +222,7 @@ CxlHybridBackend::deviceFill(std::uint32_t ch, const TransportOp& op,
                                     nvm::PageBackend::kPageBytes,
                                     buf->data());
                     span::phase(op.span, span::Phase::DevCopy,
-                                c2.eq->now());
+                                eq_.now());
                     respond();
                 });
         },

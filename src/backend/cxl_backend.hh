@@ -41,7 +41,6 @@
 #include "common/event_queue.hh"
 #include "common/stats.hh"
 #include "dram/dram_device.hh"
-#include "imc/host_port.hh"
 #include "nvm/nvm_media.hh"
 #include "nvmc/cp_protocol.hh"
 
@@ -82,19 +81,16 @@ struct CxlBackendStats
 class CxlHybridBackend : public MediaBackend
 {
   public:
-    CxlHybridBackend(EventQueue& host_eq, imc::HostPort& port,
-                     const CxlBackendConfig& cfg);
+    CxlHybridBackend(EventQueue& eq, const CxlBackendConfig& cfg);
 
     /**
-     * Wire channel @p ch's device halves in: @p ch_eq is the queue
-     * device-side work runs on (the channel's shard queue when
-     * sharded, the host queue otherwise), @p dram the device DRAM,
+     * Wire channel @p ch's device halves in: @p dram the device DRAM,
      * @p media the page store behind it, @p layout the slot/metadata
      * map shared with the driver. Must be called for every channel
      * before traffic.
      */
-    void attachChannel(std::uint32_t ch, EventQueue& ch_eq,
-                       dram::DramDevice& dram, nvm::PageBackend& media,
+    void attachChannel(std::uint32_t ch, dram::DramDevice& dram,
+                       nvm::PageBackend& media,
                        const nvmc::ReservedLayout& layout);
 
     const BackendTraits& traits() const override { return traits_; }
@@ -124,7 +120,6 @@ class CxlHybridBackend : public MediaBackend
   private:
     struct Channel
     {
-        EventQueue* eq = nullptr;
         dram::DramDevice* dram = nullptr;
         nvm::PageBackend* media = nullptr;
         /** Non-owning: the core Channel outlives the backend. */
@@ -164,14 +159,12 @@ class CxlHybridBackend : public MediaBackend
     void releaseCredits(std::uint32_t ch, TransportOp::Kind kind);
     void pumpWaiters(std::uint32_t ch);
 
-    /** Host -> device: run @p fn on the channel's queue one request
-     *  latency ahead (mailbox message when sharded). */
-    void toDevice(std::uint32_t ch, Callback fn);
-    /** Device -> host: run @p fn on the host queue one response
-     *  latency ahead. */
-    void toHost(std::uint32_t ch, Callback fn);
+    /** Host -> device: run @p fn one request latency ahead. */
+    void toDevice(Callback fn);
+    /** Device -> host: run @p fn one response latency ahead. */
+    void toHost(Callback fn);
 
-    /** Device-side op execution (runs on the channel's queue). */
+    /** Device-side op execution. */
     void deviceExec(std::uint32_t ch, TransportOp op, Callback respond);
     void deviceFill(std::uint32_t ch, const TransportOp& op,
                     std::uint32_t slot, std::uint64_t nand_page,
@@ -185,8 +178,7 @@ class CxlHybridBackend : public MediaBackend
                          const std::uint8_t* data);
     /** @} */
 
-    EventQueue& hostEq_;
-    imc::HostPort& port_;
+    EventQueue& eq_;
     CxlBackendConfig cfg_;
     BackendTraits traits_;
 

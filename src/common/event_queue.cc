@@ -1,9 +1,7 @@
 #include "common/event_queue.hh"
 
-#include <algorithm>
 
 #include "common/logging.hh"
-#include "common/shard.hh"
 
 namespace nvdimmc
 {
@@ -180,163 +178,22 @@ EventQueue::fireFocused()
     }
 }
 
-std::size_t
-EventQueue::bestStage() const
-{
-    std::size_t best = stages_.size();
-    for (std::size_t i = 0; i < stages_.size(); ++i) {
-        // Drained stages linger only while a staged callback deeper
-        // in the stack is re-entering the dispatcher; skip them.
-        if (stages_[i].cursor == stages_[i].items.size())
-            continue;
-        const TimedCallback& head = stages_[i].items[stages_[i].cursor];
-        if (best == stages_.size())
-            best = i;
-        else {
-            const TimedCallback& b =
-                stages_[best].items[stages_[best].cursor];
-            if (head.when < b.when ||
-                (head.when == b.when && head.seq < b.seq))
-                best = i;
-        }
-    }
-    return best;
-}
-
-void
-EventQueue::collectStages()
-{
-    for (std::size_t i = stages_.size(); i-- > 0;) {
-        Stage& st = stages_[i];
-        if (st.cursor != st.items.size())
-            continue;
-        st.items.clear();
-        freeStageBufs_.push_back(std::move(st.items));
-        stages_.erase(stages_.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-    stagedDone_ = false;
-}
-
-void
-EventQueue::fireStaged(std::size_t si)
-{
-    Stage& st = stages_[si];
-    TimedCallback& it = st.items[st.cursor++];
-    NVDC_DASSERT(it.when >= now_, "event in the past");
-    now_ = it.when;
-    --livePending_;
-    ++fired_;
-    if (st.cursor == st.items.size())
-        stagedDone_ = true;
-    // Fire in place: the element buffer never moves (a re-entrant
-    // scheduleBatch moves the Stage object, not its items' storage),
-    // and recycling of drained stages is deferred until no staged
-    // callable is on the stack — so skipping the detach-move (and the
-    // per-message destructor that came with it) is safe even if the
-    // callback re-enters the dispatcher. Do not touch `st` after the
-    // call; stages_ may have grown.
-    {
-        struct Depth
-        {
-            std::uint32_t& d;
-            ~Depth() { --d; }
-        } depth{++stagedDepth_};
-        if (it.fn)
-            it.fn();
-    }
-    if (stagedDepth_ == 0 && stagedDone_)
-        collectStages();
-}
-
 bool
-EventQueue::fireNextBound(Tick limit, bool strict)
+EventQueue::fireNextBound(Tick limit)
 {
-    Tick s_when = kTickNever;
-    std::uint64_t s_seq = 0;
-    std::size_t si = stages_.size();
-    if (!stages_.empty()) {
-        // One live batch in flight is the steady state (a shard
-        // drains its mailbox train before the next window lands).
-        if (stages_.size() == 1 &&
-            stages_[0].cursor < stages_[0].items.size()) {
-            si = 0;
-        } else {
-            si = bestStage();
-        }
-        if (si != stages_.size()) {
-            const TimedCallback& head =
-                stages_[si].items[stages_[si].cursor];
-            s_when = head.when;
-            s_seq = head.seq;
-        }
-    }
-    // The wheel clock must never pass the earliest staged tick either:
-    // if the staged lane fires first, a callback it runs may schedule
-    // before any tick the wheel skipped ahead to.
-    Tick bound = std::min(limit, s_when);
-    Tick w_when = kTickNever;
-    std::uint64_t w_seq = 0;
-    bool have_wheel = findWheelNext(bound, w_when, w_seq);
-    if (si != stages_.size() &&
-        (!have_wheel || s_when < w_when ||
-         (s_when == w_when && s_seq < w_seq))) {
-        if (strict ? s_when >= limit : s_when > limit)
-            return false;
-        fireStaged(si);
-        return true;
-    }
-    if (!have_wheel)
-        return false;
-    if (strict ? w_when >= limit : w_when > limit)
+    Tick when = kTickNever;
+    std::uint64_t seq = 0;
+    if (!findWheelNext(limit, when, seq) || when > limit)
         return false;
     fireFocused();
     return true;
 }
 
 void
-EventQueue::scheduleBatch(std::vector<TimedCallback>& batch)
-{
-    if (batch.empty())
-        return;
-    Tick prev = 0;
-    for (TimedCallback& it : batch) {
-        if (it.when < now_) {
-            panic("EventQueue: batch element at tick ", it.when,
-                  " which is before now ", now_);
-        }
-        NVDC_ASSERT(it.when >= prev,
-                    "scheduleBatch requires a tick-sorted batch");
-        prev = it.when;
-        it.seq = nextSeq_++;
-    }
-    livePending_ += batch.size();
-
-    Stage st;
-    if (!freeStageBufs_.empty()) {
-        st.items = std::move(freeStageBufs_.back());
-        freeStageBufs_.pop_back();
-    }
-    st.items.swap(batch); // Hand a recycled empty buffer back.
-    stages_.push_back(std::move(st));
-}
-
-bool
-EventQueue::runOne()
-{
-    if (coord_)
-        return coord_->runOne();
-    return fireNext();
-}
-
-void
 EventQueue::runUntil(Tick when)
 {
-    if (coord_) {
-        coord_->runUntil(when);
-        return;
-    }
     NVDC_ASSERT(when >= now_, "runUntil into the past");
-    while (fireNextBound(when, /*strict=*/false)) {
+    while (fireNextBound(when)) {
     }
     now_ = when;
 }
@@ -344,55 +201,10 @@ EventQueue::runUntil(Tick when)
 std::uint64_t
 EventQueue::runAll(std::uint64_t max_events)
 {
-    if (coord_)
-        return coord_->runAll(max_events);
     std::uint64_t n = 0;
     while (n < max_events && fireNext())
         ++n;
     return n;
-}
-
-void
-EventQueue::runWindow(Tick end)
-{
-    NVDC_ASSERT(end >= now_, "runWindow into the past");
-    while (fireNextBound(end, /*strict=*/true)) {
-        // Amortized staged drain: with one batch in flight (the
-        // steady mailbox state) and the wheel minimum memoized, fire
-        // the staged run directly — the full dispatch compare is
-        // settled by three loads per message. Every condition is
-        // re-read each iteration, so a callback that lands a new
-        // batch, schedules an earlier event, or kills the memoized
-        // minimum drops us back to the slow path.
-        while (stages_.size() == 1 && memoValid_) {
-            Stage& st = stages_.front();
-            if (st.cursor == st.items.size())
-                break; // Drained; lingers only in re-entrant runs.
-            const TimedCallback& head = st.items[st.cursor];
-            if (head.when >= end || head.when > memoWhen_ ||
-                (head.when == memoWhen_ && head.seq > memoSeq_)) {
-                break;
-            }
-            fireStaged(0);
-        }
-    }
-    now_ = end;
-}
-
-Tick
-EventQueue::peekNextTick()
-{
-    Tick t = kTickNever;
-    std::uint64_t seq = 0;
-    // bound = now_: any clock advance stays at or below now(), which
-    // no later schedule() can undercut, so peeking commits nothing.
-    if (!findWheelNext(now_, t, seq))
-        t = kTickNever;
-    focus_ = kNoFocus;
-    for (const Stage& st : stages_)
-        if (st.cursor < st.items.size())
-            t = std::min(t, st.items[st.cursor].when);
-    return t;
 }
 
 void

@@ -25,15 +25,6 @@
  *    hot-path regression is visible). The returned EventId is usable
  *    with cancel()/isPending().
  *
- *  - Staged batches. scheduleBatch(sorted vector) admits a whole
- *    pre-sorted train of never-cancelled one-shots — the sharded
- *    kernel's per-window mailbox deliveries — without touching the
- *    wheel at all: the batch keeps its vector, a cursor walks it, and
- *    the dispatcher merges batch heads against the wheel's earliest
- *    entry. Per message that is O(1) amortized, and the batch buffers
- *    recycle through a free list so steady state allocates nothing
- *    (bench_event_queue BM_Mailbox* measures the difference).
- *
  * Pending events live in a hierarchical timing wheel instead of a
  * binary heap: kLevels levels of 64 buckets, level l bucketing ticks
  * at 64^l granularity, so level 0 resolves single ticks and the top
@@ -50,7 +41,7 @@
  * dominate simulation (see DESIGN.md § event kernel for the cascade
  * protocol and the exact-order argument).
  *
- * All kinds share one sequence counter, so their relative FIFO order
+ * Both kinds share one sequence counter, so their relative FIFO order
  * is exact.
  *
  * Lifetime rule for intrusive events: the Event object must outlive
@@ -85,7 +76,6 @@ namespace nvdimmc
 {
 
 class EventQueue;
-class ShardCoordinator;
 
 /**
  * Intrusive event base class. Subclass (or use EventFunctionWrapper)
@@ -234,29 +224,6 @@ class EventQueue
 
     /** @} */
 
-    /** @name Staged batch API */
-    /** @{ */
-
-    /** One element of a staged batch. */
-    struct TimedCallback
-    {
-        Tick when = 0;
-        Callback fn;
-        /** Assigned by scheduleBatch; callers leave it alone. */
-        std::uint64_t seq = 0;
-    };
-
-    /**
-     * Admit a whole batch of one-shot callbacks in a single call.
-     * @p batch must be sorted by tick (stable for ties) with every
-     * stamp >= now(); the elements keep exact FIFO order against
-     * events scheduled later. The batch cannot be cancelled. The
-     * vector's storage is taken over and a recycled empty buffer is
-     * swapped back, so a caller delivering every window reuses
-     * capacity and never allocates in steady state.
-     */
-    void scheduleBatch(std::vector<TimedCallback>& batch);
-
     /** @return true iff @p id is scheduled and not yet fired/cancelled. */
     bool isPending(EventId id) const { return lookupCallback(id) != nullptr; }
 
@@ -272,18 +239,13 @@ class EventQueue
     /**
      * Fire the single earliest event.
      * @return false if the queue was empty.
-     *
-     * On a coordinated (sharded) host queue this runs one conservative
-     * sync window across every shard instead, returning false once no
-     * shard has work left.
      */
-    bool runOne();
+    bool runOne() { return fireNext(); }
 
     /**
      * Run every event with tick <= @p when, then advance now() to
      * @p when even if the queue drained (or was fully cancelled)
-     * earlier. On a coordinated host queue the whole sharded system
-     * advances to @p when in conservative quantum windows.
+     * earlier.
      */
     void runUntil(Tick when);
 
@@ -295,27 +257,6 @@ class EventQueue
      * @return number of events fired.
      */
     std::uint64_t runAll(std::uint64_t max_events = ~std::uint64_t{0});
-
-    /**
-     * Fire every event with tick strictly before @p end, then advance
-     * now() to @p end. The shard execution primitive: a window
-     * [now, end) is exclusive of its right edge so an event scheduled
-     * exactly at a quantum boundary fires in the next window, on
-     * whichever shard owns it, after mailbox delivery.
-     */
-    void runWindow(Tick end);
-
-    /** Earliest pending event tick, or kTickNever if none. */
-    Tick peekNextTick();
-
-    /**
-     * Attach this queue to a shard coordinator: the public run
-     * methods (runOne/runUntil/runFor/runAll) then drive the whole
-     * coordinated system so existing workloads and benches work
-     * unchanged on a sharded topology. The coordinator itself always
-     * executes queues through runWindow(), which never delegates.
-     */
-    void setCoordinator(ShardCoordinator* coord) { coord_ = coord; }
 
     /** Total events fired since construction. */
     std::uint64_t eventsFired() const { return fired_; }
@@ -502,8 +443,8 @@ class EventQueue
      * otherwise focus is invalid and only (when, seq) is reported.
      *
      * The memo fast path stays inline: consecutive dispatches that
-     * did not disturb the minimum (every staged-mailbox drain, every
-     * lone-timer step) cost three loads and a branch.
+     * did not disturb the minimum (every lone-timer step) cost three
+     * loads and a branch.
      */
     bool
     findWheelNext(Tick bound, Tick& when, std::uint64_t& seq)
@@ -524,34 +465,13 @@ class EventQueue
     void fireFocused();
 
     /**
-     * Fire the earliest event (wheel or staged lane) if its tick is
-     * within @p limit — inclusive when @p strict is false (runUntil),
-     * exclusive when true (runWindow). @return whether one fired.
+     * Fire the earliest event if its tick is <= @p limit.
+     * @return whether one fired.
      */
-    bool fireNextBound(Tick limit, bool strict);
+    bool fireNextBound(Tick limit);
 
     /** fireNextBound with no bound: fire the earliest event, if any. */
-    bool fireNext() { return fireNextBound(kTickNever, false); }
-
-    /** One staged batch mid-consumption. */
-    struct Stage
-    {
-        std::vector<TimedCallback> items;
-        std::size_t cursor = 0;
-    };
-
-    /** Index into stages_ of the earliest (when, seq) head, or
-     *  stages_.size() if none (drained stages are skipped). */
-    std::size_t bestStage() const;
-
-    /** Fire the head of stages_[si] in place. Drained stages are
-     *  recycled once no staged callable is on the stack, so a
-     *  callback that re-enters the dispatcher can never destroy the
-     *  callable it is running from. */
-    void fireStaged(std::size_t si);
-
-    /** Recycle every drained stage (stagedDepth_ must be 0). */
-    void collectStages();
+    bool fireNext() { return fireNextBound(kTickNever); }
 
     /** @} */
 
@@ -661,9 +581,9 @@ class EventQueue
      * Memo of the last located-and-focused wheel minimum. Valid until
      * that entry fires or dies, or a smaller (when, seq) is pushed —
      * so consecutive dispatches with no intervening earlier schedule
-     * (the staged-mailbox and lone-timer shapes) skip the wheel
-     * lookup entirely. A focused minimum needs no clock movement to
-     * fire, so a memo hit is bound-independent.
+     * (the lone-timer shape) skip the wheel lookup entirely. A
+     * focused minimum needs no clock movement to fire, so a memo hit
+     * is bound-independent.
      */
     bool memoValid_ = false;
     Tick memoWhen_ = 0;
@@ -685,22 +605,12 @@ class EventQueue
 
     std::vector<std::unique_ptr<CallbackEvent>> pool_;
     std::vector<std::uint32_t> freeSlots_;
-    /** Staged batches being consumed (usually 0 or 1; linear scans
-     *  beat anything fancier at that size). */
-    std::vector<Stage> stages_;
-    /** Drained batch buffers awaiting reuse. */
-    std::vector<std::vector<TimedCallback>> freeStageBufs_;
-    /** Staged callables currently executing (re-entrancy depth). */
-    std::uint32_t stagedDepth_ = 0;
-    /** Some stage drained and awaits collectStages(). */
-    bool stagedDone_ = false;
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 1;
     std::size_t livePending_ = 0;
     std::uint64_t fired_ = 0;
     std::uint64_t sboOverflows_ = 0;
-    ShardCoordinator* coord_ = nullptr;
 };
 
 } // namespace nvdimmc

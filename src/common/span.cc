@@ -124,11 +124,9 @@ struct ClassAgg
 
 struct Registry
 {
-    /** Serializes marks: channel shards stamp device-side phases
-     *  concurrently in a parallel-in-time run. Same-span marks are
-     *  causally ordered by the barrier quantum, and open/close both
-     *  run on the host shard, so aggregation order is deterministic
-     *  for every executor count. */
+    /** Serializes opens, marks and closes. They all arrive from one
+     *  event loop in deterministic order, so aggregation order is
+     *  deterministic too. */
     std::mutex mu;
     std::unordered_map<Id, SpanState> open;
     std::vector<std::uint64_t> channelSeq;

@@ -21,13 +21,10 @@
  * silent accounting bugs into test failures.
  *
  * Span IDs are deterministic: (channel << 48) | per-channel sequence,
- * allocated at host-op issue on the host shard, whose event order is
- * identical for every executor count (the PR 4 byte-identity
- * guarantee). Closes also run on the host shard, so aggregation order
- * — and thus every exported table/JSON byte — is identical across
- * --threads=N. Cross-shard phase marks on one span are causally
- * ordered by the conservative barrier quantum, so the mutex-guarded
- * per-span state sees them in a deterministic order too.
+ * allocated at host-op issue in the event queue's deterministic
+ * order. Marks and closes run in that order too, so aggregation order
+ * — and thus every exported table/JSON byte — is identical on every
+ * rerun of the same config.
  *
  * Like the tracer, the layer is zero-overhead-off: open() pays one
  * predicted-not-taken branch and returns id 0, and every other call
@@ -227,9 +224,9 @@ std::uint64_t closedCount();
  * the e2e latency distribution of every span closed since the last
  * drain (or reset()) into @p hist / @p sumPs, then clear the window.
  * The telemetry Collector calls this once per sampling interval —
- * the windowed-percentile (SLO) substrate. Closes run on the host
- * shard in deterministic order, so consecutive drains at fixed
- * sample ticks see identical windows for every executor count.
+ * the windowed-percentile (SLO) substrate. Closes run in
+ * deterministic event order, so consecutive drains at fixed sample
+ * ticks see identical windows on every rerun.
  */
 void drainWindow(std::array<Histogram, kClassCount>& hist,
                  std::array<std::uint64_t, kClassCount>& sumPs);
@@ -248,8 +245,8 @@ void writeBreakdownTable(std::ostream& os, const std::string& title);
 /**
  * One JSON object: {"audit": {...}, "classes": {...}} with exact
  * integer fields only (counts and picosecond sums/percentiles), so
- * two deterministic runs — any executor count — produce byte-equal
- * output. No trailing newline.
+ * two deterministic runs produce byte-equal output. No trailing
+ * newline.
  */
 void writeBreakdownJson(std::ostream& os);
 

@@ -120,36 +120,11 @@ StatRegistry::dump(std::ostream& os) const
 }
 
 void
-StatRegistry::setMeta(std::string name, double value)
-{
-    for (auto& [n, v] : meta_) {
-        if (n == name) {
-            v = value;
-            return;
-        }
-    }
-    meta_.emplace_back(std::move(name), value);
-}
-
-void
 StatRegistry::dumpJson(std::ostream& os) const
 {
     auto prec = os.precision(17);
     os << "{";
     bool first = true;
-    if (!meta_.empty()) {
-        os << "\"_meta\":{";
-        for (const auto& [name, value] : meta_) {
-            os << (first ? "\"" : ",\"") << name << "\":";
-            if (std::isfinite(value))
-                os << value;
-            else
-                os << "null";
-            first = false;
-        }
-        os << "}";
-        first = false;
-    }
     for (const auto& [name, getter] : entries_) {
         os << (first ? "\"" : ",\"") << name << "\":";
         // JSON has no NaN/Inf literal; emit null for non-finite.

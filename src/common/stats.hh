@@ -133,26 +133,10 @@ class StatRegistry
      */
     void addHistogram(const std::string& name, const Histogram& h);
 
-    /**
-     * Attach export metadata describing how the run was produced
-     * (e.g. the sharded kernel's "threads" and "quantum_ticks").
-     * Metadata is emitted by dumpJson() as a leading "_meta" object
-     * but excluded from dump()/collect(), so text dumps stay
-     * byte-comparable across execution modes that must produce
-     * identical simulation results.
-     */
-    void setMeta(std::string name, double value);
-
-    const std::vector<std::pair<std::string, double>>& meta() const
-    {
-        return meta_;
-    }
-
     /** "name = value" lines, registration order. */
     void dump(std::ostream& os) const;
 
-    /** One flat JSON object {"name": value, ...}; no trailing \n.
-     *  Metadata, if any, leads as a nested "_meta" object. */
+    /** One flat JSON object {"name": value, ...}; no trailing \n. */
     void dumpJson(std::ostream& os) const;
 
     /** Evaluate every getter now. */
@@ -162,7 +146,6 @@ class StatRegistry
 
   private:
     std::vector<std::pair<std::string, Getter>> entries_;
-    std::vector<std::pair<std::string, double>> meta_;
 };
 
 } // namespace nvdimmc

@@ -23,20 +23,12 @@
  * Determinism contract (the repo's crown jewel, DESIGN §9):
  *
  *  1. *Telemetry-on never changes sim results.* Probes only observe;
- *     the sampling event adds host-queue work but simulated outcomes
- *     are quantum-schedule-independent (pinned by determinism_test),
- *     so stats with telemetry on are byte-identical to telemetry off.
- *  2. *Telemetry output is byte-identical across `--threads` >= 1.*
- *     The sampler lives on the host queue. In sharded mode the host
- *     phase of each round runs single-threaded *after* the device
- *     shards complete the same window [clock, E) behind a barrier, and
- *     the window schedule depends only on the config — never on the
- *     executor count — so a sample at tick T always observes device
- *     state at the same window edge. Probes are sampled in
- *     registration order and registration order is config-derived.
- *     (The serial kernel, --threads=0, observes at exactly T instead
- *     of the window edge and is its own — equally deterministic —
- *     series.)
+ *     the sampling event adds queue work but never touches simulated
+ *     state, so stats with telemetry on are byte-identical to
+ *     telemetry off (pinned by telemetry_test).
+ *  2. *Telemetry output is byte-identical on every rerun.* Samples
+ *     fire at config-derived ticks and read probes in registration
+ *     order, which is config-derived too.
  *
  * The **SignalBus** re-publishes probes flagged as load signals
  * (miss-queue depth, writeback backlog, window utilization) to
@@ -216,8 +208,8 @@ class Collector
     /**
      * Export the series as JSONL: a `_meta` header line (schema
      * version, interval, probe list), then one line per interval with
-     * exact-integer values only. Byte-identical across executor
-     * counts for a sharded system (determinism contract above).
+     * exact-integer values only. Byte-identical across reruns of the
+     * same config (determinism contract above).
      * @param label stamped into every line as "bench".
      */
     void writeJsonl(std::ostream& os, const std::string& label) const;

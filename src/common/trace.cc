@@ -49,9 +49,8 @@ struct Rec
 struct Capture
 {
     std::string path;
-    /** Serializes record calls: the sharded kernel's channel shards
-     *  trace concurrently. First-arrival track ids and record order
-     *  are scheduling-dependent; stop() canonicalizes both. */
+    /** Serializes record calls. First-arrival track ids and record
+     *  order follow call order; stop() canonicalizes both. */
     std::mutex mu;
     std::vector<Rec> recs;
     /** Track name -> tid (1-based; 0 is the metadata pseudo-track). */
@@ -87,11 +86,11 @@ push(Capture& cap, Rec rec)
 }
 
 /**
- * Canonicalize a finished capture so the written file is identical no
- * matter how records interleaved across shard workers: renumber
- * tracks in name order and sort records on a total key. Two runs of a
- * deterministic simulation produce the same record multiset, so the
- * sorted file is byte-stable.
+ * Canonicalize a finished capture so the written file does not depend
+ * on record arrival order: renumber tracks in name order and sort
+ * records on a total key. Two runs of a deterministic simulation
+ * produce the same record multiset, so the sorted file is
+ * byte-stable.
  */
 void
 canonicalize(Capture& cap)

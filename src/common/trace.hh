@@ -21,13 +21,11 @@
  * Capture is bounded (kDefaultMaxEvents unless start() is given a
  * cap); events past the cap are counted and the drop total is
  * reported at stop() so a truncated trace is never mistaken for a
- * complete one. Record calls are thread-safe
- * (shard workers of a parallel-in-time run trace concurrently under
- * one mutex) and stop() canonicalizes track numbering and record
- * order, so a deterministic simulation writes a byte-identical trace
- * file regardless of executor count. The capture is still per-process:
- * enable it for one simulated system at a time (the parallel sweep
- * runner never enables it).
+ * complete one. Record calls are serialized under one mutex and
+ * stop() canonicalizes track numbering and record order, so a
+ * deterministic simulation writes a byte-identical trace file. The
+ * capture is per-process: enable it for one simulated system at a
+ * time (the parallel sweep runner never enables it).
  */
 
 #ifndef NVDIMMC_COMMON_TRACE_HH

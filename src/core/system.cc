@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <string>
-#include <thread>
 
 #include "backend/nvdimmc_backend.hh"
 #include "common/logging.hh"
@@ -17,6 +16,11 @@ NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
     NVDC_ASSERT(cfg_.backendKind != backend::BackendKind::Pmem,
                 "the pmem baseline is BaselineSystem, not a "
                 "NvdimmcSystem transport");
+    if (cfg_.threads != 0) {
+        panic("NvdimmcSystem: SystemConfig::threads = ", cfg_.threads,
+              " is not supported; the serial event kernel is the only "
+              "machine model, so threads must be 0");
+    }
     const bool is_cxl =
         cfg_.backendKind == backend::BackendKind::CxlHybrid;
     if (!is_cxl && cfg_.channels > 1 &&
@@ -40,37 +44,22 @@ NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
 
     if (!is_cxl &&
         cfg_.driver.cpQueueDepth != cfg_.nvmc.firmware.cpQueueDepth) {
-        warn("NvdimmcSystem: driver CP depth (",
-             cfg_.driver.cpQueueDepth, ") != firmware CP depth (",
-             cfg_.nvmc.firmware.cpQueueDepth,
-             ") — commands on the unpolled slots will never be acked");
+        // The driver posts to every slot up to its depth but the
+        // firmware only polls up to its own: commands on the unpolled
+        // slots are never acked and their misses never complete.
+        panic("NvdimmcSystem: driver.cpQueueDepth (",
+              cfg_.driver.cpQueueDepth,
+              ") != nvmc.firmware.cpQueueDepth (",
+              cfg_.nvmc.firmware.cpQueueDepth,
+              "); the CP queue depths must match");
     }
     std::uint32_t cp_depth = std::max(cfg_.driver.cpQueueDepth,
                                       cfg_.nvmc.firmware.cpQueueDepth);
 
-    // Sharded (parallel-in-time) mode: every channel simulates on its
-    // own event queue; the host-side components stay on eq_. With
-    // media splitting each Z-NAND channel contributes a second shard
-    // for its FTL + flash, so the shard vector is laid out
-    // [ddr0..ddrN-1, media0..mediaN-1].
-    const bool sharded = cfg_.threads >= 1;
-    const bool media_split = sharded && cfg_.mediaShards &&
-                             cfg_.media == MediaKind::ZNand;
-    const std::uint32_t nshards =
-        cfg_.channels * (media_split ? 2 : 1);
-    if (sharded) {
-        shardQueues_.reserve(nshards);
-        for (std::uint32_t i = 0; i < nshards; ++i)
-            shardQueues_.push_back(std::make_unique<EventQueue>());
-    }
-
     channels_.reserve(cfg_.channels);
     for (std::uint32_t i = 0; i < cfg_.channels; ++i)
         channels_.push_back(std::make_unique<Channel>(
-            sharded ? *shardQueues_[i] : eq_, cfg_, i, cfg_.channels,
-            cp_depth,
-            media_split ? shardQueues_[cfg_.channels + i].get()
-                        : nullptr));
+            eq_, cfg_, i, cfg_.channels, cp_depth));
 
     std::vector<imc::Imc*> imcs;
     imcs.reserve(channels_.size());
@@ -99,13 +88,12 @@ NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
     if (is_cxl) {
         backend::CxlBackendConfig cxl_cfg = cfg_.cxl;
         cxl_cfg.interleaveGranule = cfg_.interleaveGranule;
-        auto cxl_transport = std::make_unique<backend::CxlHybridBackend>(
-            eq_, *hostPort_, cxl_cfg);
+        auto cxl_transport =
+            std::make_unique<backend::CxlHybridBackend>(eq_, cxl_cfg);
         for (std::uint32_t i = 0; i < channels_.size(); ++i)
-            cxl_transport->attachChannel(
-                i, sharded ? *shardQueues_[i] : eq_,
-                channels_[i]->dram(), channels_[i]->backend(),
-                channels_[i]->layout());
+            cxl_transport->attachChannel(i, channels_[i]->dram(),
+                                         channels_[i]->backend(),
+                                         channels_[i]->layout());
         transport_ = std::move(cxl_transport);
     } else {
         auto nvdc_transport = std::make_unique<backend::NvdimmcBackend>(
@@ -123,60 +111,6 @@ NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
         eq_, *cpuCache_, *engine_, std::move(layouts), backend_pages,
         cfg_.driver, transport_.get());
 
-    if (sharded) {
-        const Tick bound = quantumBound(cfg_);
-        const Tick quantum =
-            cfg_.quantumOverride ? cfg_.quantumOverride : bound;
-        if (quantum > bound) {
-            panic("sync quantum ", quantum,
-                  " exceeds the conservative cross-shard latency "
-                  "bound ", bound,
-                  " — a mailbox message could land in a shard's past");
-        }
-        unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        unsigned executors =
-            std::min({static_cast<unsigned>(cfg_.threads),
-                      static_cast<unsigned>(nshards), hw});
-
-        std::vector<EventQueue*> qs;
-        qs.reserve(shardQueues_.size());
-        for (auto& q : shardQueues_)
-            qs.push_back(q.get());
-        coord_ = std::make_unique<ShardCoordinator>(eq_, qs, quantum,
-                                                    executors);
-        eq_.setCoordinator(coord_.get());
-        // The host port only routes to the DDR-side shards; a split
-        // channel's media shard is reachable solely through its
-        // MediaPort seam.
-        std::vector<EventQueue*> ddr_qs(
-            qs.begin(), qs.begin() + cfg_.channels);
-        hostPort_->enableSharding(*coord_, eq_, std::move(ddr_qs),
-                                  cfg_.hostLinkLatency,
-                                  cfg_.hostLinkDepth);
-
-        // Per-pair links. DDR shard <-> host keeps the quantum-derived
-        // bound but gains the port's in-flight promise; a split
-        // channel's DDR <-> media pair syncs on the far looser
-        // µs-scale media command latency, with the media side
-        // promising quiet whenever no posted page op is outstanding.
-        for (std::uint32_t i = 0; i < cfg_.channels; ++i) {
-            coord_->setLink(i, ShardCoordinator::kToHost, quantum,
-                            hostPort_->lookaheadFn(i));
-            if (!media_split)
-                continue;
-            const std::uint32_t m = cfg_.channels + i;
-            nvm::MediaPort* mp = channels_[i]->mediaPort();
-            coord_->setLink(i, static_cast<std::int32_t>(m),
-                            cfg_.mediaLinkLatency);
-            coord_->setLink(m, static_cast<std::int32_t>(i),
-                            cfg_.mediaLinkLatency, mp->lookaheadFn());
-            mp->enableSharding(*coord_, *shardQueues_[i],
-                               *shardQueues_[m], i, m,
-                               cfg_.mediaLinkLatency);
-        }
-    }
-
     if (telemetry::enabled()) {
         const Tick interval =
             cfg_.telemetryIntervalTicks
@@ -192,9 +126,8 @@ NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
 void
 NvdimmcSystem::registerTelemetry(telemetry::Collector& t)
 {
-    // Sampled on the host queue in registration order; registration
-    // order depends only on the config, never the executor count
-    // (the byte-identity contract, DESIGN §9).
+    // Sampled in registration order, which depends only on the
+    // config (the byte-identity contract, DESIGN §9).
     driver::NvdcDriver* drv = driver_.get();
     t.addGauge(
         "nvdc.miss_queue_depth",
@@ -230,10 +163,6 @@ NvdimmcSystem::registerTelemetry(telemetry::Collector& t)
         for (const auto& ch : channels_)
             d += ch->imc().wpqDepth();
         return d;
-    });
-    t.addGauge("host_link.credits_in_use", [this] {
-        return static_cast<std::uint64_t>(
-            hostPort_->linkCreditsInUse());
     });
     t.addGauge("backend.queue_depth",
                [this] { return transport_->queueDepth(); });
@@ -286,30 +215,6 @@ NvdimmcSystem::registerTelemetry(telemetry::Collector& t)
             return v;
         });
     }
-}
-
-Tick
-NvdimmcSystem::quantumBound(const SystemConfig& cfg)
-{
-    Tick bound = cfg.hostLinkLatency;
-    if (cfg.backendKind == backend::BackendKind::CxlHybrid) {
-        // Transport messages cross the link one request latency out
-        // and return one response latency out; neither may land in a
-        // shard's past.
-        bound = std::min(bound, cfg.cxl.reqLatency);
-        bound = std::min(bound, cfg.cxl.respLatency);
-    } else {
-        // The driver cannot observe a CP ack faster than the compose +
-        // store cost of the command that provoked it.
-        bound = std::min(bound, cfg.driver.cpWriteCost);
-    }
-    // Staggered refresh offsets neighbouring channels' tREFI clocks by
-    // tREFI / N; windows must not blur that phase relationship.
-    if (cfg.staggerRefresh && cfg.channels > 1)
-        bound = std::min(bound,
-                         cfg.refresh.tREFI /
-                             std::max<std::uint32_t>(1, cfg.channels));
-    return std::max<Tick>(bound, 1);
 }
 
 std::uint32_t
@@ -374,22 +279,6 @@ NvdimmcSystem::precondition(std::uint64_t first_page,
 void
 NvdimmcSystem::registerStats(StatRegistry& reg) const
 {
-    if (coord_) {
-        // Export metadata only (JSON "_meta"): text dumps must stay
-        // byte-identical across executor counts.
-        const bool media_split = channels_[0]->mediaPort() != nullptr;
-        reg.setMeta("threads", coord_->executors());
-        reg.setMeta("shards",
-                    static_cast<double>(coord_->shardCount()));
-        reg.setMeta("executors", coord_->executors());
-        reg.setMeta("media_shards", media_split ? 1.0 : 0.0);
-        reg.setMeta("quantum_ticks",
-                    static_cast<double>(coord_->quantum()));
-        if (media_split)
-            reg.setMeta("media_quantum_ticks",
-                        static_cast<double>(cfg_.mediaLinkLatency));
-    }
-
     if (channels_.size() == 1) {
         // The legacy single-channel namespace, bit-for-bit.
         const Channel& ch = *channels_[0];
@@ -612,32 +501,21 @@ BaselineSystem::BaselineSystem(const BaselineConfig& cfg) : cfg_(cfg)
                     cfg_.interleaveGranule ==
                         dram::ChannelInterleave::kLineGranule,
                 "baseline interleave granule must be 4096 or 256");
-    // Sharded (parallel-in-time) mode: every channel's DRAM, bus and
-    // iMC simulate on their own event queue; the CPU-side components
-    // stay on eq_. There is no device transport here, so the shard
-    // vector is just [ch0..chN-1].
-    const bool sharded = cfg_.threads >= 1;
-    if (sharded) {
-        shardQueues_.reserve(cfg_.channels);
-        for (std::uint32_t i = 0; i < cfg_.channels; ++i)
-            shardQueues_.push_back(std::make_unique<EventQueue>());
-    }
 
     for (std::uint32_t i = 0; i < cfg_.channels; ++i) {
-        EventQueue& ch_eq = sharded ? *shardQueues_[i] : eq_;
         maps_.push_back(
             std::make_unique<dram::AddressMap>(cfg.capacityBytes));
         drams_.push_back(std::make_unique<dram::DramDevice>(
             *maps_.back(), cfg.dramTiming, cfg.storeData, false));
         buses_.push_back(std::make_unique<bus::MemoryBus>(
-            ch_eq, *drams_.back(), false));
+            eq_, *drams_.back(), false));
 
         imc::ImcConfig imc_cfg = cfg.imc;
         imc_cfg.refresh = cfg.refresh;
         if (cfg_.channels > 1)
             imc_cfg.name = "ch" + std::to_string(i) + ".imc";
         imcs_.push_back(std::make_unique<imc::Imc>(
-            ch_eq, *buses_.back(), imc_cfg));
+            eq_, *buses_.back(), imc_cfg));
     }
 
     std::vector<imc::Imc*> imcs;
@@ -653,39 +531,6 @@ BaselineSystem::BaselineSystem(const BaselineConfig& cfg) : cfg_(cfg)
         eq_, *hostPort_, cpuCache_.get(), cfg.memcpy);
     driver_ = std::make_unique<driver::PmemDriver>(
         eq_, *engine_, cfg.capacityBytes * cfg_.channels, cfg.pmem);
-
-    if (sharded) {
-        // With no device transport the host link is the only
-        // cross-shard path, so its latency is the quantum bound.
-        const Tick bound = std::max<Tick>(cfg_.hostLinkLatency, 1);
-        const Tick quantum =
-            cfg_.quantumOverride ? cfg_.quantumOverride : bound;
-        if (quantum > bound) {
-            panic("sync quantum ", quantum,
-                  " exceeds the conservative cross-shard latency "
-                  "bound ", bound,
-                  " — a mailbox message could land in a shard's past");
-        }
-        unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        unsigned executors =
-            std::min({static_cast<unsigned>(cfg_.threads),
-                      static_cast<unsigned>(cfg_.channels), hw});
-
-        std::vector<EventQueue*> qs;
-        qs.reserve(shardQueues_.size());
-        for (auto& q : shardQueues_)
-            qs.push_back(q.get());
-        coord_ = std::make_unique<ShardCoordinator>(eq_, qs, quantum,
-                                                    executors);
-        eq_.setCoordinator(coord_.get());
-        hostPort_->enableSharding(*coord_, eq_, std::move(qs),
-                                  cfg_.hostLinkLatency,
-                                  cfg_.hostLinkDepth);
-        for (std::uint32_t i = 0; i < cfg_.channels; ++i)
-            coord_->setLink(i, ShardCoordinator::kToHost, quantum,
-                            hostPort_->lookaheadFn(i));
-    }
 
     if (telemetry::enabled()) {
         const Tick interval =
@@ -714,10 +559,6 @@ BaselineSystem::registerTelemetry(telemetry::Collector& t)
             d += i->wpqDepth();
         return d;
     });
-    t.addGauge("host_link.credits_in_use", [this] {
-        return static_cast<std::uint64_t>(
-            hostPort_->linkCreditsInUse());
-    });
     t.addDelta("dram.refreshes", [this] {
         std::uint64_t v = 0;
         for (const auto& d : drams_)
@@ -735,17 +576,6 @@ BaselineSystem::registerTelemetry(telemetry::Collector& t)
 void
 BaselineSystem::registerStats(StatRegistry& reg) const
 {
-    if (coord_) {
-        // Metadata only (JSON "_meta"): text dumps must stay
-        // byte-identical across executor counts.
-        reg.setMeta("threads", coord_->executors());
-        reg.setMeta("shards",
-                    static_cast<double>(coord_->shardCount()));
-        reg.setMeta("executors", coord_->executors());
-        reg.setMeta("quantum_ticks",
-                    static_cast<double>(coord_->quantum()));
-    }
-
     if (imcs_.size() == 1) {
         drams_[0]->registerStats(reg, "dram");
         buses_[0]->registerStats(reg, "bus");

@@ -27,7 +27,6 @@
 #include "backend/media_backend.hh"
 #include "bus/memory_bus.hh"
 #include "common/event_queue.hh"
-#include "common/shard.hh"
 #include "common/telemetry.hh"
 #include "core/channel.hh"
 #include "core/system_config.hh"
@@ -98,28 +97,6 @@ class NvdimmcSystem
     }
     const SystemConfig& config() const { return cfg_; }
 
-    /** @name Parallel-in-time execution (cfg.threads >= 1). */
-    /** @{ */
-
-    /** Is this system running the sharded kernel? */
-    bool sharded() const { return coord_ != nullptr; }
-
-    /** The shard coordinator, or null on a classic serial system. */
-    ShardCoordinator* coordinator() { return coord_.get(); }
-    const ShardCoordinator* coordinator() const { return coord_.get(); }
-
-    /**
-     * The conservative sync-quantum upper bound for @p cfg: the
-     * smallest latency any cross-channel interaction can have —
-     * min(host link latency, the driver's CP compose/store floor,
-     * the tREFI/N refresh stagger offset). A quantum above it could
-     * let a message land in a shard's past; construction panics on a
-     * quantumOverride exceeding it.
-     */
-    static Tick quantumBound(const SystemConfig& cfg);
-
-    /** @} */
-
     /** Advance simulated time. */
     void run(Tick duration) { eq_.runFor(duration); }
 
@@ -161,8 +138,7 @@ class NvdimmcSystem
     void dumpStatsJson(std::ostream& os) const;
 
     /** The time-series collector, or null when telemetry was off at
-     *  construction. Sampling on the host queue, so its series is
-     *  byte-identical for every threads >= 1 (DESIGN §9). */
+     *  construction. */
     telemetry::Collector* telemetryCollector()
     {
         return telemetry_.get();
@@ -174,9 +150,7 @@ class NvdimmcSystem
     void registerTelemetry(telemetry::Collector& t);
 
     SystemConfig cfg_;
-    EventQueue eq_; ///< Host shard queue (the only queue when serial).
-    /** Per-channel shard queues; empty on a classic serial system. */
-    std::vector<std::unique_ptr<EventQueue>> shardQueues_;
+    EventQueue eq_;
 
     std::vector<std::unique_ptr<Channel>> channels_;
     std::unique_ptr<imc::HostPort> hostPort_;
@@ -189,14 +163,8 @@ class NvdimmcSystem
     std::unique_ptr<backend::MediaBackend> transport_;
     std::unique_ptr<driver::NvdcDriver> driver_;
     /** Null unless telemetry::enabled() at construction. Declared
-     *  after every probed component (its getters read them), before
-     *  coord_ (the sampler must be descheduled while workers are
-     *  joined). */
+     *  after every probed component (its getters read them). */
     std::unique_ptr<telemetry::Collector> telemetry_;
-
-    /** Declared last: its destructor joins the worker threads while
-     *  every queue and component they touch is still alive. */
-    std::unique_ptr<ShardCoordinator> coord_;
 };
 
 /** The /dev/pmem0 baseline machine. */
@@ -221,8 +189,7 @@ class BaselineSystem
     void run(Tick duration) { eq_.runFor(duration); }
 
     /** Register every statistic (same layout rules as the NVDIMM-C
-     *  system: text dumps stay byte-identical across executor
-     *  counts; threads land in JSON "_meta" only). */
+     *  system). */
     void registerStats(StatRegistry& reg) const;
     void dumpStats(std::ostream& os) const;
     void dumpStatsJson(std::ostream& os) const;
@@ -239,8 +206,6 @@ class BaselineSystem
 
     BaselineConfig cfg_;
     EventQueue eq_;
-    /** Sharded mode only: one queue per channel. */
-    std::vector<std::unique_ptr<EventQueue>> shardQueues_;
     std::vector<std::unique_ptr<dram::AddressMap>> maps_;
     std::vector<std::unique_ptr<dram::DramDevice>> drams_;
     std::vector<std::unique_ptr<bus::MemoryBus>> buses_;
@@ -251,10 +216,6 @@ class BaselineSystem
     std::unique_ptr<driver::PmemDriver> driver_;
     /** Null unless telemetry::enabled() at construction. */
     std::unique_ptr<telemetry::Collector> telemetry_;
-
-    /** Declared last: its destructor joins the worker threads while
-     *  every queue and component they touch is still alive. */
-    std::unique_ptr<ShardCoordinator> coord_;
 };
 
 } // namespace nvdimmc::core

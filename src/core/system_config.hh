@@ -61,42 +61,9 @@ struct SystemConfig
     bool staggerRefresh = true;
     /** @} */
 
-    /** @name Parallel-in-time execution.
-     * threads = 0 (default) keeps the classic single-queue serial
-     * kernel, byte-identical to pre-shard builds. threads >= 1 runs
-     * each channel as its own event shard under conservative quantum
-     * sync with min(threads, channels, cores) executor threads;
-     * results are byte-identical for every threads >= 1, so
-     * `--threads=N --verify` diffs against a threads=1 run. */
-    /** @{ */
+    /** Simulation threads. The serial event kernel is the only
+     *  machine model: construction rejects anything but 0. */
     std::uint32_t threads = 0;
-    /** Modeled host<->module routing latency: every host line/bulk
-     *  request and completion crosses it once each way in sharded
-     *  mode. It is the binding term of the auto-derived sync quantum
-     *  (the cross-shard lookahead). */
-    Tick hostLinkLatency = 200 * kNs;
-    /** Per-channel link credit pool: host line ops posted but not yet
-     *  accepted by the channel's iMC. Exhausting it rejects host
-     *  calls, propagating RPQ/WPQ back-pressure across the link one
-     *  round trip late (a posted buffer of this depth). */
-    std::uint32_t hostLinkDepth = 128;
-    /** Test knob: use this sync quantum instead of the auto-derived
-     *  bound. Must not exceed the bound — construction panics, the
-     *  quantum-checker regression. 0 = auto. */
-    Tick quantumOverride = 0;
-    /** Split each Z-NAND channel's FTL + media into its own event
-     *  shard behind a firmware<->media mailbox seam, lifting the
-     *  shard-count ceiling from channels to 2 x channels. Sharded
-     *  ZNand systems only; other media kinds (and threads = 0) ignore
-     *  it. */
-    bool mediaShards = true;
-    /** Modeled firmware<->flash-controller command latency: the
-     *  firmware<->media links' lookahead, and the minimum lead every
-     *  page op and completion crossing the seam carries. µs-scale
-     *  (NVMe-style command issue), so the media pair's window bound is
-     *  far looser than the host link's. */
-    Tick mediaLinkLatency = 1 * kUs;
-    /** @} */
 
     /** @name DRAM cache DIMM. */
     /** @{ */
@@ -135,9 +102,7 @@ struct SystemConfig
     cpu::MemcpyParams memcpy;
 
     /** Telemetry sampling cadence in ticks when telemetry::enabled();
-     *  0 = telemetry::defaultInterval (4 x tREFI). Samples fire on
-     *  the host queue, so the series is byte-identical for every
-     *  threads >= 1 (DESIGN §9). */
+     *  0 = telemetry::defaultInterval (4 x tREFI). */
     Tick telemetryIntervalTicks = 0;
 
     /** Build the NVMC at all (off for the hypothetical device). */
@@ -187,20 +152,6 @@ struct BaselineConfig
     /** Table I: the baseline RDIMM also ran with tRFC = 1250 ns. */
     dram::RefreshRegisters refresh = dram::RefreshRegisters::nvdimmc();
 
-    /** @name Parallel-in-time execution.
-     * Same contract as SystemConfig: threads = 0 keeps the classic
-     * serial kernel; threads >= 1 runs each channel as its own event
-     * shard (byte-identical for every threads >= 1), so the backends
-     * sweep can verify the pmem baseline the same way as the hybrid
-     * transports. */
-    /** @{ */
-    std::uint32_t threads = 0;
-    Tick hostLinkLatency = 200 * kNs;
-    std::uint32_t hostLinkDepth = 128;
-    /** Test knob: 0 = auto-derived quantum; larger than the bound
-     *  panics. */
-    Tick quantumOverride = 0;
-    /** @} */
     /** Telemetry sampling cadence; same contract as SystemConfig. */
     Tick telemetryIntervalTicks = 0;
     driver::PmemDriverConfig pmem;

@@ -76,7 +76,6 @@ runPowerFailCampaign(const PowerFailCampaignConfig& cfg)
 {
     core::SystemConfig sc = core::SystemConfig::scaledTest();
     sc.channels = cfg.channels;
-    sc.threads = cfg.threads;
     core::NvdimmcSystem sys(sc);
 
     workload::MixedLoadConfig ml;

@@ -20,8 +20,8 @@
  *
  * Every campaign returns a fingerprint string derived only from
  * simulation content (no host pointers, no wall clock), so two runs
- * with the same seed — at any `--threads` value — must produce equal
- * fingerprints. Tests and the faults sweep assert exactly that.
+ * with the same seed must produce equal fingerprints. Tests assert
+ * exactly that.
  */
 
 #ifndef NVDIMMC_FAULT_CAMPAIGN_HH
@@ -42,9 +42,6 @@ struct PowerFailCampaignConfig
     std::uint64_t seed = 1;
     /** NVDIMM-C modules (device pages interleave across them). */
     std::uint32_t channels = 2;
-    /** Executor threads (0 = classic serial kernel; campaigns assert
-     *  determinism across values >= 1). */
-    std::uint32_t threads = 1;
     /** Cut power once simulated time reaches this tick (0 = let the
      *  workload finish first, then cut — everything is committed). */
     Tick haltAtTick = 0;

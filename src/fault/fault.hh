@@ -14,10 +14,9 @@
  *    relocation under pressure.
  *
  * Both hooks run inside the channel's media event context, whose event
- * order is deterministic at every `--threads` value, so a campaign's
- * fault sequence replays byte-identically regardless of executor
- * count. The injector's Rng state is checkpointable alongside the
- * device state (fault/checkpoint.hh).
+ * order is deterministic, so a campaign's fault sequence replays
+ * byte-identically. The injector's Rng state is checkpointable
+ * alongside the device state (fault/checkpoint.hh).
  */
 
 #ifndef NVDIMMC_FAULT_FAULT_HH
@@ -73,8 +72,7 @@ class MediaFaultInjector
     void detachAll();
 
     /** @name Injection tallies, summed over channels. Tallies are
-     *  kept per channel (each updated only from its own media shard)
-     *  and summed here; call only while the simulation is stopped. */
+     *  kept per channel and summed here. */
     /** @{ */
     std::uint64_t readErrorsInjected() const;
     std::uint64_t programFailsInjected() const;

@@ -10,31 +10,14 @@
  * forwards straight to the single iMC — same call sequence, same
  * ticks — which keeps channels=1 byte-identical to the pre-topology
  * simulator.
- *
- * In sharded (parallel-in-time) mode the port is *the* host/channel
- * seam: every CPU-side call becomes a mailbox message to the owning
- * channel's shard, stamped one host-link latency ahead, and every
- * completion posts back the same way. Host-side calls never touch
- * channel state directly; iMC back-pressure still reaches the host
- * through per-channel link credits. Each accepted line op consumes a
- * credit; the credit returns (one link latency back) once the
- * channel-side iMC accepts the op out of the port's FIFO, so a full
- * RPQ/WPQ eventually rejects host calls just like the classic path —
- * delayed by one round trip, which is exactly what a real posted
- * buffer of linkDepth entries would do. whenSpace() then parks the
- * waiter host-side and fires it when a credit comes back.
  */
 
 #ifndef NVDIMMC_IMC_HOST_PORT_HH
 #define NVDIMMC_IMC_HOST_PORT_HH
 
-#include <array>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <vector>
 
-#include "common/shard.hh"
 #include "dram/channel_interleave.hh"
 #include "imc/imc.hh"
 
@@ -94,126 +77,9 @@ class HostPort
     void bulkTransfer(Addr flat, std::uint32_t bytes, bool is_write,
                       Callback done);
 
-    /**
-     * Switch the port to sharded routing: host-side calls post
-     * mailbox messages through @p coord to the owning channel's
-     * shard, stamped @p link_latency past the host clock (completions
-     * cross back the same way). @p shard_eqs holds one queue per
-     * channel, channel order; @p link_depth is the per-channel credit
-     * pool (posted ops not yet accepted by the channel's iMC). Must
-     * be called before any traffic.
-     */
-    void enableSharding(ShardCoordinator& coord, EventQueue& host_eq,
-                        std::vector<EventQueue*> shard_eqs,
-                        Tick link_latency, std::uint32_t link_depth);
-
-    /** Is sharded routing enabled? */
-    bool sharded() const { return coord_ != nullptr; }
-
-    /** Host-link credits consumed (line ops posted to channel
-     *  @p ch but not yet accepted by its iMC), summed over all
-     *  channels when @p ch is ~0u. 0 in classic (non-sharded) mode,
-     *  where there is no posted link buffer. A telemetry gauge; read
-     *  from the host shard only. */
-    std::uint32_t linkCreditsInUse(std::uint32_t ch = ~0u) const
-    {
-        if (!coord_)
-            return 0;
-        std::uint32_t used = 0;
-        for (std::uint32_t i = 0; i < shardStates_.size(); ++i)
-            if (ch == ~0u || ch == i)
-                used += linkDepth_ - shardStates_[i].credits;
-        return used;
-    }
-
-    /**
-     * @name Device-message seam (sharded mode only).
-     *
-     * A transport backend (e.g. the CXL link model) sends its own
-     * host<->device messages outside the line/bulk path. They must
-     * ride the same promise accounting as line ops, or the
-     * coordinator could advance the host past a response's arrival:
-     * postDevice() counts one owed host-bound message at post time,
-     * completeDevice() delivers it. Every postDevice() must be
-     * balanced by exactly one completeDevice() on the same channel.
-     */
-    /** @{ */
-    /** Host-side: run @p fn on channel @p ch's shard @p delay past
-     *  the host clock (@p delay >= the link latency / quantum). */
-    void postDevice(std::uint32_t ch, Tick delay, Callback fn);
-    /** Channel-side: run @p done on the host shard @p delay past the
-     *  channel clock, balancing one postDevice(). */
-    void completeDevice(std::uint32_t ch, Tick delay, Callback done);
-    /** @} */
-
-    /**
-     * The channel->host link's adaptive-lookahead promise: kTickNever
-     * while channel @p ch provably has nothing host-bound in flight —
-     * every posted line op and bulk slice has already pushed its
-     * credit and completion into the mailbox, and the channel never
-     * emits to the host spontaneously (CP acks are read by host
-     * polling). Queried between rounds on the coordinating thread.
-     */
-    ShardCoordinator::Promise lookaheadFn(std::uint32_t ch);
-
   private:
-    /** One deferred line op queued channel-side in sharded mode. */
-    struct PendingOp
-    {
-        bool isWrite = false;
-        bool hasData = false; ///< Caller supplied a write payload.
-        Addr local = 0;
-        std::uint8_t* buf = nullptr;       ///< Read destination.
-        std::array<std::uint8_t, 64> data; ///< Write payload copy.
-        Callback done;
-    };
-
-    /**
-     * Per-channel sharded-mode state. The host fields are only
-     * touched on the coordinating thread during host windows; the
-     * channel fields only by whichever worker runs the shard's
-     * window. The barrier between phases is all the synchronization
-     * the split needs.
-     */
-    struct ShardState
-    {
-        /** @name Host-side. */
-        /** @{ */
-        std::uint32_t credits = 0;
-        std::vector<Callback> spaceWaiters;
-        /** Host-bound messages this channel owes (credits +
-         *  completions), counted when their trigger op posts; promise
-         *  input. */
-        std::uint64_t postedMsgs = 0;
-        /** @} */
-
-        /** @name Channel-side. */
-        /** @{ */
-        EventQueue* eq = nullptr;
-        std::deque<PendingOp> fifo;
-        bool waiting = false; ///< A whenSpace() retry is pending.
-        /** Host-bound messages actually pushed into the mailbox;
-         *  equal to postedMsgs exactly when the link is provably
-         *  quiet. */
-        std::uint64_t completedMsgs = 0;
-        /** @} */
-    };
-
-    void postOp(std::uint32_t ch, PendingOp op);
-    void execLine(std::uint32_t ch, PendingOp op);
-    void pump(std::uint32_t ch);
-    void returnCredit(std::uint32_t ch);
-    /** Redirect an iMC completion back to the host shard. */
-    Callback wrapDone(std::uint32_t ch, Callback done);
-
     std::vector<Imc*> imcs_;
     dram::ChannelInterleave interleave_;
-
-    ShardCoordinator* coord_ = nullptr;
-    EventQueue* hostEq_ = nullptr;
-    Tick linkLatency_ = 0;
-    std::uint32_t linkDepth_ = 0;
-    std::vector<ShardState> shardStates_;
 };
 
 } // namespace nvdimmc::imc

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/trace.hh"
@@ -89,6 +91,26 @@ TEST(Determinism, TracingDoesNotPerturbTheRun)
     std::remove(path);
 
     EXPECT_EQ(off, on);
+}
+
+TEST(Determinism, TraceFileByteIdenticalOnRerun)
+{
+    // stop() canonicalizes track numbering and record order, so two
+    // traced runs of the same config write the same file byte for
+    // byte.
+    auto traced = [](const std::string& path) {
+        trace::start(path);
+        runFingerprint(7);
+        EXPECT_TRUE(trace::stop());
+        std::ifstream is(path, std::ios::binary);
+        std::ostringstream os;
+        os << is.rdbuf();
+        std::remove(path.c_str());
+        return os.str();
+    };
+    std::string first = traced(testing::TempDir() + "/det_trace_a.json");
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(first, traced(testing::TempDir() + "/det_trace_b.json"));
 }
 
 TEST(Determinism, FioJobIsRepeatable)

@@ -12,6 +12,7 @@
 
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "bus/bus_tracer.hh"
@@ -131,6 +132,36 @@ TEST(CpQueueDepth, DataIntegrityAtDepthFour)
         EXPECT_EQ(r[4095], 0x40 + i);
     }
     EXPECT_TRUE(sys->hardwareClean());
+}
+
+TEST(CpQueueDepth, MismatchRejectedAtConstruction)
+{
+    // Regression: a driver deeper than the firmware posts commands on
+    // CP slots the firmware never polls, so those misses never
+    // complete (driver depth 4 over firmware depth 1 left 3 of 8
+    // concurrent misses pending forever). Construction must refuse,
+    // naming both fields.
+    try {
+        makeSystem([](SystemConfig& c) {
+            c.driver.cpQueueDepth = 4;
+            c.nvmc.firmware.cpQueueDepth = 1;
+        });
+        FAIL() << "mismatched CP depths were accepted";
+    } catch (const PanicError& e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("driver.cpQueueDepth"), std::string::npos);
+        EXPECT_NE(what.find("nvmc.firmware.cpQueueDepth"),
+                  std::string::npos);
+    }
+}
+
+TEST(SerialKernel, NonzeroThreadsRejectedAtConstruction)
+{
+    // The serial event kernel is the only machine model; a config
+    // asking for simulation threads must fail loudly, not silently
+    // run something else.
+    EXPECT_THROW(makeSystem([](SystemConfig& c) { c.threads = 1; }),
+                 PanicError);
 }
 
 // --- CP phase wraparound ---

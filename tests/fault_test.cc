@@ -62,9 +62,9 @@ tinyFtlConfig()
 
 TEST(FaultPowerFail, CommittedRecordsSurviveAnyCutTick)
 {
-    // Satellite: power-fail at 64 Rng-chosen ticks; mixedload's
-    // committed-record oracle must validate post-recovery, and the
-    // campaign fingerprint must be byte-identical across --threads.
+    // Power-fail at 64 Rng-chosen ticks; mixedload's committed-record
+    // oracle must validate post-recovery, and a rerun of the same cut
+    // must reproduce the campaign fingerprint.
     fault::PowerFailCampaignConfig base;
     base.seed = 7;
     fault::PowerFailCampaignResult full = runPowerFailCampaign(base);
@@ -78,25 +78,18 @@ TEST(FaultPowerFail, CommittedRecordsSurviveAnyCutTick)
     for (int i = 0; i < 64; ++i) {
         fault::PowerFailCampaignConfig cfg = base;
         cfg.haltAtTick = lo + tick_rng.below(span);
-        cfg.threads = 1;
-        fault::PowerFailCampaignResult t1 = runPowerFailCampaign(cfg);
-        cfg.threads = 2;
-        fault::PowerFailCampaignResult t2 = runPowerFailCampaign(cfg);
+        fault::PowerFailCampaignResult cut = runPowerFailCampaign(cfg);
 
-        EXPECT_EQ(t1.fingerprint, t2.fingerprint)
-            << "tick " << cfg.haltAtTick
-            << ": campaign diverged across --threads";
-        EXPECT_EQ(t1.liveValidationFailures, 0u);
-        EXPECT_EQ(t1.corruptRecords, 0u)
-            << "tick " << cfg.haltAtTick << ": " << t1.corruptRecords
-            << " of " << t1.committedRecords
+        EXPECT_EQ(cut.liveValidationFailures, 0u);
+        EXPECT_EQ(cut.corruptRecords, 0u)
+            << "tick " << cfg.haltAtTick << ": " << cut.corruptRecords
+            << " of " << cut.committedRecords
             << " committed records corrupted after recovery";
         if (i < 8) {
-            cfg.threads = 4;
-            fault::PowerFailCampaignResult t4 =
+            fault::PowerFailCampaignResult again =
                 runPowerFailCampaign(cfg);
-            EXPECT_EQ(t1.fingerprint, t4.fingerprint)
-                << "tick " << cfg.haltAtTick << " at --threads 4";
+            EXPECT_EQ(cut.fingerprint, again.fingerprint)
+                << "tick " << cfg.haltAtTick << ": rerun diverged";
         }
     }
 }
@@ -125,9 +118,7 @@ TEST(FaultPowerFail, NoAdrStillDeterministic)
     cfg.adrWorks = false;
     fault::PowerFailCampaignResult full = runPowerFailCampaign(cfg);
     cfg.haltAtTick = full.workloadElapsed / 3;
-    cfg.threads = 1;
     fault::PowerFailCampaignResult a = runPowerFailCampaign(cfg);
-    cfg.threads = 2;
     fault::PowerFailCampaignResult b = runPowerFailCampaign(cfg);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
 }
@@ -147,7 +138,6 @@ TEST(FaultPowerFail, DirtyMissWindowNeverClobbersVictim)
     auto build = [] {
         SystemConfig sc = SystemConfig::scaledTest();
         sc.channels = 1;
-        sc.threads = 0; // Serial kernel: exact-tick kills.
         auto sys = std::make_unique<NvdimmcSystem>(sc);
         std::uint32_t slots = sys->layout().slotCount();
         // Fill the cache with dirty zero pages.
@@ -217,7 +207,6 @@ TEST(FaultPowerFail, DumpUsesModuleLocalNandPages)
 {
     SystemConfig sc = SystemConfig::scaledTest();
     sc.channels = 2;
-    sc.threads = 0;
     NvdimmcSystem sys(sc);
 
     // Flat page 3 routes to channel 1, local page 1.

@@ -278,6 +278,23 @@ TEST(SpanSystem, StatsByteIdenticalSpansOnVsOff)
     EXPECT_EQ(off, on);
 }
 
+TEST(SpanSystem, BreakdownJsonByteIdenticalOnRerun)
+{
+    // Spans open, mark and close in the event queue's deterministic
+    // order, so the exact-integer JSON export matches byte for byte
+    // on a rerun: the --latency-breakdown determinism guarantee.
+    auto run = [] {
+        SpanScope scope;
+        systemRun();
+        EXPECT_TRUE(span::audit().ok());
+        return breakdownJson();
+    };
+    std::string first = run();
+    EXPECT_EQ(first, run());
+    EXPECT_NE(first.find("\"classes\":{"), std::string::npos);
+    EXPECT_NE(first.find("\"write\":{\"spans\":"), std::string::npos);
+}
+
 TEST(SpanSystem, RealRunAuditsCleanAndExportsClasses)
 {
     SpanScope scope;
