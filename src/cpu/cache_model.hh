@@ -77,10 +77,14 @@ class CpuCacheModel
 
     /** Non-temporal store: straight to the iMC, no allocation. The
      *  cached copy (if any) is updated so the model stays coherent
-     *  with itself. @return false if the iMC WPQ is full. */
-    bool storeNt(Addr addr, const std::uint8_t* data, Callback done);
+     *  with itself. Posted: accepted means done. @return false if the
+     *  iMC WPQ is full; the store then did nothing and is not
+     *  counted. */
+    bool storeNt(Addr addr, const std::uint8_t* data);
 
-    /** clflush: write back if dirty, then drop the line. */
+    /** clflush: write back if dirty, then drop the line. @p done runs
+     *  after the flush cost, and not before the WPQ has accepted the
+     *  written-back line. */
     void clflush(Addr addr, Callback done);
 
     /** Drop a line without writeback (test hook / invd modelling). */
@@ -109,6 +113,11 @@ class CpuCacheModel
 
     static Addr lineOf(Addr addr) { return addr & ~Addr{63}; }
     void maybeEvictOne();
+    /** Post a dirty line's writeback, re-parking on a full WPQ until
+     *  the queue accepts it; then run @p accepted (if any). */
+    void writeBack(Addr line_addr,
+                   const std::array<std::uint8_t, 64>& data,
+                   Callback accepted);
 
     EventQueue& eq_;
     /** Owned identity port for the single-iMC constructor. */

@@ -151,7 +151,7 @@ TEST_F(CpuFixture, NtStoreBypassesCache)
 {
     std::array<std::uint8_t, 64> w{};
     w.fill(0x66);
-    ASSERT_TRUE(cache.storeNt(0x7000, w.data(), nullptr));
+    ASSERT_TRUE(cache.storeNt(0x7000, w.data()));
     drain();
     EXPECT_FALSE(cache.contains(0x7000));
     std::array<std::uint8_t, 64> r{};
@@ -177,6 +177,100 @@ TEST_F(CpuFixture, LoadsSurviveReadQueueRejection)
     }
     eq.runFor(2 * kMs);
     EXPECT_EQ(done, n);
+}
+
+/**
+ * A channel whose WPQ holds one line, with a detailed NT copy parked
+ * on it. A dirty line flushed now parks behind the copy, whose retry
+ * takes the next freed entry, so the writeback's first retry finds
+ * the WPQ full again.
+ */
+struct ContendedWpq
+{
+    explicit ContendedWpq(const dram::AddressMap& map)
+        : dev(map, dram::Ddr4Timing::ddr4_1600(), true, false),
+          bus(eq, dev, false),
+          imc(eq, bus, oneEntry()),
+          cache(eq, imc, CpuFixture::cacheParams()),
+          engine(eq, imc, &cache),
+          src(4096, 0x3d)
+    {
+        engine.writeNt(0x10000, 4096, src.data(), [this] { copied = true; });
+        // The first line fills the WPQ; the copy's second store (10 ns
+        // later) is rejected and parks long before the first line's
+        // CAS frees the entry.
+        eq.runFor(11 * kNs);
+    }
+
+    static imc::ImcConfig
+    oneEntry()
+    {
+        imc::ImcConfig c;
+        c.wpqCap = 1;
+        c.wpqWatermark = 1;
+        return c;
+    }
+
+    EventQueue eq;
+    dram::DramDevice dev;
+    bus::MemoryBus bus;
+    imc::Imc imc;
+    CpuCacheModel cache;
+    MemcpyEngine engine;
+    std::vector<std::uint8_t> src;
+    bool copied = false;
+};
+
+TEST_F(CpuFixture, ParkedWritebackRetriesUntilTheWpqTakesIt)
+{
+    // Regression: a dirty writeback parked on a full WPQ got a single
+    // retry; when a writer parked ahead of it took the freed slot, the
+    // line was dropped although clflush had reported completion.
+    ContendedWpq ch(map);
+    ASSERT_EQ(ch.imc.wpqDepth(), 1u);
+    std::array<std::uint8_t, 64> w{};
+    w.fill(0xc5);
+    ch.cache.store(0x40000, w.data(), nullptr);
+    bool flushed = false;
+    ch.cache.clflush(0x40000, [&] { flushed = true; });
+    ch.eq.runFor(100 * kUs);
+
+    ASSERT_TRUE(ch.copied);
+    ASSERT_TRUE(flushed);
+    EXPECT_EQ(ch.imc.wpqDepth(), 0u);
+    std::array<std::uint8_t, 64> r{};
+    ch.dev.readBurst(map.decompose(0x40000), r.data());
+    EXPECT_EQ(r, w) << "the parked writeback never reached DRAM";
+    ch.dev.readBurst(map.decompose(0x10000 + 4032), r.data());
+    EXPECT_EQ(r[0], 0x3d);
+    // Only accepted stores count, and every accepted line entered the
+    // WPQ exactly once.
+    EXPECT_EQ(ch.cache.stats().ntStores.value(), 64u);
+    EXPECT_EQ(ch.imc.stats().writesAccepted.value(), 65u);
+}
+
+TEST_F(CpuFixture, ClflushCompletesOnlyOnceTheWpqHoldsItsLine)
+{
+    // A power cut right after clflush reports completion must find
+    // the line in the ADR domain (the WPQ or a burst on the wires).
+    // Completing after the flush cost alone, while the writeback was
+    // still parked, lost it.
+    ContendedWpq ch(map);
+    ASSERT_EQ(ch.imc.wpqDepth(), 1u);
+    std::array<std::uint8_t, 64> w{};
+    w.fill(0xc5);
+    ch.cache.store(0x40000, w.data(), nullptr);
+    bool flushed = false;
+    ch.cache.clflush(0x40000, [&] { flushed = true; });
+    const Tick give_up = ch.eq.now() + 100 * kUs;
+    while (!flushed && ch.eq.now() < give_up && ch.eq.runOne()) {
+    }
+    ASSERT_TRUE(flushed);
+
+    ch.imc.adrFlushWpq();
+    std::array<std::uint8_t, 64> r{};
+    ch.dev.readBurst(map.decompose(0x40000), r.data());
+    EXPECT_EQ(r, w) << "clflush completed before the WPQ took its line";
 }
 
 TEST_F(CpuFixture, CapacityEvictionWritesDirtyVictims)

@@ -389,7 +389,7 @@ TEST(Integration, WpqIsAWeakPersistenceDomain)
         EXPECT_TRUE(slot.has_value());
         std::vector<std::uint8_t> line(64, 0x20);
         sys->cpuCache().storeNt(sys->layout().slotAddr(*slot),
-                                line.data(), nullptr);
+                                line.data());
         // Fail *now*, without letting the WPQ drain.
         core::PowerFailureScenario sc;
         sc.adrWorks = true;
@@ -417,8 +417,7 @@ TEST(Integration, PowerFailureWithoutAdrLosesWpq)
     auto slot = sys->driver().cache().peek(0);
     ASSERT_TRUE(slot.has_value());
     std::vector<std::uint8_t> line(64, 0x42);
-    sys->cpuCache().storeNt(sys->layout().slotAddr(*slot), line.data(),
-                            nullptr);
+    sys->cpuCache().storeNt(sys->layout().slotAddr(*slot), line.data());
     core::PowerFailureScenario sc;
     sc.adrWorks = false;
     auto report = core::simulatePowerFailure(*sys, sc);
@@ -442,6 +441,33 @@ TEST(Integration, MixedLoadValidatesWithoutCorruption)
     // heap round-trip per event. If this fires, shrink the offending
     // lambda's captures (see sboOverflows() in event_queue.hh).
     EXPECT_EQ(sys->eq().sboOverflows(), 0u);
+}
+
+TEST(Integration, MixedLoadConservesEveryStoredLine)
+{
+    // Enough users that the WPQ rejects NT stores (memcpy is
+    // detailed here): every accepted store or dirty writeback must
+    // enter the WPQ exactly once, and a rejected store is not a store.
+    // The CPU cache holds the whole region, so no capacity eviction
+    // writes a line back behind the counters' backs.
+    auto sys = makeSystem([](SystemConfig& c) {
+        c.cpuCache.capacityLines = 512 * 1024;
+    });
+    workload::MixedLoadConfig cfg;
+    cfg.users = 125;
+    cfg.transactionsPerUser = 4;
+    cfg.recordBytes = 4096;
+    cfg.regionBytes = 4 * kMiB;
+    auto res = workload::runMixedLoad(sys->eq(), dataDevice(*sys), cfg);
+    EXPECT_EQ(res.transactions, 125u * 4u);
+    EXPECT_EQ(res.validationFailures, 0u);
+
+    const cpu::CacheStats& cpu = sys->cpuCache().stats();
+    ASSERT_EQ(cpu.capacityEvictions.value(), 0u);
+    EXPECT_EQ(sys->imc().stats().writesAccepted.value(),
+              cpu.ntStores.value() + cpu.flushWritebacks.value());
+    EXPECT_EQ(cpu.ntStores.value(),
+              64u * sys->driver().stats().writeOps.value());
 }
 
 TEST(Integration, StreamAgingTestIsClean)
