@@ -38,9 +38,9 @@ HostPort::writeLine(Addr flat, const std::uint8_t* data, Callback done)
 }
 
 void
-HostPort::whenSpace(Addr flat, Callback cb)
+HostPort::whenSpace(Addr flat, SpaceFor queue, Callback retry)
 {
-    imcs_[channelOf(flat)]->whenSpace(std::move(cb));
+    imcs_[channelOf(flat)]->whenSpace(queue, std::move(retry));
 }
 
 void

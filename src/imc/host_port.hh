@@ -64,9 +64,10 @@ class HostPort
      *  @return false if that channel's WPQ is full. */
     bool writeLine(Addr flat, const std::uint8_t* data, Callback done);
 
-    /** One-shot "space freed" callback on the channel owning @p flat
-     *  (the channel that just rejected the caller's line). */
-    void whenSpace(Addr flat, Callback cb);
+    /** Park @p retry on the channel owning @p flat (the channel that
+     *  just rejected the caller's line) until @p queue has room; see
+     *  Imc::whenSpace. */
+    void whenSpace(Addr flat, SpaceFor queue, Callback retry);
 
     /**
      * Analytic bulk transfer of [flat, flat+bytes): byte counts are

@@ -156,12 +156,29 @@ Imc::writeLine(Addr addr, const std::uint8_t* data, Callback done)
 void
 Imc::notifySpace()
 {
-    if (spaceWaiters_.empty())
-        return;
-    std::vector<Callback> waiters;
-    waiters.swap(spaceWaiters_);
-    for (auto& cb : waiters)
-        cb();
+    // Walk the waiters present on entry in park order, each retried at
+    // most once; a retry that parks again lands behind them. A writer
+    // facing a full WPQ would be rejected, so it moves behind uncalled,
+    // which is where its re-park would have put it. A reader is always
+    // retried: it may hit the CPU cache or forward from the WPQ without
+    // read-queue room.
+    for (std::size_t n = spaceWaiters_.size(); n > 0; --n) {
+        // Only writers left, the WPQ full and nothing parked behind
+        // them during this walk: moving each behind the rest would
+        // leave the queue as it is, so stop here.
+        if (wpq_.full() && parkedReaders_ == 0 &&
+            spaceWaiters_.size() == n)
+            return;
+        SpaceWaiter w = std::move(spaceWaiters_.front());
+        spaceWaiters_.pop_front();
+        if (w.queue == SpaceFor::Write && wpq_.full()) {
+            spaceWaiters_.push_back(std::move(w));
+            continue;
+        }
+        if (w.queue == SpaceFor::Read)
+            --parkedReaders_;
+        w.retry();
+    }
 }
 
 void

@@ -20,7 +20,6 @@
 #include <deque>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "bus/memory_bus.hh"
 #include "common/event_queue.hh"
@@ -89,6 +88,9 @@ struct ImcConfig
     std::string name = "imc";
 };
 
+/** The controller queue a rejected request waits on. */
+enum class SpaceFor : std::uint8_t { Read, Write };
+
 /** iMC statistics. */
 struct ImcStats
 {
@@ -121,8 +123,20 @@ class Imc
      */
     bool writeLine(Addr addr, const std::uint8_t* data, Callback done);
 
-    /** Register a one-shot callback for "some queue space freed". */
-    void whenSpace(Callback cb) { spaceWaiters_.push_back(std::move(cb)); }
+    /**
+     * Park @p retry, a one-shot callback, until @p queue (the queue
+     * that rejected the caller) has room. Waiters are retried in park
+     * order. A writer is retried only while the WPQ has a free entry;
+     * a reader is retried on every freed entry, since its retry may
+     * also complete by a cache hit or a WPQ forward. A retry that is
+     * rejected again must park again.
+     */
+    void whenSpace(SpaceFor queue, Callback retry)
+    {
+        if (queue == SpaceFor::Read)
+            ++parkedReaders_;
+        spaceWaiters_.push_back({queue, std::move(retry)});
+    }
 
     /**
      * Analytic bulk transfer (see ImcConfig bulk parameters): the
@@ -214,7 +228,15 @@ class Imc
     TimingShadow shadow_;
     std::deque<MemRequest> readQ_;
     WritePendingQueue wpq_;
-    std::vector<Callback> spaceWaiters_;
+
+    struct SpaceWaiter
+    {
+        SpaceFor queue;
+        Callback retry;
+    };
+    /** Parked retries in park order, and how many are readers. */
+    std::deque<SpaceWaiter> spaceWaiters_;
+    std::size_t parkedReaders_ = 0;
 
     /**
      * Writes popped from the WPQ at CAS time whose data burst has not

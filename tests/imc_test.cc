@@ -8,10 +8,14 @@
 
 #include <array>
 #include <cstring>
+#include <functional>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "bus/memory_bus.hh"
 #include "common/event_queue.hh"
+#include "imc/host_port.hh"
 #include "imc/imc.hh"
 #include "imc/scheduler.hh"
 
@@ -182,9 +186,279 @@ TEST_F(ImcFixture, QueueBackpressure)
     }
     EXPECT_LE(accepted, 5); // Cap + possibly one issued immediately.
     bool space_seen = false;
-    m.whenSpace([&] { space_seen = true; });
+    m.whenSpace(SpaceFor::Read, [&] { space_seen = true; });
     eq.runFor(2 * kUs);
     EXPECT_TRUE(space_seen);
+}
+
+TEST_F(ImcFixture, ParkedWritersRetryOnceInParkOrderOnlyWithRoom)
+{
+    ImcConfig cfg;
+    cfg.wpqCap = 4;
+    cfg.wpqWatermark = 4;
+    Imc& m = makeImc(cfg);
+    for (Addr i = 0; i < cfg.wpqCap; ++i)
+        ASSERT_TRUE(m.writeLine(i * 64, nullptr, nullptr));
+
+    // A retry the WPQ rejects re-parks, so it would be logged twice.
+    const int n = 12;
+    std::vector<int> order;
+    int rejected = 0;
+    std::function<void(int)> park = [&](int i) {
+        m.whenSpace(SpaceFor::Write, [&, i] {
+            order.push_back(i);
+            if (!m.writeLine(0x10000 + static_cast<Addr>(i) * 64, nullptr,
+                             nullptr)) {
+                ++rejected;
+                park(i);
+            }
+        });
+    };
+    for (int i = 0; i < n; ++i)
+        park(i);
+    eq.runFor(5 * kUs);
+
+    std::vector<int> expected(n);
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(rejected, 0) << "a writer was retried on a full WPQ";
+    EXPECT_EQ(m.stats().writesAccepted.value(), cfg.wpqCap + n);
+}
+
+TEST_F(ImcFixture, WriterThatParksAgainKeepsItsPlace)
+{
+    // A copy's retry stores lines until the WPQ rejects one, then
+    // parks again. It is still the oldest waiter, so the one-line
+    // writers parked behind it are not called until it has finished.
+    ImcConfig cfg;
+    cfg.wpqCap = 2;
+    cfg.wpqWatermark = 2;
+    Imc& m = makeImc(cfg);
+    ASSERT_TRUE(m.writeLine(0x0, nullptr, nullptr));
+    ASSERT_TRUE(m.writeLine(0x40, nullptr, nullptr));
+
+    std::string log;
+    Addr copy_next = 0x10000;
+    const Addr copy_end = copy_next + 6 * 64;
+    std::function<void()> copy = [&] {
+        m.whenSpace(SpaceFor::Write, [&] {
+            log += "C";
+            while (copy_next < copy_end &&
+                   m.writeLine(copy_next, nullptr, nullptr))
+                copy_next += 64;
+            if (copy_next < copy_end)
+                copy();
+        });
+    };
+    copy();
+    for (int id = 1; id <= 2; ++id) {
+        m.whenSpace(SpaceFor::Write, [&, id] {
+            log += std::to_string(id);
+            EXPECT_TRUE(m.writeLine(0x20000 + static_cast<Addr>(id) * 64,
+                                    nullptr, nullptr));
+        });
+    }
+    eq.runFor(5 * kUs);
+
+    EXPECT_EQ(copy_next, copy_end);
+    ASSERT_GE(log.size(), 4u) << "the copy should have parked again";
+    EXPECT_EQ(log, std::string(log.size() - 2, 'C') + "12");
+}
+
+TEST_F(ImcFixture, ReadAndWriteWaitersKeepTheirParkOrder)
+{
+    ImcConfig cfg;
+    cfg.readQueueCap = 1;
+    cfg.wpqCap = 1;
+    cfg.wpqWatermark = 1;
+    Imc& m = makeImc(cfg);
+    ASSERT_TRUE(m.readLine(0x0, nullptr, nullptr));
+    ASSERT_TRUE(m.writeLine(0x40, nullptr, nullptr));
+
+    // Every retry call is logged: "R2-" is reader 2 re-parking, "W1+"
+    // writer 1 accepted. Reader 2 re-parks on its first retry even if
+    // the read queue has room.
+    std::string log;
+    int r2_calls = 0;
+    std::function<void(int, SpaceFor)> park = [&](int id, SpaceFor q) {
+        m.whenSpace(q, [&, id, q] {
+            Addr line = 0x1000 + static_cast<Addr>(id) * 64;
+            bool ok;
+            if (q == SpaceFor::Read)
+                ok = !(id == 2 && r2_calls++ == 0) &&
+                     m.readLine(line, nullptr, nullptr);
+            else
+                ok = m.writeLine(line, nullptr, nullptr);
+            log += (q == SpaceFor::Read ? "R" : "W") +
+                   std::to_string(id) + (ok ? "+ " : "- ");
+            if (!ok)
+                park(id, q);
+        });
+    };
+    for (int id = 0; id < 6; ++id)
+        park(id, id % 2 == 0 ? SpaceFor::Read : SpaceFor::Write);
+    eq.runFor(5 * kUs);
+    // Three frees. Each walks the waiters in park order; a re-parked
+    // reader keeps its place ahead of later ones, and writers 3 and 5
+    // are passed over, not called, while the WPQ is full.
+    EXPECT_EQ(log, "R0+ W1+ R2- R4- "
+                   "R2+ W3+ R4- "
+                   "R4+ W5+ ");
+}
+
+TEST_F(ImcFixture, ParkedReaderForwardsFromWpqWhileReadQueueIsFull)
+{
+    ImcConfig cfg;
+    cfg.readQueueCap = 1;
+    cfg.wpqWatermark = 2;
+    Imc& m = makeImc(cfg);
+    // Open a row with one drained write; later writes to it are row
+    // hits, which a draining scheduler serves before a row-miss read.
+    const dram::DramCoord open{0, 0, 0, 0};
+    ASSERT_TRUE(m.writeLine(map.compose(open), nullptr, nullptr));
+    eq.runFor(1 * kUs);
+    ASSERT_EQ(m.wpqDepth(), 0u);
+
+    // The read queue's one entry misses the open row, so it waits.
+    dram::DramCoord miss = open;
+    miss.row = 1;
+    ASSERT_TRUE(m.readLine(map.compose(miss), nullptr, nullptr));
+
+    const Addr line = map.compose({1, 0, 0, 0});
+    std::array<std::uint8_t, 64> w{}, r{};
+    w.fill(0x6b);
+    int retries = 0;
+    std::size_t rdq_at_retry = 0;
+    bool delivered = false;
+    std::function<void()> read_line = [&] {
+        if (m.readLine(line, r.data(), [&] { delivered = true; }))
+            return;
+        m.whenSpace(SpaceFor::Read, [&] {
+            ++retries;
+            rdq_at_retry = m.readQueueDepth();
+            read_line();
+        });
+    };
+    read_line(); // Rejected: the queue is full, the line not yet written.
+    ASSERT_TRUE(m.writeLine(line, w.data(), nullptr));
+    for (std::uint32_t col = 1; col <= 3; ++col) {
+        dram::DramCoord hit = open;
+        hit.col = col;
+        ASSERT_TRUE(m.writeLine(map.compose(hit), nullptr, nullptr));
+    }
+    eq.runFor(2 * kUs);
+
+    EXPECT_EQ(retries, 1);
+    EXPECT_EQ(rdq_at_retry, 1u) << "the read queue should still be full";
+    EXPECT_TRUE(delivered);
+    EXPECT_EQ(r, w);
+    EXPECT_EQ(m.stats().wpqForwards.value(), 1u);
+}
+
+TEST_F(ImcFixture, ParkedReaderIsRetriedWhileTheWpqIsFull)
+{
+    // A store stream that never parks refills the WPQ as soon as a CAS
+    // frees its entry, so every free finds the WPQ full. A reader
+    // parked on the full read queue must still be retried then.
+    ImcConfig cfg;
+    cfg.readQueueCap = 1;
+    cfg.wpqCap = 1;
+    cfg.wpqWatermark = 1;
+    Imc& m = makeImc(cfg);
+    ASSERT_TRUE(m.readLine(0x0, nullptr, nullptr));
+
+    const Addr line = 0x40;
+    Tick first_retry = kTickNever;
+    std::size_t wpq_at_first_retry = 0;
+    std::function<void()> read_line = [&] {
+        if (m.readLine(line, nullptr, nullptr))
+            return;
+        m.whenSpace(SpaceFor::Read, [&] {
+            if (first_retry == kTickNever) {
+                first_retry = eq.now();
+                wpq_at_first_retry = m.wpqDepth();
+            }
+            read_line();
+        });
+    };
+    read_line();
+    ASSERT_EQ(first_retry, kTickNever);
+
+    const Tick stream_end = 1 * kUs;
+    Addr next = 0x100000;
+    std::function<void()> stream = [&] {
+        if (m.writeLine(next, nullptr, nullptr))
+            next += 64;
+        if (eq.now() < stream_end)
+            eq.scheduleAfter(1 * kNs, stream);
+    };
+    stream();
+    eq.runFor(2 * kUs);
+
+    ASSERT_GT(next, 0x100000 + 4 * 64) << "the stream should keep writing";
+    EXPECT_LT(first_retry, stream_end);
+    EXPECT_EQ(wpq_at_first_retry, cfg.wpqCap)
+        << "the first retry should find the WPQ full";
+}
+
+TEST(HostPortSpace, FreesOnOneChannelNeverWakeAnother)
+{
+    EventQueue eq;
+    dram::AddressMap map(16 * kMiB);
+    dram::DramDevice dev0(map, dram::Ddr4Timing::ddr4_1600(), true, false);
+    dram::DramDevice dev1(map, dram::Ddr4Timing::ddr4_1600(), true, false);
+    bus::MemoryBus bus0(eq, dev0, false);
+    bus::MemoryBus bus1(eq, dev1, false);
+    ImcConfig cfg;
+    cfg.readQueueCap = 1;
+    cfg.wpqCap = 1;
+    cfg.wpqWatermark = 1;
+    Imc imc0(eq, bus0, cfg);
+    cfg.name = "ch1.imc";
+    Imc imc1(eq, bus1, cfg);
+    HostPort port({&imc0, &imc1},
+                  dram::ChannelInterleave(
+                      2, dram::ChannelInterleave::kPageGranule));
+    const Addr ch0 = 0;
+    const Addr ch1 = 4096;
+    ASSERT_EQ(port.channelOf(ch0), 0u);
+    ASSERT_EQ(port.channelOf(ch1), 1u);
+
+    // Channel 1: one read fills its queue; the next line's reader
+    // parks until that read completes, its channel's first free.
+    Tick ch1_freed_at = kTickNever;
+    ASSERT_TRUE(port.readLine(ch1, nullptr,
+                              [&] { ch1_freed_at = eq.now(); }));
+    ASSERT_FALSE(port.readLine(ch1 + 64, nullptr, nullptr));
+    std::vector<Tick> ch1_wakes;
+    port.whenSpace(ch1 + 64, SpaceFor::Read, [&] {
+        ch1_wakes.push_back(eq.now());
+        EXPECT_TRUE(port.readLine(ch1 + 64, nullptr, nullptr));
+    });
+
+    // Channel 0: a writer streams eight lines through its one-entry
+    // WPQ, freeing it again and again meanwhile.
+    std::vector<Tick> ch0_wakes;
+    Addr next = 0;
+    std::function<void()> pump = [&] {
+        while (next < 8 && port.writeLine(ch0 + next * 64, nullptr, nullptr))
+            ++next;
+        if (next < 8)
+            port.whenSpace(ch0 + next * 64, SpaceFor::Write, [&] {
+                ch0_wakes.push_back(eq.now());
+                pump();
+            });
+    };
+    pump();
+    eq.runFor(2 * kUs);
+
+    EXPECT_EQ(next, 8u);
+    ASSERT_NE(ch1_freed_at, kTickNever);
+    ASSERT_FALSE(ch0_wakes.empty());
+    ASSERT_LT(ch0_wakes.front(), ch1_freed_at)
+        << "channel 0 must free before channel 1 for this to test anything";
+    ASSERT_EQ(ch1_wakes.size(), 1u);
+    EXPECT_EQ(ch1_wakes.front(), ch1_freed_at);
 }
 
 TEST_F(ImcFixture, WpqDrainsToArray)
