@@ -71,7 +71,6 @@ CpuCacheModel::load(Addr addr, std::uint8_t* buf, Callback done)
         return;
     }
 
-    stats_.loadMisses.inc();
     // Fill via a stable staging buffer: the line may be evicted while
     // the miss is outstanding, so the iMC must never write into the
     // map node directly. The callback lives in a shared_ptr because
@@ -92,13 +91,16 @@ CpuCacheModel::load(Addr addr, std::uint8_t* buf, Callback done)
         if (*cb)
             (*cb)();
     });
-    if (!ok) {
-        // Read queue full: retry when space frees.
-        port_.whenSpace(line_addr, imc::SpaceFor::Read,
-                        [this, addr, buf, cb] {
-                            load(addr, buf, std::move(*cb));
-                        });
+    if (ok) {
+        // A rejected attempt is not a miss: its retry runs load() again.
+        stats_.loadMisses.inc();
+        return;
     }
+    // Read queue full: retry when space frees.
+    port_.whenSpace(line_addr, imc::SpaceFor::Read,
+                    [this, addr, buf, cb] {
+                        load(addr, buf, std::move(*cb));
+                    });
 }
 
 void

@@ -179,6 +179,27 @@ TEST_F(CpuFixture, LoadsSurviveReadQueueRejection)
     EXPECT_EQ(done, n);
 }
 
+TEST_F(CpuFixture, ParkedLoadCountsOneMiss)
+{
+    // Regression: a load rejected by a full read queue counted a miss
+    // on every attempt, because its retry runs load() again.
+    imc::ImcConfig small;
+    small.readQueueCap = 1;
+    imc::Imc tiny_imc(eq, bus, small);
+    CpuCacheModel tiny_cache(eq, tiny_imc, cacheParams());
+
+    ASSERT_TRUE(tiny_imc.readLine(0x1000, nullptr, nullptr));
+    bool loaded = false;
+    tiny_cache.load(0x2000, nullptr, [&] { loaded = true; });
+    ASSERT_EQ(tiny_imc.stats().readsAccepted.value(), 1u)
+        << "the load was not parked";
+    eq.runFor(20 * kUs);
+
+    ASSERT_TRUE(loaded);
+    EXPECT_EQ(tiny_imc.stats().readsAccepted.value(), 2u);
+    EXPECT_EQ(tiny_cache.stats().loadMisses.value(), 1u);
+}
+
 /**
  * A channel whose WPQ holds one line, with a detailed NT copy parked
  * on it. A dirty line flushed now parks behind the copy, whose retry
