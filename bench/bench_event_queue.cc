@@ -3,20 +3,25 @@
  * Simulator-kernel microbenchmark: raw event throughput of
  * common/event_queue, independent of any device model.
  *
- * Patterns matching how the simulator actually drives the queue:
+ * Patterns matching how the simulator actually drives the queue, each
+ * named by its pending count, delta range and cancel share:
  *
- *  - chain: one outstanding one-shot event at a time, each firing
- *    schedules the next (a controller state machine stepping).
- *  - churn4k: 4096 one-shot events outstanding, each firing
- *    reschedules itself with a varying delay (many in-flight ops).
- *  - schedule_cancel: schedule + cancel pairs that never fire
- *    (timeout guards, superseded wakeups).
- *  - intrusive_periodic: 64 owner-embedded events rescheduling
- *    themselves in place (iMC wakeups, controller steps).
- *  - shape_*: scheduler-shape probes pinning down the timing wheel's
- *    win/loss envelope — dense near-future (level-0 only), sparse
- *    far-future (cascade-dominated), cancel-heavy (lazy deletion),
- *    reschedule-heavy (in-place re-aiming).
+ *  - chain: 1 pending one-shot, 100-tick deltas, no cancels; each
+ *    firing schedules the next (a controller state machine stepping).
+ *  - churn4k: 4096 pending one-shots, 100-196-tick deltas, no cancels
+ *    (many in-flight ops).
+ *  - schedule_cancel: 0-1 pending; each one-shot, 1000+ ticks out, is
+ *    cancelled right after it is scheduled (timeout guards,
+ *    superseded wakeups).
+ *  - intrusive_periodic: 64 pending owner-embedded events, 50-128-tick
+ *    deltas, no cancels (iMC wakeups, controller steps).
+ *  - shape_*: four more shapes (dense near, sparse far, cancel-heavy,
+ *    reschedule-heavy), described at their definitions.
+ *
+ * The simulator itself keeps few events pending at a dispatch: 2-5 on
+ * the uncached 1-channel perfbench workload, 8-24 on the cached
+ * 4-channel one, and mostly 4-31 (peak 251) on the 250-user mixed
+ * load.
  *
  * Every pattern reports events/sec via items_per_second. By default
  * the binary writes its results to BENCH_kernel.json in the working
@@ -146,15 +151,13 @@ BM_IntrusivePeriodic(benchmark::State& state)
 }
 
 // ---------------------------------------------------------------------
-// Scheduler-shape microbenches: each isolates one region of the timing
-// wheel's win/loss envelope so a future kernel change shows where it
-// moved the needle.
+// Scheduler-shape microbenches: each isolates one traffic shape so a
+// future kernel change shows where it moved the needle.
 // ---------------------------------------------------------------------
 
 /**
- * Dense near-future: 512 events outstanding, every delay inside the
- * wheel's level-0 block (< 64 ticks). The wheel's best case — O(1)
- * bucket appends and FIFO drains, no cascades at all.
+ * Dense near-future: 512 pending one-shots, 1-61-tick deltas, no
+ * cancels. Many events share a tick, so same-tick order is exercised.
  */
 void
 BM_ShapeDenseNear(benchmark::State& state)
@@ -181,11 +184,9 @@ BM_ShapeDenseNear(benchmark::State& state)
 }
 
 /**
- * Sparse far-future: a handful of events with multi-level deltas
- * (64K–16M ticks), so nearly every dispatch jumps the clock across
- * empty ranges and cascades entries down. The wheel's worst case —
- * the occupancy bitmasks and lazy cascades are what keep it O(levels)
- * instead of O(range).
+ * Sparse far-future: 16 pending one-shots, 64K-16M-tick deltas, no
+ * cancels; every dispatch jumps simulated time across a long idle
+ * gap.
  */
 void
 BM_ShapeSparseFar(benchmark::State& state)
@@ -214,10 +215,10 @@ BM_ShapeSparseFar(benchmark::State& state)
 }
 
 /**
- * Cancel-heavy: 7 of 8 scheduled events are cancelled before they
- * can fire (timeout guards). Generation-stamped lazy deletion is what
- * keeps the cancels O(1); the dead entries surface (and are skipped)
- * in bucket compaction.
+ * Cancel-heavy: 1 pending one-shot 100 ticks out plus 7 guards 500-506
+ * ticks out, all 7 cancelled (7 of 8 scheduled events never fire).
+ * Cancels are generation-stamped no-ops; the dead entries are dropped
+ * when they surface or when they outnumber the live ones.
  */
 void
 BM_ShapeCancelHeavy(benchmark::State& state)
@@ -246,10 +247,11 @@ BM_ShapeCancelHeavy(benchmark::State& state)
 }
 
 /**
- * Reschedule-heavy: 256 intrusive events each re-aimed (deschedule +
- * schedule, new sequence number) several times per fire — the iMC
- * wakeup pattern when commands keep arriving and push the next
- * service tick out.
+ * Reschedule-heavy: 185-256 pending intrusive events, 60-130-tick
+ * periods, 32 of them re-aimed (deschedule + schedule, new sequence
+ * number) 30-79 ticks out every 40 ticks, so 22% of the entries die
+ * before they fire: the iMC wakeup pattern when commands keep
+ * arriving and move the next service tick.
  */
 void
 BM_ShapeRescheduleHeavy(benchmark::State& state)

@@ -1,5 +1,6 @@
 #include "common/event_queue.hh"
 
+#include <algorithm>
 
 #include "common/logging.hh"
 
@@ -20,143 +21,36 @@ EventQueue::schedule(Event& ev, Tick when)
     ev.when_ = when;
     ev.seq_ = nextSeq_++;
     ev.sched_ = true;
-    enqueueEntry(when, ev.seq_, &ev);
+    heap_.push_back(HeapEntry{when, ev.seq_, &ev});
+    std::push_heap(heap_.begin(), heap_.end(), later);
     ++livePending_;
-}
-
-bool
-EventQueue::findWheelNextSlow(Tick bound, Tick& when_out,
-                              std::uint64_t& seq_out)
-{
-    // Front slot first: while armed it is by construction <= every
-    // bucket entry, so no scan or cascade is needed at all.
-    if (haveFront_) {
-        if (live(front_)) {
-            focus_ = kFrontFocus;
-            memoValid_ = true;
-            memoWhen_ = front_.when;
-            memoSeq_ = front_.seq;
-            memoFocus_ = kFrontFocus;
-            when_out = front_.when;
-            seq_out = front_.seq;
-            return true;
-        }
-        haveFront_ = false;
-    }
-    focus_ = kNoFocus;
-    for (;;) {
-        // Current 64-tick block: every occupied bucket here covers a
-        // single tick and is already in seq order, so the first live
-        // entry at or past the drain cursor is the wheel minimum.
-        auto c0 = static_cast<std::uint32_t>(clock_) &
-                  (kSlotsPerLevel - 1);
-        std::uint64_t m = occ_[0] & (~std::uint64_t{0} << c0);
-        while (m) {
-            auto s = static_cast<std::uint32_t>(__builtin_ctzll(m));
-            Bucket& b = wheel_[0][s];
-            std::uint32_t& h = head0_[s];
-            while (h < b.size() && !live(b[h])) {
-                ++h;
-                --bucketCount_;
-            }
-            if (h < b.size()) {
-                focus_ = s;
-                memoValid_ = true;
-                memoWhen_ = b[h].when;
-                memoSeq_ = b[h].seq;
-                memoFocus_ = s;
-                when_out = b[h].when;
-                seq_out = b[h].seq;
-                return true;
-            }
-            b.clear();
-            h = 0;
-            occ_[0] &= ~(std::uint64_t{1} << s);
-            m &= m - 1;
-        }
-        // The block is exhausted: cascade the next occupied bucket,
-        // lowest level first (nested blocks make that earliest-first),
-        // then rescan. Each entry descends one level per cascade, so
-        // it is touched at most kLevels times in its lifetime.
-        bool cascaded = false;
-        for (int l = 1; l < kLevels && !cascaded; ++l) {
-            auto li = static_cast<std::size_t>(l);
-            auto cl = static_cast<std::uint32_t>(
-                (clock_ >> (kLevelBits * l)) & (kSlotsPerLevel - 1));
-            std::uint64_t ml = occ_[li] & (~std::uint64_t{0} << cl);
-            while (ml) {
-                auto s = static_cast<std::uint32_t>(
-                    __builtin_ctzll(ml));
-                Bucket& b = wheel_[li][s];
-                // Drop cancelled entries now; a dead-only bucket must
-                // not pull the clock forward.
-                std::size_t w = 0;
-                for (std::size_t r = 0; r < b.size(); ++r)
-                    if (live(b[r]))
-                        b[w++] = b[r];
-                bucketCount_ -= b.size() - w;
-                b.resize(w);
-                if (b.empty()) {
-                    occ_[li] &= ~(std::uint64_t{1} << s);
-                    ml &= ml - 1;
-                    continue;
-                }
-                Tick start = slotStart(l, s);
-                if (start > bound) {
-                    // The caller has not committed now() past bound,
-                    // so a later schedule() may still land before
-                    // this bucket: report its minimum (the bucket is
-                    // seq-ordered, so the first hit at the lowest
-                    // tick is the right tie-break) without moving
-                    // the clock.
-                    Tick bw = kTickNever;
-                    std::uint64_t bs = 0;
-                    for (const WheelEntry& e : b) {
-                        if (e.when < bw) {
-                            bw = e.when;
-                            bs = e.seq;
-                        }
-                    }
-                    when_out = bw;
-                    seq_out = bs;
-                    return true;
-                }
-                NVDC_DASSERT(start > clock_,
-                            "cascading an uncascaded current slot");
-                clock_ = start;
-                occ_[li] &= ~(std::uint64_t{1} << s);
-                bucketCount_ -= b.size();
-                for (const WheelEntry& e : b)
-                    pushEntry(e.when, e.seq, e.ev);
-                b.clear();
-                cascaded = true;
-                break;
-            }
-        }
-        if (!cascaded)
-            return false;
-    }
+    if (heap_.size() - livePending_ > livePending_)
+        dropDeadEntries();
 }
 
 void
-EventQueue::fireFocused()
+EventQueue::dropDeadEntries()
 {
-    NVDC_DASSERT(focus_ != kNoFocus, "firing without a focused entry");
-    memoValid_ = false;
-    WheelEntry e;
-    if (focus_ == kFrontFocus) {
-        e = front_;
-        haveFront_ = false;
-        // Leave clock_ alone: bucket entries pushed while the front
-        // was armed were placed relative to the lagging clock.
-    } else {
-        Bucket& b = wheel_[0][focus_];
-        e = b[head0_[focus_]];
-        ++head0_[focus_];
-        --bucketCount_;
-        clock_ = e.when;
-    }
-    focus_ = kNoFocus;
+    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                               [](const HeapEntry& e) { return !live(e); }),
+                heap_.end());
+    std::make_heap(heap_.begin(), heap_.end(), later);
+}
+
+bool
+EventQueue::fireNextBound(Tick limit)
+{
+    auto pop = [this] {
+        std::pop_heap(heap_.begin(), heap_.end(), later);
+        heap_.pop_back();
+    };
+    // Dead entries leave as soon as they surface, whatever their tick.
+    while (!heap_.empty() && !live(heap_.front()))
+        pop();
+    if (heap_.empty() || heap_.front().when > limit)
+        return false;
+    HeapEntry e = heap_.front();
+    pop();
     NVDC_DASSERT(e.when >= now_, "event in the past");
     now_ = e.when;
     e.ev->sched_ = false;
@@ -176,16 +70,6 @@ EventQueue::fireFocused()
     } else {
         e.ev->process();
     }
-}
-
-bool
-EventQueue::fireNextBound(Tick limit)
-{
-    Tick when = kTickNever;
-    std::uint64_t seq = 0;
-    if (!findWheelNext(limit, when, seq) || when > limit)
-        return false;
-    fireFocused();
     return true;
 }
 
@@ -214,7 +98,7 @@ EventQueue::cancel(EventId id)
     if (!ce)
         return;
     deschedule(*ce);
-    // Release the captured state now rather than when the stale wheel
+    // Release the captured state now rather than when the stale heap
     // entry surfaces; the slot's generation bump retires the id.
     recycleCallback(*ce);
 }
@@ -244,7 +128,7 @@ void
 EventQueue::CallbackEvent::process()
 {
     // Recycle even if the callable throws (a panic propagating out of
-    // a test); the stale wheel entry is skipped by the generation.
+    // a test); the stale heap entry is skipped by the generation.
     struct Recycle
     {
         CallbackEvent& ce;

@@ -14,7 +14,7 @@
  *    place. Nothing is allocated per occurrence; a periodic event
  *    (refresh tick, controller step, GC pass) reuses the same object
  *    forever. Cancellation is O(1): the in-object scheduled flag and
- *    generation sequence are cleared and the stale wheel entry is
+ *    generation sequence are cleared and the stale heap entry is
  *    lazily skipped when it surfaces.
  *
  *  - One-shot callbacks. schedule(when, lambda) stores the callable
@@ -25,21 +25,15 @@
  *    hot-path regression is visible). The returned EventId is usable
  *    with cancel()/isPending().
  *
- * Pending events live in a hierarchical timing wheel instead of a
- * binary heap: kLevels levels of 64 buckets, level l bucketing ticks
- * at 64^l granularity, so level 0 resolves single ticks and the top
- * level spans the whole 64-bit tick space (no far-future overflow
- * list is needed). schedule() appends to the owning bucket in O(1);
- * dispatch drains the current level-0 bucket FIFO (entries in a
- * single-tick bucket are already in seq order by construction) and
- * lazily cascades a higher-level bucket down one level each time the
- * wheel clock enters its range. A per-level occupancy bitmask makes
- * "find the next non-empty bucket" one count-trailing-zeros, so empty
- * tick ranges are skipped in O(1) rather than walked. Each entry is
- * touched at most once per level on its way down, so cost per event
- * is O(levels) worst case and O(1) for the near-future deltas that
- * dominate simulation (see DESIGN.md § event kernel for the cascade
- * protocol and the exact-order argument).
+ * Pending events live in one binary min-heap of (tick, seq, event)
+ * entries. The simulator keeps few events pending at once (a handful
+ * on an uncached channel, a few dozen to a few hundred on a loaded
+ * one), so a push or pop costs a few comparisons. A cancelled or
+ * re-aimed event leaves its old entry behind. The dispatcher pops
+ * such dead entries when they reach the top, and schedule() rebuilds
+ * the heap from its live entries once dead ones outnumber live ones,
+ * so the heap never holds more than twice the peak number of pending
+ * events (see DESIGN.md § event kernel).
  *
  * Both kinds share one sequence counter, so their relative FIFO order
  * is exact.
@@ -51,8 +45,8 @@
  * for the whole run; the ASan CI job enforces the rule.
  *
  * Semantics of empty()/pending() under lazy deletion: cancelled or
- * descheduled entries never count, even while their stale wheel
- * entries are still unvisited. Consequently runUntil() over a
+ * descheduled entries never count, even while their stale heap
+ * entries are still unpopped. Consequently runUntil() over a
  * fully-cancelled queue fires nothing and still advances now() to the
  * target tick.
  */
@@ -60,7 +54,6 @@
 #ifndef NVDIMMC_COMMON_EVENT_QUEUE_HH
 #define NVDIMMC_COMMON_EVENT_QUEUE_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -105,7 +98,7 @@ class Event
     friend class EventQueue;
 
     Tick when_ = 0;
-    /** Generation stamp: a wheel entry is live iff its seq matches. */
+    /** Generation stamp: a heap entry is live iff its seq matches. */
     std::uint64_t seq_ = 0;
     bool sched_ = false;
     /** True for EventQueue's pooled one-shot slots: lets the
@@ -183,8 +176,6 @@ class EventQueue
             return;
         ev.sched_ = false;
         --livePending_;
-        if (memoValid_ && ev.seq_ == memoSeq_)
-            memoValid_ = false;
     }
 
     /** @} */
@@ -230,7 +221,7 @@ class EventQueue
     /** @} */
 
     /** @return true iff no runnable events remain (cancelled-but-
-     *  unvisited wheel entries never count). */
+     *  unpopped heap entries never count). */
     bool empty() const { return livePending_ == 0; }
 
     /** Number of pending (non-cancelled) events of either kind. */
@@ -302,167 +293,35 @@ class EventQueue
         alignas(std::max_align_t) unsigned char inline_[kCallbackInlineBytes];
     };
 
-    /** @name Timing wheel */
+    /** @name Event heap */
     /** @{ */
 
-    /** log2 of the bucket fan-out per level. */
-    static constexpr int kLevelBits = 6;
-    static constexpr std::uint32_t kSlotsPerLevel = 1u << kLevelBits;
-    /** 11 levels x 6 bits = 66 bits: the whole Tick space fits, so
-     *  there is no far-future overflow structure to special-case. */
-    static constexpr int kLevels = 11;
-    static constexpr std::uint32_t kNoFocus = ~std::uint32_t{0};
-    /** focus_ value naming the front slot rather than a bucket. */
-    static constexpr std::uint32_t kFrontFocus = kSlotsPerLevel;
-
-    struct WheelEntry
+    struct HeapEntry
     {
         Tick when;
         std::uint64_t seq;
         Event* ev;
     };
 
-    using Bucket = std::vector<WheelEntry>;
-
-    /** A wheel entry is live iff the event is still scheduled for it. */
+    /** The less-than for std::*_heap, which keep the greatest element
+     *  on top: ordering by "later" makes the earliest (tick, seq) the
+     *  greatest. */
     static bool
-    live(const WheelEntry& e)
+    later(const HeapEntry& a, const HeapEntry& b)
+    {
+        return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+
+    /** A heap entry is live iff the event is still scheduled for it. */
+    static bool
+    live(const HeapEntry& e)
     {
         return e.ev->sched_ && e.ev->seq_ == e.seq;
     }
 
-    /** Level an entry for @p when belongs to, relative to clock_: the
-     *  lowest level whose parent block contains both ticks. */
-    int
-    levelFor(Tick when) const
-    {
-        std::uint64_t x = when ^ clock_;
-        if (x == 0)
-            return 0;
-        int bit = 63 - __builtin_clzll(x);
-        return bit / kLevelBits;
-    }
-
-    /** First tick covered by slot @p s of level @p l (relative to the
-     *  current clock_ block at level l+1). */
-    Tick
-    slotStart(int l, std::uint32_t s) const
-    {
-        int parent_shift = kLevelBits * (l + 1);
-        Tick parent_mask = parent_shift >= 64
-                               ? ~Tick{0}
-                               : (Tick{1} << parent_shift) - 1;
-        return (clock_ & ~parent_mask) |
-               (static_cast<Tick>(s) << (kLevelBits * l));
-    }
-
-    /** Append an entry into its owning bucket. O(1). */
-    void
-    pushEntry(Tick when, std::uint64_t seq, Event* ev)
-    {
-        int l = levelFor(when);
-        auto s = static_cast<std::uint32_t>(
-            (when >> (kLevelBits * l)) & (kSlotsPerLevel - 1));
-        wheel_[static_cast<std::size_t>(l)][s].push_back(
-            WheelEntry{when, seq, ev});
-        occ_[static_cast<std::size_t>(l)] |= std::uint64_t{1} << s;
-        ++bucketCount_;
-    }
-
-    /** Insert an entry at the head of its owning bucket (before the
-     *  level-0 drain cursor). Only legal for an entry (when, seq)-less
-     *  than everything in the bucket: the demoted front. Buckets stay
-     *  seq-ordered per tick, which the O(1) level-0 drain relies on. */
-    void
-    pushEntryFront(Tick when, std::uint64_t seq, Event* ev)
-    {
-        int l = levelFor(when);
-        auto s = static_cast<std::uint32_t>(
-            (when >> (kLevelBits * l)) & (kSlotsPerLevel - 1));
-        Bucket& b = wheel_[static_cast<std::size_t>(l)][s];
-        b.insert(b.begin() + (l == 0 ? head0_[s] : 0),
-                 WheelEntry{when, seq, ev});
-        occ_[static_cast<std::size_t>(l)] |= std::uint64_t{1} << s;
-        ++bucketCount_;
-    }
-
-    /**
-     * Admit an entry, preferring the front slot: when the buckets are
-     * empty the entry is held in front_ and never touches the wheel
-     * at all — the common simulation shape of one (or few)
-     * outstanding events then costs no bucket or cascade work. The
-     * armed front is always strictly (when, seq)-below every bucket
-     * entry: arming requires empty buckets, later pushes either go
-     * behind it or swap with it, and the front only ever decreases
-     * while armed — so it is always the wheel minimum, and a demoted
-     * front belongs at the head of whatever bucket receives it.
-     */
-    void
-    enqueueEntry(Tick when, std::uint64_t seq, Event* ev)
-    {
-        if (haveFront_) {
-            if (!live(front_)) {
-                haveFront_ = false;
-            } else if (when < front_.when) {
-                pushEntryFront(front_.when, front_.seq, front_.ev);
-                front_ = WheelEntry{when, seq, ev};
-                // The new front is by construction the wheel minimum.
-                memoValid_ = true;
-                memoWhen_ = when;
-                memoSeq_ = seq;
-                memoFocus_ = kFrontFocus;
-                return;
-            } else {
-                pushEntry(when, seq, ev);
-                return;
-            }
-        }
-        if (bucketCount_ == 0) {
-            front_ = WheelEntry{when, seq, ev};
-            haveFront_ = true;
-            // The wheel was empty, so this is its minimum: pre-arm
-            // the memo and the next dispatch skips the lookup too.
-            memoValid_ = true;
-            memoWhen_ = when;
-            memoSeq_ = seq;
-            memoFocus_ = kFrontFocus;
-            return;
-        }
-        if (memoValid_ && when < memoWhen_)
-            memoValid_ = false;
-        pushEntry(when, seq, ev);
-    }
-
-    /**
-     * Locate the earliest live wheel entry, cascading higher-level
-     * buckets down as the wheel clock advances — but never advancing
-     * clock_ past @p bound (the caller guarantees now() will reach at
-     * least bound, so no later schedule() can land behind the clock).
-     * On success @p when/@p seq describe the entry; if it was reached
-     * (bucket start <= bound) it is focused for fireFocused(),
-     * otherwise focus is invalid and only (when, seq) is reported.
-     *
-     * The memo fast path stays inline: consecutive dispatches that
-     * did not disturb the minimum (every lone-timer step) cost three
-     * loads and a branch.
-     */
-    bool
-    findWheelNext(Tick bound, Tick& when, std::uint64_t& seq)
-    {
-        if (memoValid_) {
-            focus_ = memoFocus_;
-            when = memoWhen_;
-            seq = memoSeq_;
-            return true;
-        }
-        return findWheelNextSlow(bound, when, seq);
-    }
-
-    /** Scan/cascade path of findWheelNext on a memo miss. */
-    bool findWheelNextSlow(Tick bound, Tick& when, std::uint64_t& seq);
-
-    /** Fire the entry focused by findWheelNext(). */
-    void fireFocused();
+    /** Rebuild the heap from its live entries: O(heap size), paid
+     *  for by the cancels that left more dead entries than live. */
+    void dropDeadEntries();
 
     /**
      * Fire the earliest event if its tick is <= @p limit.
@@ -555,53 +414,8 @@ class EventQueue
         }
     }
 
-    /** wheel_[l][s]: entries for the 64^l-tick range of slot s within
-     *  the clock's current level-(l+1) block; a level-0 bucket covers
-     *  exactly one tick, so draining it head-to-tail is already
-     *  (tick, seq) order. */
-    std::array<std::array<Bucket, kSlotsPerLevel>, kLevels> wheel_{};
-    /** Per-level bitmask of non-empty buckets (bit s = slot s). */
-    std::array<std::uint64_t, kLevels> occ_{};
-    /** Drain cursor per level-0 bucket: entries before it have fired
-     *  or died; reset when the bucket is cleared. */
-    std::array<std::uint32_t, kSlotsPerLevel> head0_{};
-    /**
-     * The wheel's dispatch position: every live entry is at tick >=
-     * clock_, and for every level >= 1 the slot containing clock_ has
-     * already been cascaded (so lower levels hold anything earlier
-     * than the next occupied higher-level bucket). clock_ only moves
-     * forward, and never past a tick the caller has not committed
-     * now() to reach.
-     */
-    Tick clock_ = 0;
-    /** Level-0 slot focused by findWheelNext for fireFocused, or
-     *  kFrontFocus when the front slot holds the minimum. */
-    std::uint32_t focus_ = kNoFocus;
-    /**
-     * Memo of the last located-and-focused wheel minimum. Valid until
-     * that entry fires or dies, or a smaller (when, seq) is pushed —
-     * so consecutive dispatches with no intervening earlier schedule
-     * (the lone-timer shape) skip the wheel lookup entirely. A
-     * focused minimum needs no clock movement to fire, so a memo hit
-     * is bound-independent.
-     */
-    bool memoValid_ = false;
-    Tick memoWhen_ = 0;
-    std::uint64_t memoSeq_ = 0;
-    std::uint32_t memoFocus_ = kNoFocus;
-    /**
-     * Front slot: the wheel minimum cached outside the buckets. Armed
-     * only while the buckets are empty, so a lone in-flight event
-     * (the dominant device-model shape: one timer stepping forward)
-     * cycles schedule->fire entirely through this slot. Firing it
-     * advances now() but never clock_: bucket entries pushed while
-     * the front was armed were placed relative to the lagging clock,
-     * and jumping it would strand uncascaded current slots.
-     */
-    WheelEntry front_{};
-    bool haveFront_ = false;
-    /** Entries (live or dead) currently resident in wheel_ buckets. */
-    std::size_t bucketCount_ = 0;
+    /** Pending entries, live and dead, as a (tick, seq) min-heap. */
+    std::vector<HeapEntry> heap_;
 
     std::vector<std::unique_ptr<CallbackEvent>> pool_;
     std::vector<std::uint32_t> freeSlots_;

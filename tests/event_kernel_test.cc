@@ -2,13 +2,16 @@
  * @file
  * Tests for the intrusive event kernel: same-tick FIFO interleaving
  * of intrusive and one-shot events, in-place cancel/reschedule,
- * periodic self-rescheduling, lazy-deletion bookkeeping, and a
- * regression check that the one-shot (legacy-API shim) path and the
- * intrusive path drive a simulation to byte-identical stats.
+ * periodic self-rescheduling, lazy-deletion bookkeeping across heap
+ * rebuilds, order against a reference queue, and a regression check
+ * that the one-shot (legacy-API shim) path and the intrusive path
+ * drive a simulation to byte-identical stats.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -276,18 +279,58 @@ TEST(EventKernel, ShimAndIntrusiveRunsAreByteIdentical)
 }
 
 /**
- * Differential fuzz: a random stream of schedule / cancel /
- * reschedule / bounded-run operations executed on the timing wheel
- * must dispatch in exactly the order a reference (tick, seq) min-scan
- * produces. The reference mirrors the kernel's contract directly —
- * one shared sequence counter stamped in program order, lazy
- * cancellation, inclusive runUntil bounds — so any wheel bug (cascade
- * ordering, front-slot demotion, memo staleness, bound handling)
- * shows up as an order divergence.
+ * The kernel's contract as a linear scan: the live entry with the
+ * least (tick, seq) fires next, with one sequence counter stamped in
+ * program order, lazy cancellation and inclusive runUntil bounds.
  */
-TEST(EventKernel, DifferentialFuzzAgainstReferenceOrder)
+class ReferenceQueue
 {
-    struct RefEntry
+  public:
+    /** Admit an entry; @return its index for kill(). */
+    std::size_t
+    add(Tick when, int label)
+    {
+        entries_.push_back({when, nextSeq_++, label, true});
+        ++live_;
+        return entries_.size() - 1;
+    }
+
+    /** Cancel entry @p i; a no-op once it fired or died. */
+    void
+    kill(std::size_t i)
+    {
+        if (entries_[i].live) {
+            entries_[i].live = false;
+            --live_;
+        }
+    }
+
+    Tick now() const { return now_; }
+    std::size_t pending() const { return live_; }
+
+    /** Fire every entry up to @p until into @p order; now() = until. */
+    void
+    runUntil(Tick until, std::vector<int>& order)
+    {
+        for (;;) {
+            std::size_t b = best();
+            if (b == entries_.size() || entries_[b].when > until)
+                break;
+            fire(b, order);
+        }
+        now_ = until;
+    }
+
+    /** Fire everything left. */
+    void
+    drain(std::vector<int>& order)
+    {
+        for (std::size_t b = best(); b != entries_.size(); b = best())
+            fire(b, order);
+    }
+
+  private:
+    struct Entry
     {
         Tick when;
         std::uint64_t seq;
@@ -295,6 +338,44 @@ TEST(EventKernel, DifferentialFuzzAgainstReferenceOrder)
         bool live;
     };
 
+    std::size_t
+    best() const
+    {
+        std::size_t b = entries_.size();
+        for (std::size_t i = 0; i < entries_.size(); ++i) {
+            if (!entries_[i].live)
+                continue;
+            if (b == entries_.size() || entries_[i].when < entries_[b].when ||
+                (entries_[i].when == entries_[b].when &&
+                 entries_[i].seq < entries_[b].seq))
+                b = i;
+        }
+        return b;
+    }
+
+    void
+    fire(std::size_t i, std::vector<int>& order)
+    {
+        order.push_back(entries_[i].label);
+        kill(i);
+    }
+
+    std::vector<Entry> entries_;
+    std::uint64_t nextSeq_ = 1;
+    std::size_t live_ = 0;
+    Tick now_ = 0;
+};
+
+/**
+ * Differential fuzz: a random stream of schedule / cancel /
+ * reschedule / bounded-run operations must dispatch in exactly the
+ * order the reference queue produces, with pending() equal to its
+ * live count. The delays mix same-tick pileups, near deltas (< 64 and
+ * < 4096 ticks), mid deltas (< 262144) and far ones (< 2^30), so
+ * ties, interleaving with bounded runs and long idle gaps all occur.
+ */
+TEST(EventKernel, DifferentialFuzzAgainstReferenceOrder)
+{
     for (std::uint64_t seed :
          {std::uint64_t{1}, std::uint64_t{0xdeadbeef},
           std::uint64_t{0x5eed5eed5eed}}) {
@@ -305,34 +386,8 @@ TEST(EventKernel, DifferentialFuzzAgainstReferenceOrder)
         };
 
         EventQueue eq;
+        ReferenceQueue ref;
         std::vector<int> real_order, ref_order;
-        std::vector<RefEntry> entries;
-        Tick ref_now = 0;
-        std::uint64_t ref_seq = 1;
-
-        auto ref_best = [&]() -> std::size_t {
-            std::size_t best = entries.size();
-            for (std::size_t i = 0; i < entries.size(); ++i) {
-                if (!entries[i].live)
-                    continue;
-                if (best == entries.size() ||
-                    entries[i].when < entries[best].when ||
-                    (entries[i].when == entries[best].when &&
-                     entries[i].seq < entries[best].seq))
-                    best = i;
-            }
-            return best;
-        };
-        auto ref_run = [&](Tick until) {
-            for (;;) {
-                std::size_t b = ref_best();
-                if (b == entries.size() || entries[b].when > until)
-                    break;
-                entries[b].live = false;
-                ref_order.push_back(entries[b].label);
-            }
-            ref_now = until;
-        };
 
         // Cancelable one-shots: (id from the real queue, ref index).
         std::vector<std::pair<EventId, std::size_t>> shots;
@@ -352,14 +407,14 @@ TEST(EventKernel, DifferentialFuzzAgainstReferenceOrder)
             case 0:
             case 1:
             case 2:
-                return rnd() % 64; // In-block (level 0).
+                return rnd() % 64; // Near.
             case 3:
             case 4:
-                return rnd() % 4096; // Level-1 cascades.
+                return rnd() % 4096; // Near, wider.
             case 5:
-                return rnd() % 262144; // Level-2 cascades.
+                return rnd() % 262144; // Mid.
             case 6:
-                return rnd() % (Tick{1} << 30); // Deep levels.
+                return rnd() % (Tick{1} << 30); // Far.
             default:
                 return 0; // Same-tick pileup.
             }
@@ -367,7 +422,7 @@ TEST(EventKernel, DifferentialFuzzAgainstReferenceOrder)
 
         int next_label = 0;
         for (int op = 0; op < 1500; ++op) {
-            ASSERT_EQ(eq.now(), ref_now) << "seed " << seed;
+            ASSERT_EQ(eq.now(), ref.now()) << "seed " << seed;
             switch (rnd() % 16) {
             case 0:
             case 1:
@@ -375,14 +430,13 @@ TEST(EventKernel, DifferentialFuzzAgainstReferenceOrder)
             case 3:
             case 4:
             case 5: { // One-shot schedule.
-                Tick when = ref_now + rand_delta();
+                Tick when = ref.now() + rand_delta();
                 int label = next_label++;
                 EventId id = eq.schedule(
                     when, [&real_order, label] {
                         real_order.push_back(label);
                     });
-                entries.push_back({when, ref_seq++, label, true});
-                shots.push_back({id, entries.size() - 1});
+                shots.push_back({id, ref.add(when, label)});
                 break;
             }
             case 6:
@@ -391,50 +445,119 @@ TEST(EventKernel, DifferentialFuzzAgainstReferenceOrder)
                     break;
                 auto& [id, ri] = shots[rnd() % shots.size()];
                 eq.cancel(id);
-                entries[ri].live = false;
+                ref.kill(ri);
                 break;
             }
             case 8:
             case 9: { // Intrusive reschedule (in place).
                 int w = static_cast<int>(rnd() % kWrappers);
-                Tick when = ref_now + rand_delta();
+                Tick when = ref.now() + rand_delta();
                 eq.reschedule(*wrappers[static_cast<std::size_t>(w)],
                               when);
                 if (wrapper_ref[w] != ~std::size_t{0})
-                    entries[wrapper_ref[w]].live = false;
-                entries.push_back({when, ref_seq++, 10000 + w, true});
-                wrapper_ref[w] = entries.size() - 1;
+                    ref.kill(wrapper_ref[w]);
+                wrapper_ref[w] = ref.add(when, 10000 + w);
                 break;
             }
             case 10:
-            case 11: { // Live count must agree with the reference.
-                std::size_t live = 0;
-                for (const RefEntry& e : entries)
-                    live += e.live ? 1 : 0;
-                ASSERT_EQ(eq.pending(), live) << "seed " << seed;
+            case 11: // Live count must agree with the reference.
+                ASSERT_EQ(eq.pending(), ref.pending()) << "seed " << seed;
                 break;
-            }
             default: { // Inclusive bounded run.
-                Tick until = ref_now + rnd() % 300;
+                Tick until = ref.now() + rnd() % 300;
                 eq.runUntil(until);
-                ref_run(until);
+                ref.runUntil(until, ref_order);
                 break;
             }
             }
         }
 
         eq.runAll();
-        for (;;) { // Drain the reference completely.
-            std::size_t b = ref_best();
-            if (b == entries.size())
-                break;
-            entries[b].live = false;
-            ref_order.push_back(entries[b].label);
-        }
+        ref.drain(ref_order);
 
         ASSERT_EQ(real_order, ref_order) << "seed " << seed;
         EXPECT_TRUE(eq.empty()) << "seed " << seed;
     }
+}
+
+/**
+ * The Imc::wake shape: one intrusive wake-up is pulled earlier again
+ * and again while slower intrusive timers and one-shot completions
+ * wait, and some completions are cancelled. Every pull leaves a dead
+ * entry behind, so dead entries keep outnumbering live ones and the
+ * queue rebuilds its heap about twice per round. Dispatch must still
+ * follow the reference order, and pending() must stay exact.
+ */
+TEST(EventKernel, PulledEarlierWakeKeepsOrderAcrossHeapRebuilds)
+{
+    EventQueue eq;
+    ReferenceQueue ref;
+    std::vector<int> real_order, ref_order;
+
+    constexpr std::size_t kNone = ~std::size_t{0};
+    EventFunctionWrapper wake([&real_order] { real_order.push_back(0); },
+                              "wake");
+    std::size_t wake_ref = kNone;
+    auto pull_wake = [&](Tick at) {
+        // Imc::wake: only an earlier tick moves a scheduled wake-up.
+        if (wake.scheduled() && wake.when() <= at)
+            return;
+        eq.reschedule(wake, at);
+        if (wake_ref != kNone)
+            ref.kill(wake_ref);
+        wake_ref = ref.add(at, 0);
+    };
+
+    constexpr int kTimers = 6;
+    std::vector<std::unique_ptr<EventFunctionWrapper>> timers;
+    std::vector<std::size_t> timer_ref(kTimers, kNone);
+    for (int t = 0; t < kTimers; ++t) {
+        timers.push_back(std::make_unique<EventFunctionWrapper>(
+            [&real_order, t] { real_order.push_back(100 + t); },
+            "timer"));
+    }
+
+    int next_label = 1000;
+    for (int round = 0; round < 100; ++round) {
+        const Tick base = eq.now();
+        // Completions, every third cancelled before it fires.
+        for (int k = 0; k < 8; ++k) {
+            Tick when = base + 50 + static_cast<Tick>(
+                                        (round * 37 + k * 11) % 400);
+            int label = next_label++;
+            EventId id = eq.schedule(when, [&real_order, label] {
+                real_order.push_back(label);
+            });
+            std::size_t ri = ref.add(when, label);
+            if (k % 3 == 0) {
+                eq.cancel(id);
+                ref.kill(ri);
+            }
+        }
+        // One timer re-aimed per round, often after it fired.
+        auto t = static_cast<std::size_t>(round % kTimers);
+        Tick when = base + 500 + 13 * t;
+        eq.reschedule(*timers[t], when);
+        if (timer_ref[t] != kNone)
+            ref.kill(timer_ref[t]);
+        timer_ref[t] = ref.add(when, 100 + static_cast<int>(t));
+        // The next command falls due sooner and sooner; some pulls
+        // land on a completion's tick, where seq breaks the tie.
+        for (Tick k = 0; k < 40; ++k) {
+            pull_wake(base + 400 - 9 * k);
+            ASSERT_EQ(eq.pending(), ref.pending()) << "round " << round;
+        }
+        Tick until = base + 120 + static_cast<Tick>(round % 50);
+        eq.runUntil(until);
+        ref.runUntil(until, ref_order);
+        ASSERT_EQ(eq.pending(), ref.pending()) << "round " << round;
+    }
+
+    eq.runAll();
+    ref.drain(ref_order);
+    EXPECT_EQ(real_order, ref_order);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_FALSE(wake.scheduled());
 }
 
 } // namespace
