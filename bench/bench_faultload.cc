@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_systems.hh"
 #include "common/logging.hh"
 #include "fault/campaign.hh"
 
@@ -38,12 +39,6 @@ struct Row
     std::string fingerprint;
     std::string error;
 };
-
-double
-ticksToUs(Tick t)
-{
-    return static_cast<double>(t) / static_cast<double>(kUs);
-}
 
 Row
 powerFailRow(std::uint64_t seed, double frac, bool adr)
@@ -147,9 +142,8 @@ ageingRow(std::uint64_t seed)
 }
 
 void
-writeJson(const std::vector<Row>& rows, const std::string& path)
+writeJson(const std::vector<Row>& rows, std::ofstream& out)
 {
-    std::ofstream out(path);
     out.precision(17);
     out << "{\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -174,18 +168,30 @@ faultloadMain(int argc, char** argv)
     bool quick = false;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (arg == "--seeds" && i + 1 < argc) {
-            seeds = std::stoull(argv[++i]);
+        auto value = [&]() -> std::string {
+            if (i + 1 >= argc)
+                fatal("missing value for ", arg);
+            return argv[++i];
+        };
+        if (arg == "--json") {
+            json_path = value();
+        } else if (arg == "--seeds") {
+            seeds = parseCount(arg, value());
         } else if (arg == "--quick") {
             quick = true;
-        } else {
-            std::cerr << "usage: bench_faultload [--json FILE]"
+        } else if (arg == "--help" || arg == "-h") {
+            std::cout << "usage: bench_faultload [--json FILE]"
                          " [--seeds N] [--quick]\n";
-            return arg == "--help" ? 0 : 2;
+            return 0;
+        } else {
+            fatal("unknown argument ", arg);
         }
     }
+    // Open the output before the campaigns run, so an unwritable path
+    // fails fast.
+    std::ofstream json_out(json_path);
+    if (!json_out)
+        fatal("cannot write ", json_path);
 
     setLogLevel(LogLevel::Silent);
     std::vector<Row> rows;
@@ -227,7 +233,9 @@ faultloadMain(int argc, char** argv)
         }
         std::cout << "\n";
     }
-    writeJson(rows, json_path);
+    writeJson(rows, json_out);
+    if (!json_out.flush())
+        fatal("cannot write ", json_path);
     std::cout << (failed ? "FAILED" : "ok") << ": " << rows.size()
               << " campaign rows -> " << json_path << "\n";
     return failed ? 1 : 0;

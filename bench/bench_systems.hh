@@ -1,30 +1,50 @@
 /**
  * @file
- * System-building helpers shared by the paper-reproduction benches
- * and the sweep runner. Kept free of any benchmark-harness include so
- * plain executables (bench/sweep_runner) can link without
- * google-benchmark.
+ * System-building helpers for the bench driver (bench/sweep_runner),
+ * plus the strict numeric-flag parser both bench executables share.
  *
  * Every helper builds a self-contained system on the scaled bench
  * configuration (512 MiB DRAM cache fronting ~3.75 GiB of exposed
  * Z-NAND; all timing parameters — tRFC 1250 ns, tREFI 7.8 us,
- * DDR4-1600 — are the paper's).
+ * DDR4-1600 — are the paper's). Channel count and backend are
+ * arguments, never process state, so points build concurrently.
  */
 
 #ifndef NVDIMMC_BENCH_BENCH_SYSTEMS_HH
 #define NVDIMMC_BENCH_BENCH_SYSTEMS_HH
 
+#include <charconv>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "backend/media_backend.hh"
+#include "common/logging.hh"
 #include "common/span.hh"
 #include "core/system.hh"
 #include "workload/fio.hh"
+#include "workload/mixedload.hh"
 
 namespace nvdimmc::bench
 {
+
+/**
+ * Parse @p text as a whole decimal integer of at least @p min, or fail
+ * naming @p flag (no sign, no suffix, no overflow).
+ */
+inline std::uint64_t
+parseCount(const std::string& flag, const std::string& text,
+           std::uint64_t min = 0)
+{
+    std::uint64_t value = 0;
+    const char* end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc{} || ptr != end || value < min)
+        fatal(flag, ": expected an integer >= ", min, ", got '", text,
+              "'");
+    return value;
+}
 
 /**
  * A request may legitimately miss a few refresh windows (poll pacing,
@@ -35,36 +55,15 @@ namespace nvdimmc::bench
 inline constexpr std::uint64_t kWindowWaitBudgetRefi = 32;
 
 /** Arm the span auditor's window-wait bound for @p cfg's refresh
- *  cadence (call once per system build; idempotent). */
+ *  cadence and ops of up to @p op_bytes: a span waits for windows once
+ *  per 4 KB page it misses, so the budget is per page (call once per
+ *  system build; idempotent). */
 inline void
-armSpanAuditor(const core::SystemConfig& cfg)
+armSpanAuditor(const core::SystemConfig& cfg,
+               std::uint64_t op_bytes = 4096)
 {
-    span::setWindowWaitCap(cfg.refresh.tREFI * kWindowWaitBudgetRefi);
-}
-
-/**
- * Channel count every bench system is built with (the --channels=N
- * knob; bench_common.hh's initObservability sets it, sweep_runner sets
- * it per point). Default 1 = the PoC machine.
- */
-inline std::uint32_t&
-benchChannels()
-{
-    static std::uint32_t channels = 1;
-    return channels;
-}
-
-/**
- * Media-transport backend every bench system is built with (the
- * --backend=nvdimmc|cxl|pmem knob). The benches select a backend, not
- * a wiring recipe: the factories below translate the kind into the
- * right system assembly. Default: the paper's CP-over-DDR4 module.
- */
-inline backend::BackendKind&
-benchBackend()
-{
-    static backend::BackendKind kind = backend::BackendKind::Nvdimmc;
-    return kind;
+    span::setWindowWaitCap(cfg.refresh.tREFI * kWindowWaitBudgetRefi *
+                           ((op_bytes + 4095) / 4096));
 }
 
 /** Device access function over an NVDIMM-C system (timing-only). */
@@ -94,24 +93,15 @@ pmemAccess(core::BaselineSystem& sys)
 }
 
 /**
- * The one backend-aware config factory every hybrid-device bench
- * build goes through: scaled bench preset, the --channels / --backend
- * globals applied in that order, then the point's tweak (which may
- * still override either, including the backend via
- * cfg.applyCxlBackend()), and the span auditor armed for the
- * resulting refresh cadence.
+ * The config factory every hybrid-device build goes through: scaled
+ * bench preset, then the point's tweak (channel count, backend via
+ * cfg.applyCxlBackend(), ablation knobs), and the span auditor armed
+ * for the resulting refresh cadence.
  */
 inline core::SystemConfig
 benchSystemConfig(std::function<void(core::SystemConfig&)> tweak = {})
 {
-    NVDC_ASSERT(benchBackend() != backend::BackendKind::Pmem,
-                "--backend=pmem builds a BaselineSystem (use "
-                "makeCachedDevice / makePmemSystem), not a hybrid "
-                "NvdimmcSystem");
     core::SystemConfig cfg = core::SystemConfig::scaledBench();
-    cfg.channels = benchChannels();
-    if (benchBackend() == backend::BackendKind::CxlHybrid)
-        cfg.applyCxlBackend();
     if (tweak)
         tweak(cfg);
     armSpanAuditor(cfg);
@@ -119,79 +109,11 @@ benchSystemConfig(std::function<void(core::SystemConfig&)> tweak = {})
 }
 
 /**
- * Build an NVDIMM-C system whose cache is pre-populated so the given
- * region is entirely *cached* (PTEs valid); FIO over it measures the
- * NVDC-Cached series.
- */
-inline std::unique_ptr<core::NvdimmcSystem>
-makeCachedSystem(std::function<void(core::SystemConfig&)> tweak = {})
-{
-    auto sys =
-        std::make_unique<core::NvdimmcSystem>(benchSystemConfig(tweak));
-    // Leave 64 slots per channel free so hits never evict.
-    std::uint32_t slots = sys->totalSlotCount();
-    sys->precondition(0, slots - 64 * sys->channelCount(), true);
-    return sys;
-}
-
-/** Usable cached-region size for a system from makeCachedSystem(). */
-inline std::uint64_t
-cachedRegionBytes(core::NvdimmcSystem& sys)
-{
-    return std::uint64_t{sys.totalSlotCount() -
-                         64 * sys.channelCount()} *
-           4096;
-}
-
-/**
- * Build an NVDIMM-C system whose cache is full of dirty pages from a
- * low region; FIO over the remaining device space is all-miss
- * (writeback + cachefill per access): the NVDC-Uncached series.
- */
-inline std::unique_ptr<core::NvdimmcSystem>
-makeUncachedSystem(std::function<void(core::SystemConfig&)> tweak = {})
-{
-    auto sys =
-        std::make_unique<core::NvdimmcSystem>(benchSystemConfig(tweak));
-    sys->precondition(0, sys->totalSlotCount(), true);
-    // The paper's uncached experiments run on a device whose blocks
-    // all hold data (FIO preconditions the file), so every fill is a
-    // real NAND cachefill.
-    sys->driver().markEverWritten(
-        0, sys->driver().capacityBytes() / 4096);
-    return sys;
-}
-
-/** Region descriptor for FIO against an uncached system. */
-inline std::pair<Addr, std::uint64_t>
-uncachedRegion(core::NvdimmcSystem& sys)
-{
-    Addr base = std::uint64_t{sys.totalSlotCount() +
-                              128 * sys.channelCount()} *
-                4096;
-    return {base, sys.driver().capacityBytes() - base};
-}
-
-/**
- * Build the emulated-pmem baseline with the --channels global applied
- * (the BaselineConfig analogue of benchSystemConfig()).
- */
-inline std::unique_ptr<core::BaselineSystem>
-makePmemSystem(std::function<void(core::BaselineConfig&)> tweak = {})
-{
-    core::BaselineConfig cfg = core::BaselineConfig::scaledBench();
-    cfg.channels = benchChannels();
-    if (tweak)
-        tweak(cfg);
-    return std::make_unique<core::BaselineSystem>(cfg);
-}
-
-/**
  * One device under test, whichever backend fronts it: the hybrid
- * transports build an NvdimmcSystem, --backend=pmem builds the
- * BaselineSystem, and the bench body talks to either through the same
- * handful of calls. This is what lets fig8/fig11/mixedload run the
- * *same series* against all three backends for the head-to-head.
+ * transports build an NvdimmcSystem, the pmem backend builds the
+ * BaselineSystem, and a point talks to either through the same
+ * handful of calls. This is what lets one point helper run the same
+ * load against all three backends for the head-to-head.
  */
 struct BenchDevice
 {
@@ -200,19 +122,48 @@ struct BenchDevice
 
     EventQueue& eq() { return nvdc ? nvdc->eq() : pmem->eq(); }
 
+    backend::BackendKind kind() const
+    {
+        return nvdc ? nvdc->config().backendKind
+                    : backend::BackendKind::Pmem;
+    }
+
     workload::AccessFn access()
     {
         return nvdc ? nvdcAccess(*nvdc) : pmemAccess(*pmem);
     }
 
+    /** Byte-moving access for the validating workloads (the
+     *  closures hold the system, not this wrapper, so the device may
+     *  move after the call). */
+    workload::DataDevice data()
+    {
+        workload::DataDevice dev;
+        core::NvdimmcSystem* n = nvdc.get();
+        core::BaselineSystem* p = pmem.get();
+        dev.capacityBytes = n ? n->driver().capacityBytes()
+                              : p->driver().capacityBytes();
+        dev.read = [n, p](Addr off, std::uint32_t len, std::uint8_t* buf,
+                          std::function<void()> done) {
+            if (n)
+                n->driver().read(off, len, buf, std::move(done));
+            else
+                p->driver().read(off, len, buf, std::move(done));
+        };
+        dev.write = [n, p](Addr off, std::uint32_t len,
+                           const std::uint8_t* bytes,
+                           std::function<void()> done) {
+            if (n)
+                n->driver().write(off, len, bytes, std::move(done));
+            else
+                p->driver().write(off, len, bytes, std::move(done));
+        };
+        return dev;
+    }
+
     bool hardwareClean() const
     {
         return nvdc ? nvdc->hardwareClean() : true;
-    }
-
-    void dumpStats(std::ostream& os) const
-    {
-        nvdc ? nvdc->dumpStats(os) : pmem->dumpStats(os);
     }
 
     void dumpStatsJson(std::ostream& os) const
@@ -228,51 +179,75 @@ struct BenchDevice
                     : pmem->telemetryCollector();
     }
 
-    /** Region an all-hit (cached) load should target. */
+    /** Region an all-hit load should target: the cache minus the 64
+     *  slots per channel makeDevice() leaves free. */
     std::pair<Addr, std::uint64_t> cachedRegion()
     {
         if (nvdc)
-            return {0, cachedRegionBytes(*nvdc)};
+            return {0, std::uint64_t{nvdc->totalSlotCount() -
+                                     64 * nvdc->channelCount()} *
+                           4096};
         return {0, std::min<std::uint64_t>(
                        pmem->driver().capacityBytes(), 2 * kGiB)};
     }
 
-    /** Region an all-miss (uncached) load should target. The pmem
-     *  baseline has no cache to miss; it serves the same region
-     *  either way. */
+    /** Region an all-miss load should target: everything above the
+     *  preconditioned low region. The pmem baseline has no cache to
+     *  miss; it serves the cached region either way. */
     std::pair<Addr, std::uint64_t> missRegion()
     {
-        if (nvdc)
-            return uncachedRegion(*nvdc);
-        return cachedRegion();
+        if (!nvdc)
+            return cachedRegion();
+        Addr base = std::uint64_t{nvdc->totalSlotCount() +
+                                  128 * nvdc->channelCount()} *
+                    4096;
+        return {base, nvdc->driver().capacityBytes() - base};
     }
 };
 
-/** Cached-series device for the selected --backend. */
+/**
+ * Build the device for one point: @p kind on @p channels modules, with
+ * @p tweak applied after channel count and backend. A hybrid cache is
+ * preconditioned all-cached, leaving 64 slots per channel free so hits
+ * never evict (the NVDC-Cached series), or, with @p uncached, full of
+ * dirty pages from a low region on a device whose blocks all hold
+ * data, as the paper's FIO-preconditioned device does, so every access
+ * above it pays a writeback plus a real NAND cachefill (the
+ * NVDC-Uncached series).
+ */
 inline BenchDevice
-makeCachedDevice(std::function<void(core::SystemConfig&)> tweak = {})
+makeDevice(backend::BackendKind kind, bool uncached,
+           std::uint32_t channels = 1,
+           std::function<void(core::SystemConfig&)> tweak = {})
 {
-    BenchDevice d;
-    if (benchBackend() == backend::BackendKind::Pmem)
-        d.pmem = makePmemSystem();
-    else
-        d.nvdc = makeCachedSystem(std::move(tweak));
-    return d;
+    BenchDevice dev;
+    if (kind == backend::BackendKind::Pmem) {
+        core::BaselineConfig cfg = core::BaselineConfig::scaledBench();
+        cfg.channels = channels;
+        dev.pmem = std::make_unique<core::BaselineSystem>(cfg);
+        return dev;
+    }
+    dev.nvdc = std::make_unique<core::NvdimmcSystem>(
+        benchSystemConfig([&](core::SystemConfig& c) {
+            c.channels = channels;
+            if (kind == backend::BackendKind::CxlHybrid)
+                c.applyCxlBackend();
+            if (tweak)
+                tweak(c);
+        }));
+    core::NvdimmcSystem& sys = *dev.nvdc;
+    if (uncached) {
+        sys.precondition(0, sys.totalSlotCount(), true);
+        sys.driver().markEverWritten(
+            0, sys.driver().capacityBytes() / 4096);
+    } else {
+        sys.precondition(0, sys.totalSlotCount() - 64 * sys.channelCount(),
+                         true);
+    }
+    return dev;
 }
 
-/** Uncached (all-miss) series device for the selected --backend. */
-inline BenchDevice
-makeUncachedDevice(std::function<void(core::SystemConfig&)> tweak = {})
-{
-    BenchDevice d;
-    if (benchBackend() == backend::BackendKind::Pmem)
-        d.pmem = makePmemSystem();
-    else
-        d.nvdc = makeUncachedSystem(std::move(tweak));
-    return d;
-}
-
-/** Run one FIO measurement point. */
+/** Run one FIO measurement. */
 inline workload::FioResult
 runFio(EventQueue& eq, const workload::AccessFn& fn,
        workload::FioConfig cfg)

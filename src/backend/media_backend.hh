@@ -60,9 +60,6 @@ enum class BackendKind : std::uint8_t
 
 const char* toString(BackendKind kind);
 
-/** Parse a CLI spelling ("nvdimmc" | "cxl" | "pmem"); false = bad. */
-bool parseBackendKind(const std::string& s, BackendKind& out);
-
 /** A miss-path transport operation (the CP opcode set, generalized). */
 struct TransportOp
 {

@@ -21,24 +21,6 @@ toString(BackendKind kind)
     return "?";
 }
 
-bool
-parseBackendKind(const std::string& s, BackendKind& out)
-{
-    if (s == "nvdimmc") {
-        out = BackendKind::Nvdimmc;
-        return true;
-    }
-    if (s == "cxl") {
-        out = BackendKind::CxlHybrid;
-        return true;
-    }
-    if (s == "pmem") {
-        out = BackendKind::Pmem;
-        return true;
-    }
-    return false;
-}
-
 NvdimmcBackend::NvdimmcBackend(
     EventQueue& eq, cpu::CpuCacheModel& cache_model,
     const std::vector<const nvmc::ReservedLayout*>& layouts,

@@ -74,20 +74,6 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(backend::toString(info.param));
     });
 
-TEST(BackendKind, SpellingRoundTrips)
-{
-    for (auto k : {backend::BackendKind::Nvdimmc,
-                   backend::BackendKind::CxlHybrid,
-                   backend::BackendKind::Pmem}) {
-        backend::BackendKind out;
-        ASSERT_TRUE(backend::parseBackendKind(backend::toString(k), out));
-        EXPECT_EQ(out, k);
-    }
-    backend::BackendKind out;
-    EXPECT_FALSE(backend::parseBackendKind("ddr5", out));
-    EXPECT_FALSE(backend::parseBackendKind("", out));
-}
-
 TEST_P(BackendConformance, TraitsMatchTheArchitecture)
 {
     NvdimmcSystem sys(testConfig(GetParam()));
