@@ -4,7 +4,6 @@
 #include <array>
 #include <cinttypes>
 #include <cstdio>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -63,8 +62,6 @@ toString(Phase p)
 namespace detail
 {
 
-bool gEnabled = false;
-
 namespace
 {
 
@@ -122,12 +119,11 @@ struct ClassAgg
     std::uint64_t winSumPs = 0;
 };
 
+/** One thread's recorder. Opens, marks and closes arrive from the
+ *  thread's one event loop in deterministic order, so aggregation
+ *  order is deterministic too. */
 struct Registry
 {
-    /** Serializes opens, marks and closes. They all arrive from one
-     *  event loop in deterministic order, so aggregation order is
-     *  deterministic too. */
-    std::mutex mu;
     std::unordered_map<Id, SpanState> open;
     std::vector<std::uint64_t> channelSeq;
     std::array<ClassAgg, kClassCount> agg;
@@ -143,8 +139,22 @@ struct Registry
 Registry&
 reg()
 {
-    static Registry r;
+    thread_local Registry r;
     return r;
+}
+
+AuditResult
+auditOf(const Registry& r)
+{
+    AuditResult a;
+    a.opened = r.opened;
+    a.closed = r.closed;
+    a.leaked = r.open.size();
+    a.unattributedSpans = r.unattributedSpans;
+    a.maxUnattributed = r.maxUnattributed;
+    a.orderViolations = r.orderViolations;
+    a.windowWaitViolations = r.windowWaitViolations;
+    return a;
 }
 
 } // namespace
@@ -153,7 +163,6 @@ Id
 openImpl(std::uint32_t channel, Tick now, OpClass cls)
 {
     Registry& r = reg();
-    std::lock_guard<std::mutex> lock(r.mu);
     if (channel >= r.channelSeq.size())
         r.channelSeq.resize(channel + 1, 0);
     // Sequences start at 1 so channel 0's first span is not id 0.
@@ -170,7 +179,6 @@ void
 classifyImpl(Id id, OpClass cls)
 {
     Registry& r = reg();
-    std::lock_guard<std::mutex> lock(r.mu);
     auto it = r.open.find(id);
     if (it == r.open.end()) {
         ++r.orderViolations;
@@ -183,7 +191,6 @@ void
 phaseImpl(Id id, Phase p, Tick at)
 {
     Registry& r = reg();
-    std::lock_guard<std::mutex> lock(r.mu);
     auto it = r.open.find(id);
     if (it == r.open.end()) {
         ++r.orderViolations;
@@ -205,7 +212,6 @@ void
 closeImpl(Id id, Tick now)
 {
     Registry& r = reg();
-    std::lock_guard<std::mutex> lock(r.mu);
     auto it = r.open.find(id);
     if (it == r.open.end()) {
         ++r.orderViolations;
@@ -292,59 +298,25 @@ disable()
 void
 reset()
 {
-    detail::Registry& r = detail::reg();
-    std::lock_guard<std::mutex> lock(r.mu);
-    r.open.clear();
-    r.channelSeq.clear();
-    for (auto& agg : r.agg) {
-        agg.e2e.reset();
-        agg.e2eSumPs = 0;
-        for (auto& h : agg.phases)
-            h.reset();
-        agg.phaseSumsPs.fill(0);
-        agg.winE2e.reset();
-        agg.winSumPs = 0;
-    }
-    r.windowWaitCap = 0;
-    r.opened = 0;
-    r.closed = 0;
-    r.unattributedSpans = 0;
-    r.maxUnattributed = 0;
-    r.orderViolations = 0;
-    r.windowWaitViolations = 0;
+    detail::reg() = detail::Registry{};
 }
 
 void
 setWindowWaitCap(Tick cap)
 {
-    detail::Registry& r = detail::reg();
-    std::lock_guard<std::mutex> lock(r.mu);
-    r.windowWaitCap = cap;
+    detail::reg().windowWaitCap = cap;
 }
 
 Tick
 windowWaitCap()
 {
-    detail::Registry& r = detail::reg();
-    std::lock_guard<std::mutex> lock(r.mu);
-    return r.windowWaitCap;
+    return detail::reg().windowWaitCap;
 }
 
 AuditResult
 audit()
 {
-    AuditResult res;
-    {
-        detail::Registry& r = detail::reg();
-        std::lock_guard<std::mutex> lock(r.mu);
-        res.opened = r.opened;
-        res.closed = r.closed;
-        res.leaked = r.open.size();
-        res.unattributedSpans = r.unattributedSpans;
-        res.maxUnattributed = r.maxUnattributed;
-        res.orderViolations = r.orderViolations;
-        res.windowWaitViolations = r.windowWaitViolations;
-    }
+    AuditResult res = detail::auditOf(detail::reg());
     // A failed audit is exactly the moment the flight recorder exists
     // for: dump the last-N spans + last-K telemetry intervals before
     // the harness aborts the run.
@@ -358,7 +330,6 @@ drainWindow(std::array<Histogram, kClassCount>& hist,
             std::array<std::uint64_t, kClassCount>& sumPs)
 {
     detail::Registry& r = detail::reg();
-    std::lock_guard<std::mutex> lock(r.mu);
     for (std::uint32_t c = 0; c < kClassCount; ++c) {
         detail::ClassAgg& agg = r.agg[c];
         hist[c] = agg.winE2e;
@@ -371,53 +342,13 @@ drainWindow(std::array<Histogram, kClassCount>& hist,
 std::uint64_t
 openedCount()
 {
-    detail::Registry& r = detail::reg();
-    std::lock_guard<std::mutex> lock(r.mu);
-    return r.opened;
+    return detail::reg().opened;
 }
 
 std::uint64_t
 closedCount()
 {
-    detail::Registry& r = detail::reg();
-    std::lock_guard<std::mutex> lock(r.mu);
-    return r.closed;
-}
-
-void
-registerStats(StatRegistry& statReg, const std::string& prefix)
-{
-    // The registry's aggregates have static storage duration, so
-    // getters capturing histogram pointers stay valid for the
-    // process lifetime (reset() clears values, not storage).
-    detail::Registry& r = detail::reg();
-    auto histo = [&statReg](const std::string& name,
-                            const Histogram* h) {
-        statReg.add(name + ".count", [h] {
-            return static_cast<double>(h->count());
-        });
-        statReg.add(name + ".p50", [h] {
-            return static_cast<double>(h->percentile(50.0));
-        });
-        statReg.add(name + ".p95", [h] {
-            return static_cast<double>(h->percentile(95.0));
-        });
-        statReg.add(name + ".p99", [h] {
-            return static_cast<double>(h->percentile(99.0));
-        });
-        statReg.add(name + ".max", [h] {
-            return static_cast<double>(h->max());
-        });
-    };
-    for (std::uint32_t c = 0; c < kClassCount; ++c) {
-        const detail::ClassAgg& agg = r.agg[c];
-        std::string base =
-            prefix + '.' + toString(static_cast<OpClass>(c));
-        histo(base + ".e2e", &agg.e2e);
-        for (std::uint32_t p = 0; p < kPhaseCount; ++p)
-            histo(base + '.' + toString(static_cast<Phase>(p)),
-                  &agg.phases[p]);
-    }
+    return detail::reg().closed;
 }
 
 namespace
@@ -439,7 +370,6 @@ void
 writeBreakdownTable(std::ostream& os, const std::string& title)
 {
     detail::Registry& r = detail::reg();
-    std::lock_guard<std::mutex> lock(r.mu);
     os << "== latency breakdown: " << title << " ==\n";
     for (std::uint32_t c = 0; c < kClassCount; ++c) {
         const detail::ClassAgg& agg = r.agg[c];
@@ -481,14 +411,7 @@ writeBreakdownTable(std::ostream& os, const std::string& title)
             os << line;
         }
     }
-    AuditResult a;
-    a.opened = r.opened;
-    a.closed = r.closed;
-    a.leaked = r.open.size();
-    a.unattributedSpans = r.unattributedSpans;
-    a.maxUnattributed = r.maxUnattributed;
-    a.orderViolations = r.orderViolations;
-    a.windowWaitViolations = r.windowWaitViolations;
+    const AuditResult a = detail::auditOf(r);
     os << "-- audit: opened " << a.opened << ", closed " << a.closed
        << ", leaked " << a.leaked << ", unattributed "
        << a.unattributedSpans << ", order violations "
@@ -501,7 +424,6 @@ void
 writeBreakdownJson(std::ostream& os)
 {
     detail::Registry& r = detail::reg();
-    std::lock_guard<std::mutex> lock(r.mu);
     auto histo = [&os](const Histogram& h, std::uint64_t sumPs) {
         os << "{\"count\":" << h.count() << ",\"sum_ps\":" << sumPs
            << ",\"p50_ps\":" << h.percentile(50.0)

@@ -31,13 +31,18 @@
  * on id 0 is an inline no-op. Simulated behaviour is identical with
  * spans on vs. off (the layer only observes; span_test pins this).
  *
- * Exports: (1) per-op-class per-phase Histograms registered into a
- * StatRegistry (registerStats), (2) a human-readable breakdown table
- * and an exact-integer JSON block (writeBreakdownTable/Json — the
- * --latency-breakdown bench flag), (3) Chrome trace flow/async
- * events at close() when the tracer is also on, so one miss shows as
- * an arrow-connected lane across the span.driver / span.nvmc /
- * span.ftl / span.znand tracks in Perfetto.
+ * The recorder is per thread: the enable flag, the open spans, the
+ * aggregates and the audit counters all belong to the calling thread.
+ * A system runs wholly on the thread that drives its EventQueue, so
+ * the thread's recorder is that system's, and systems on different
+ * threads (the bench driver's job pool) never see each other's spans.
+ *
+ * Exports: (1) a human-readable breakdown table and an exact-integer
+ * JSON block (writeBreakdownTable/Json — the --latency-breakdown
+ * bench flag), (2) Chrome trace flow/async events at close() when the
+ * tracer is also on, so one miss shows as an arrow-connected lane
+ * across the span.driver / span.nvmc / span.ftl / span.znand tracks
+ * in Perfetto.
  */
 
 #ifndef NVDIMMC_COMMON_SPAN_HH
@@ -51,12 +56,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 
-namespace nvdimmc
-{
-
-class StatRegistry;
-
-namespace span
+namespace nvdimmc::span
 {
 
 /** Span handle; 0 = no span (layer off or caller untracked). */
@@ -125,7 +125,9 @@ const char* toString(Phase p);
 namespace detail
 {
 
-extern bool gEnabled;
+/** Inline and constinit: enabled() compiles to one thread-local
+ *  load, with no TLS-init call. */
+inline thread_local constinit bool gEnabled = false;
 
 Id openImpl(std::uint32_t channel, Tick now, OpClass cls);
 void classifyImpl(Id id, OpClass cls);
@@ -137,8 +139,9 @@ void closeImpl(Id id, Tick now);
 /** Is the span layer collecting? The one branch paid at op issue. */
 inline bool enabled() { return detail::gEnabled; }
 
-/** Start collecting (idempotent; aggregates accumulate until
- *  reset()). Call before building the system under test. */
+/** Start collecting on this thread (idempotent; aggregates
+ *  accumulate until reset()). Call before building the system under
+ *  test. */
 void enable();
 
 /** Stop collecting. Open spans and aggregates are kept so a
@@ -211,6 +214,8 @@ struct AuditResult
         return leaked == 0 && unattributedSpans == 0 &&
                orderViolations == 0 && windowWaitViolations == 0;
     }
+
+    bool operator==(const AuditResult&) const = default;
 };
 
 AuditResult audit();
@@ -231,14 +236,6 @@ std::uint64_t closedCount();
 void drainWindow(std::array<Histogram, kClassCount>& hist,
                  std::array<std::uint64_t, kClassCount>& sumPs);
 
-/**
- * Register the per-class end-to-end and per-phase histograms under
- * @p prefix (e.g. "span.hit.e2e.p50", "span.hit.cp_ack.count").
- * Only ever register into a *local* registry: the system StatRegistry
- * feeds the golden fig8 snapshot, which must not change.
- */
-void registerStats(StatRegistry& reg, const std::string& prefix);
-
 /** Human-readable per-class x per-phase breakdown table. */
 void writeBreakdownTable(std::ostream& os, const std::string& title);
 
@@ -250,7 +247,6 @@ void writeBreakdownTable(std::ostream& os, const std::string& title);
  */
 void writeBreakdownJson(std::ostream& os);
 
-} // namespace span
-} // namespace nvdimmc
+} // namespace nvdimmc::span
 
 #endif // NVDIMMC_COMMON_SPAN_HH

@@ -2,7 +2,6 @@
 
 #include <deque>
 #include <fstream>
-#include <mutex>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -12,11 +11,6 @@
 
 namespace nvdimmc::telemetry
 {
-
-namespace detail
-{
-bool gEnabled = false;
-} // namespace detail
 
 void
 enable()
@@ -40,57 +34,16 @@ namespace
 {
 
 /** The tracer stores event names as raw `const char*`, so dynamic
- *  probe names must live for the process lifetime: intern them. */
+ *  probe names must outlive the capture: intern them for the life of
+ *  the thread, which owns the capture too. */
 const char*
 internedName(const std::string& s)
 {
-    static std::mutex mu;
-    static std::set<std::string> pool;
-    std::lock_guard<std::mutex> lock(mu);
+    thread_local std::set<std::string> pool;
     return pool.insert(s).first->c_str();
 }
 
 } // namespace
-
-// ---------------------------------------------------------------- bus
-
-void
-SignalBus::subscribe(std::string signal, Handler fn)
-{
-    subs_.push_back({std::move(signal), std::move(fn)});
-}
-
-void
-SignalBus::publish(const std::string& signal, Tick now,
-                   std::uint64_t value)
-{
-    bool stored = false;
-    for (auto& [name, last] : last_) {
-        if (name == signal) {
-            last = value;
-            stored = true;
-            break;
-        }
-    }
-    if (!stored)
-        last_.emplace_back(signal, value);
-    for (auto& sub : subs_)
-        if (sub.signal == signal)
-            sub.fn(now, value);
-}
-
-bool
-SignalBus::lastValue(const std::string& signal,
-                     std::uint64_t& out) const
-{
-    for (const auto& [name, last] : last_) {
-        if (name == signal) {
-            out = last;
-            return true;
-        }
-    }
-    return false;
-}
 
 // ---------------------------------------------------------- collector
 
@@ -104,7 +57,6 @@ struct Collector::Probe
     };
 
     Kind kind;
-    bool signal;
     std::function<std::uint64_t()> get;
     std::function<std::uint64_t()> den; ///< RatioPermille only.
     std::uint64_t last = 0;             ///< Delta/ratio numerator.
@@ -142,32 +94,27 @@ Collector::~Collector()
 }
 
 void
-Collector::addGauge(std::string name,
-                    std::function<std::uint64_t()> get, bool signal)
+Collector::addGauge(std::string name, std::function<std::uint64_t()> get)
 {
     names_.push_back(std::move(name));
-    probes_.push_back(
-        {Probe::Kind::Gauge, signal, std::move(get), {}, 0, 0});
+    probes_.push_back({Probe::Kind::Gauge, std::move(get), {}, 0, 0});
 }
 
 void
-Collector::addDelta(std::string name,
-                    std::function<std::uint64_t()> get, bool signal)
+Collector::addDelta(std::string name, std::function<std::uint64_t()> get)
 {
     names_.push_back(std::move(name));
-    probes_.push_back(
-        {Probe::Kind::Delta, signal, std::move(get), {}, 0, 0});
+    probes_.push_back({Probe::Kind::Delta, std::move(get), {}, 0, 0});
 }
 
 void
 Collector::addRatioPermille(std::string name,
                             std::function<std::uint64_t()> num,
-                            std::function<std::uint64_t()> den,
-                            bool signal)
+                            std::function<std::uint64_t()> den)
 {
     names_.push_back(std::move(name));
-    probes_.push_back({Probe::Kind::RatioPermille, signal,
-                       std::move(num), std::move(den), 0, 0});
+    probes_.push_back({Probe::Kind::RatioPermille, std::move(num),
+                       std::move(den), 0, 0});
 }
 
 void
@@ -274,10 +221,6 @@ Collector::sample()
     }
 
     records_.push_back(std::move(rec));
-    const IntervalRecord& stored = records_.back();
-    for (std::size_t i = 0; i < probes_.size(); ++i)
-        if (probes_[i].signal)
-            bus_.publish(names_[i], now, stored.values[i]);
 }
 
 void
@@ -331,7 +274,6 @@ namespace
 
 struct FlightState
 {
-    std::mutex mu;
     bool armed = false;
     std::string path;
     std::size_t spanCap = 0;
@@ -344,7 +286,7 @@ struct FlightState
 FlightState&
 flight()
 {
-    static FlightState f;
+    thread_local FlightState f;
     return f;
 }
 
@@ -354,22 +296,13 @@ void
 flightArm(std::string path, std::size_t spanCap,
           std::size_t intervalCap)
 {
-    FlightState& f = flight();
-    std::lock_guard<std::mutex> lock(f.mu);
-    f.armed = true;
-    f.path = std::move(path);
-    f.spanCap = spanCap;
-    f.intervalCap = intervalCap;
-    f.spans.clear();
-    f.intervals.clear();
-    f.dumps = 0;
+    flight() = {true, std::move(path), spanCap, intervalCap, {}, {}, 0};
 }
 
 void
 flightDisarm()
 {
     FlightState& f = flight();
-    std::lock_guard<std::mutex> lock(f.mu);
     f.armed = false;
     f.spans.clear();
     f.intervals.clear();
@@ -378,8 +311,6 @@ flightDisarm()
 bool
 flightArmed()
 {
-    // Unsynchronized fast-path read, like trace::enabled(): arming
-    // happens before the run starts, from the same thread.
     return flight().armed;
 }
 
@@ -388,7 +319,6 @@ flightRecordSpan(std::uint8_t cls, std::uint32_t channel,
                  Tick openedAt, Tick closedAt, Tick e2ePs)
 {
     FlightState& f = flight();
-    std::lock_guard<std::mutex> lock(f.mu);
     if (!f.armed)
         return;
     f.spans.push_back({cls, channel, openedAt, closedAt, e2ePs});
@@ -400,7 +330,6 @@ void
 flightRecordInterval(const std::string& jsonLine)
 {
     FlightState& f = flight();
-    std::lock_guard<std::mutex> lock(f.mu);
     if (!f.armed)
         return;
     f.intervals.push_back(jsonLine);
@@ -412,7 +341,6 @@ bool
 flightDump(const std::string& reason)
 {
     FlightState& f = flight();
-    std::lock_guard<std::mutex> lock(f.mu);
     if (!f.armed)
         return false;
     std::ofstream os(f.path);
@@ -451,17 +379,13 @@ flightDump(const std::string& reason)
 std::uint64_t
 flightDumpCount()
 {
-    FlightState& f = flight();
-    std::lock_guard<std::mutex> lock(f.mu);
-    return f.dumps;
+    return flight().dumps;
 }
 
 std::vector<FlightSpan>
 flightSpans()
 {
-    FlightState& f = flight();
-    std::lock_guard<std::mutex> lock(f.mu);
-    return {f.spans.begin(), f.spans.end()};
+    return {flight().spans.begin(), flight().spans.end()};
 }
 
 } // namespace nvdimmc::telemetry

@@ -1,8 +1,8 @@
 /**
  * @file
  * Deterministic time-series telemetry: windowed metrics on a
- * simulated-time cadence, streaming SLO percentiles, a load-signal
- * bus, and a crash flight recorder.
+ * simulated-time cadence, streaming SLO percentiles, and a crash
+ * flight recorder.
  *
  * The StatRegistry (stats.hh) answers "what happened over the whole
  * run"; this layer answers "what was happening at t = 1.3 ms". A
@@ -30,19 +30,15 @@
  *     fire at config-derived ticks and read probes in registration
  *     order, which is config-derived too.
  *
- * The **SignalBus** re-publishes probes flagged as load signals
- * (miss-queue depth, writeback backlog, window utilization) to
- * subscribed callbacks each interval, in deterministic order: the
- * hook for adaptive refresh/QoS policies (ROADMAP items 2 and 3).
- *
- * The **flight recorder** is a process-global bounded ring of the
- * last N completed spans and last K telemetry intervals, dumped to
- * JSON when the span auditor fails, a fault campaign detects
- * corruption, or a bench is run with `--flight-dump`.
+ * The **flight recorder** is a bounded ring of the last N completed
+ * spans and last K telemetry intervals, dumped to JSON when the span
+ * auditor fails, a fault campaign detects corruption, or a bench is
+ * run with `--flight-dump`.
  *
  * Like trace:: and span::, the layer is zero-overhead when off (one
- * global-bool branch) and is a per-process facility: enable it for
- * one simulated system at a time (the telemetry sweep is serialOnly).
+ * thread-local bool branch) and per thread: the enable flag, the
+ * flight recorder and the interned probe names belong to the calling
+ * thread, which is the thread that runs the system being observed.
  */
 
 #ifndef NVDIMMC_COMMON_TELEMETRY_HH
@@ -54,7 +50,6 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/event_queue.hh"
@@ -71,12 +66,14 @@ inline constexpr std::uint32_t kSchemaVersion = 1;
 
 namespace detail
 {
-extern bool gEnabled;
+/** Inline and constinit: enabled() compiles to one thread-local
+ *  load, with no TLS-init call. */
+inline thread_local constinit bool gEnabled = false;
 } // namespace detail
 
-/** Is telemetry collection requested? Systems construct a Collector
- *  in their constructor iff this is set (the one branch paid when
- *  off). */
+/** Is telemetry collection requested on this thread? Systems
+ *  construct a Collector in their constructor iff this is set (the
+ *  one branch paid when off). */
 inline bool enabled() { return detail::gEnabled; }
 
 /** Request telemetry: systems built after this call self-attach a
@@ -89,42 +86,6 @@ void disable();
  *  telemetryIntervalTicks at 0: @p trefi x 4 (~31 us of simulated
  *  time at the paper's 7.8 us tREFI). */
 Tick defaultInterval(Tick trefi);
-
-/**
- * Pub/sub of named per-interval load signals. Each Collector owns
- * one; probes registered with `signal = true` are published to it
- * every sample, after the interval record is appended. Handlers run
- * on the host queue in subscription order (deterministic), so a
- * subscribed policy may schedule events in response without breaking
- * the byte-identity contract.
- */
-class SignalBus
-{
-  public:
-    using Handler = std::function<void(Tick now, std::uint64_t value)>;
-
-    /** Subscribe @p fn to @p signal (a probe name). Unknown names are
-     *  legal — the subscription simply never fires. */
-    void subscribe(std::string signal, Handler fn);
-
-    /** Publish one sample; runs matching handlers in subscription
-     *  order and remembers the value for lastValue(). */
-    void publish(const std::string& signal, Tick now,
-                 std::uint64_t value);
-
-    /** Most recently published value of @p signal, if any. */
-    bool lastValue(const std::string& signal,
-                   std::uint64_t& out) const;
-
-  private:
-    struct Sub
-    {
-        std::string signal;
-        Handler fn;
-    };
-    std::vector<Sub> subs_;
-    std::vector<std::pair<std::string, std::uint64_t>> last_;
-};
 
 /** Percentile digest of one op-class's spans that *closed* inside one
  *  interval — drained from the span layer's interval-reset
@@ -172,17 +133,14 @@ class Collector
     /** @name Probe registration (before start(); sampled in
      *  registration order). @{ */
     /** Instantaneous value. */
-    void addGauge(std::string name, std::function<std::uint64_t()> get,
-                  bool signal = false);
+    void addGauge(std::string name, std::function<std::uint64_t()> get);
     /** Cumulative counter; the record holds the per-interval delta. */
-    void addDelta(std::string name, std::function<std::uint64_t()> get,
-                  bool signal = false);
+    void addDelta(std::string name, std::function<std::uint64_t()> get);
     /** Exact-integer permille of two cumulative-counter deltas
      *  (1000 * d(num) / d(den); 0 when d(den) == 0). */
     void addRatioPermille(std::string name,
                           std::function<std::uint64_t()> num,
-                          std::function<std::uint64_t()> den,
-                          bool signal = false);
+                          std::function<std::uint64_t()> den);
     /** @} */
 
     /** Schedule the first sample at now + interval. */
@@ -195,7 +153,6 @@ class Collector
     void sample();
 
     Tick interval() const { return interval_; }
-    SignalBus& bus() { return bus_; }
     const std::vector<IntervalRecord>& records() const
     {
         return records_;
@@ -227,18 +184,17 @@ class Collector
     std::vector<Probe> probes_;
     std::vector<std::string> names_;
     std::vector<IntervalRecord> records_;
-    SignalBus bus_;
     std::unique_ptr<SampleEvent> event_;
     bool running_ = false;
 };
 
 /** @name Flight recorder
- * Process-global crash-dump ring: the last N completed spans (pushed
+ * This thread's crash-dump ring: the last N completed spans (pushed
  * by span::detail::closeImpl while armed) plus the last K telemetry
  * interval lines (pushed by every Collector::sample). Dumped to the
  * armed path when the span auditor fails (span::audit), a fault
- * campaign detects corruption, or a bench exits under
- * `--flight-dump`. Thread-safe; recording while disarmed is a no-op.
+ * campaign detects corruption, or a bench point finishes under
+ * `--flight-dump`. Recording while disarmed is a no-op.
  * @{ */
 
 /** One completed span as the flight ring stores it. */

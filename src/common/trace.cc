@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -17,8 +15,6 @@ namespace nvdimmc::trace
 
 namespace detail
 {
-
-bool gEnabled = false;
 
 namespace
 {
@@ -49,9 +45,6 @@ struct Rec
 struct Capture
 {
     std::string path;
-    /** Serializes record calls. First-arrival track ids and record
-     *  order follow call order; stop() canonicalizes both. */
-    std::mutex mu;
     std::vector<Rec> recs;
     /** Track name -> tid (1-based; 0 is the metadata pseudo-track). */
     std::unordered_map<std::string, std::uint32_t> tracks;
@@ -60,7 +53,7 @@ struct Capture
     std::uint64_t maxEvents = kDefaultMaxEvents;
 };
 
-Capture* gCapture = nullptr;
+thread_local std::unique_ptr<Capture> gCapture;
 
 std::uint32_t
 trackId(Capture& cap, const char* name)
@@ -83,53 +76,6 @@ push(Capture& cap, Rec rec)
     }
     cap.recs.push_back(rec);
     return true;
-}
-
-/**
- * Canonicalize a finished capture so the written file does not depend
- * on record arrival order: renumber tracks in name order and sort
- * records on a total key. Two runs of a deterministic simulation
- * produce the same record multiset, so the sorted file is
- * byte-stable.
- */
-void
-canonicalize(Capture& cap)
-{
-    std::vector<std::uint32_t> order(cap.trackNames.size());
-    for (std::uint32_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  return cap.trackNames[a] < cap.trackNames[b];
-              });
-    std::vector<std::uint32_t> remap(order.size());
-    std::vector<std::string> names(order.size());
-    for (std::uint32_t newIdx = 0; newIdx < order.size(); ++newIdx) {
-        remap[order[newIdx]] = newIdx + 1;
-        names[newIdx] = cap.trackNames[order[newIdx]];
-    }
-    cap.trackNames = std::move(names);
-    for (Rec& r : cap.recs)
-        r.track = remap[r.track - 1];
-
-    std::stable_sort(
-        cap.recs.begin(), cap.recs.end(),
-        [](const Rec& a, const Rec& b) {
-            if (a.start != b.start)
-                return a.start < b.start;
-            if (a.track != b.track)
-                return a.track < b.track;
-            if (a.kind != b.kind)
-                return a.kind < b.kind;
-            int c = std::strcmp(a.name, b.name);
-            if (c != 0)
-                return c < 0;
-            if (a.end != b.end)
-                return a.end < b.end;
-            if (a.value != b.value)
-                return a.value < b.value;
-            return a.id < b.id;
-        });
 }
 
 /** Picosecond ticks as fractional Chrome microseconds ("123.000456"). */
@@ -155,25 +101,20 @@ writeEscaped(std::ostream& os, const char* s)
 
 } // namespace
 
+// The record calls run only while enabled(), which start() and stop()
+// keep in step with this thread's capture.
+
 void
 recordDuration(const char* track, const char* name, Tick start,
                Tick end)
 {
-    if (!gCapture)
-        return;
-    if (end < start)
-        end = start;
-    std::lock_guard<std::mutex> lock(gCapture->mu);
     push(*gCapture, {Kind::Duration, trackId(*gCapture, track), name,
-                     start, end, 0.0, 0});
+                     start, std::max(start, end), 0.0, 0});
 }
 
 void
 recordInstant(const char* track, const char* name, Tick at)
 {
-    if (!gCapture)
-        return;
-    std::lock_guard<std::mutex> lock(gCapture->mu);
     push(*gCapture, {Kind::Instant, trackId(*gCapture, track), name,
                      at, at, 0.0, 0});
 }
@@ -182,9 +123,6 @@ void
 recordCounter(const char* track, const char* series, Tick at,
               double value)
 {
-    if (!gCapture)
-        return;
-    std::lock_guard<std::mutex> lock(gCapture->mu);
     push(*gCapture, {Kind::Counter, trackId(*gCapture, track), series,
                      at, at, value, 0});
 }
@@ -193,9 +131,6 @@ void
 recordAsync(const char* track, const char* name, Tick at,
             std::uint64_t id, bool begin)
 {
-    if (!gCapture)
-        return;
-    std::lock_guard<std::mutex> lock(gCapture->mu);
     push(*gCapture, {begin ? Kind::AsyncBegin : Kind::AsyncEnd,
                      trackId(*gCapture, track), name, at, at, 0.0,
                      id});
@@ -205,12 +140,9 @@ void
 recordFlow(const char* track, const char* name, Tick at,
            std::uint64_t id, int step)
 {
-    if (!gCapture)
-        return;
     Kind kind = step == 0   ? Kind::FlowStart
                 : step == 1 ? Kind::FlowStep
                             : Kind::FlowEnd;
-    std::lock_guard<std::mutex> lock(gCapture->mu);
     push(*gCapture,
          {kind, trackId(*gCapture, track), name, at, at, 0.0, id});
 }
@@ -220,8 +152,7 @@ recordFlow(const char* track, const char* name, Tick at,
 void
 start(std::string path, std::uint64_t maxEvents)
 {
-    delete detail::gCapture;
-    detail::gCapture = new detail::Capture;
+    detail::gCapture = std::make_unique<detail::Capture>();
     detail::gCapture->path = std::move(path);
     detail::gCapture->maxEvents =
         maxEvents > 0 ? maxEvents : kDefaultMaxEvents;
@@ -231,14 +162,10 @@ start(std::string path, std::uint64_t maxEvents)
 bool
 stop()
 {
-    using detail::gCapture;
     detail::gEnabled = false;
-    if (!gCapture)
+    std::unique_ptr<detail::Capture> cap = std::move(detail::gCapture);
+    if (!cap)
         return false;
-
-    std::unique_ptr<detail::Capture> cap(gCapture);
-    gCapture = nullptr;
-    detail::canonicalize(*cap);
 
     std::ofstream os(cap->path);
     if (!os) {
@@ -322,28 +249,19 @@ stop()
 std::uint64_t
 eventCount()
 {
-    if (!detail::gCapture)
-        return 0;
-    std::lock_guard<std::mutex> lock(detail::gCapture->mu);
-    return detail::gCapture->recs.size();
+    return detail::gCapture ? detail::gCapture->recs.size() : 0;
 }
 
 std::uint64_t
 droppedCount()
 {
-    if (!detail::gCapture)
-        return 0;
-    std::lock_guard<std::mutex> lock(detail::gCapture->mu);
-    return detail::gCapture->dropped;
+    return detail::gCapture ? detail::gCapture->dropped : 0;
 }
 
 std::uint64_t
 maxEvents()
 {
-    if (!detail::gCapture)
-        return 0;
-    std::lock_guard<std::mutex> lock(detail::gCapture->mu);
-    return detail::gCapture->maxEvents;
+    return detail::gCapture ? detail::gCapture->maxEvents : 0;
 }
 
 } // namespace nvdimmc::trace

@@ -3,16 +3,15 @@
  * Zero-overhead-when-off event tracer emitting Chrome trace_event
  * JSON (loadable in Perfetto / chrome://tracing).
  *
- * The tracer is a process-wide capture facility for *one* simulated
- * system at a time: components record duration events (a refresh
- * window, a DMA burst, a CP transaction), instant events (a REF edge,
- * a detector false-fire, a bus conflict) and counter series (queue
- * occupancy, bytes per window) onto named tracks. Every record call
- * is guarded by a single global-bool test, so with tracing disabled
- * the instrumentation costs one predicted-not-taken branch — the
- * simulated behaviour is identical either way (the tracer only
- * observes; determinism_test asserts byte-identical stats with
- * tracing on vs. off).
+ * The tracer captures one simulated system: components record
+ * duration events (a refresh window, a DMA burst, a CP transaction),
+ * instant events (a REF edge, a detector false-fire, a bus conflict)
+ * and counter series (queue occupancy, bytes per window) onto named
+ * tracks. Every record call is guarded by a single thread-local bool
+ * test, so with tracing disabled the instrumentation costs one
+ * predicted-not-taken branch — the simulated behaviour is identical
+ * either way (the tracer only observes; determinism_test asserts
+ * byte-identical stats with tracing on vs. off).
  *
  * Time: simulation ticks are picoseconds; the Chrome format's `ts` /
  * `dur` fields are microseconds, so values are emitted as fractional
@@ -21,11 +20,14 @@
  * Capture is bounded (kDefaultMaxEvents unless start() is given a
  * cap); events past the cap are counted and the drop total is
  * reported at stop() so a truncated trace is never mistaken for a
- * complete one. Record calls are serialized under one mutex and
- * stop() canonicalizes track numbering and record order, so a
- * deterministic simulation writes a byte-identical trace file. The
- * capture is per-process: enable it for one simulated system at a
- * time (the parallel sweep runner never enables it).
+ * complete one.
+ *
+ * The capture is per thread: start(), the record calls and stop()
+ * act on the calling thread's capture, which records the events of
+ * the system that thread drives. Records are written in arrival order
+ * and tracks are numbered in first-use order; one thread's event loop
+ * fixes both, so a deterministic simulation writes a byte-identical
+ * trace file.
  */
 
 #ifndef NVDIMMC_COMMON_TRACE_HH
@@ -42,7 +44,9 @@ namespace nvdimmc::trace
 namespace detail
 {
 
-extern bool gEnabled;
+/** Inline and constinit: enabled() compiles to one thread-local
+ *  load, with no TLS-init call. */
+inline thread_local constinit bool gEnabled = false;
 
 void recordDuration(const char* track, const char* name, Tick start,
                     Tick end);
@@ -60,7 +64,8 @@ void recordFlow(const char* track, const char* name, Tick at,
  *  Override per capture via start(path, maxEvents). */
 constexpr std::uint64_t kDefaultMaxEvents = 1u << 22;
 
-/** Is a capture active? The one branch paid on every record call. */
+/** Is a capture active on this thread? The one branch paid on every
+ *  record call. */
 inline bool enabled() { return detail::gEnabled; }
 
 /**

@@ -129,20 +129,12 @@ NvdimmcSystem::registerTelemetry(telemetry::Collector& t)
     // Sampled in registration order, which depends only on the
     // config (the byte-identity contract, DESIGN §9).
     driver::NvdcDriver* drv = driver_.get();
-    t.addGauge(
-        "nvdc.miss_queue_depth",
-        [drv] {
-            return static_cast<std::uint64_t>(
-                drv->pendingFillCount());
-        },
-        /*signal=*/true);
-    t.addGauge(
-        "nvdc.writeback_backlog",
-        [drv] {
-            return static_cast<std::uint64_t>(
-                drv->pendingWritebackCount());
-        },
-        /*signal=*/true);
+    t.addGauge("nvdc.miss_queue_depth", [drv] {
+        return static_cast<std::uint64_t>(drv->pendingFillCount());
+    });
+    t.addGauge("nvdc.writeback_backlog", [drv] {
+        return static_cast<std::uint64_t>(drv->pendingWritebackCount());
+    });
     t.addDelta("nvdc.page_faults", [drv] {
         return drv->stats().pageFaults.value();
     });
@@ -204,8 +196,7 @@ NvdimmcSystem::registerTelemetry(telemetry::Collector& t)
                 for (const auto& ch : channels_)
                     v += ch->nvmc()->windowTicksGranted();
                 return v;
-            },
-            /*signal=*/true);
+            });
     }
     if (channels_[0]->ftl()) {
         t.addDelta("ftl.gc_relocations", [this] {

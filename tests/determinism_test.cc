@@ -95,7 +95,8 @@ TEST(Determinism, TracingDoesNotPerturbTheRun)
 
 TEST(Determinism, TraceFileByteIdenticalOnRerun)
 {
-    // stop() canonicalizes track numbering and record order, so two
+    // Records are written in arrival order and tracks numbered in
+    // first-use order, both fixed by the run's one event loop, so two
     // traced runs of the same config write the same file byte for
     // byte.
     auto traced = [](const std::string& path) {

@@ -14,7 +14,9 @@
  *  - a real cached run opens==closes thousands of spans, audits
  *    clean, and exports every op class it exercised;
  *  - trace integration: flow/async span events appear in the Chrome
- *    trace file, and the configurable capture cap drops+counts.
+ *    trace file, and the configurable capture cap drops+counts;
+ *  - thread confinement: runs on two threads at once each export
+ *    exactly what the same run exports alone.
  */
 
 #include <gtest/gtest.h>
@@ -23,9 +25,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "common/span.hh"
-#include "common/stats.hh"
 #include "common/trace.hh"
 #include "core/system.hh"
 #include "nvmc/cp_protocol.hh"
@@ -316,22 +318,6 @@ TEST(SpanSystem, RealRunAuditsCleanAndExportsClasses)
     EXPECT_NE(table.str().find("[ok]"), std::string::npos);
 }
 
-TEST(SpanSystem, RegisterStatsUsesLocalRegistryNames)
-{
-    SpanScope scope;
-    span::Id id = span::open(0, 0, span::OpClass::Hit);
-    span::phase(id, span::Phase::CacheLookup, 10);
-    span::close(id, 10);
-
-    StatRegistry local;
-    span::registerStats(local, "span");
-    std::ostringstream os;
-    local.dump(os);
-    EXPECT_NE(os.str().find("span.hit.e2e.count"), std::string::npos);
-    EXPECT_NE(os.str().find("span.hit.cache_lookup.p99"),
-              std::string::npos);
-}
-
 // ---------------------------------------------------------------------
 // Trace integration.
 
@@ -377,6 +363,52 @@ TEST(SpanTrace, ConfigurableCapDropsAndCounts)
     EXPECT_GT(trace::droppedCount(), 0u);
     ASSERT_TRUE(trace::stop());
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Thread confinement.
+
+/** What one traced, span-recorded systemRun() leaves on its thread. */
+struct Observed
+{
+    std::string breakdown;
+    span::AuditResult audit;
+    std::string trace;
+};
+
+Observed
+observedRun(const std::string& tracePath)
+{
+    SpanScope scope;
+    trace::start(tracePath);
+    systemRun();
+    EXPECT_TRUE(trace::stop());
+    Observed out{breakdownJson(), span::audit(), slurp(tracePath)};
+    std::remove(tracePath.c_str());
+    return out;
+}
+
+TEST(SpanThreads, ConcurrentRunsEqualTheRunAlone)
+{
+    // The span registry and the trace capture belong to the thread
+    // that runs the system, so two runs side by side each export
+    // exactly what the run exports alone.
+    const std::string dir = testing::TempDir();
+    const Observed alone = observedRun(dir + "/span_alone.json");
+    ASSERT_TRUE(alone.audit.ok());
+    ASSERT_GT(alone.audit.closed, 0u);
+
+    Observed a, b;
+    std::thread ta([&] { a = observedRun(dir + "/span_thread_a.json"); });
+    std::thread tb([&] { b = observedRun(dir + "/span_thread_b.json"); });
+    ta.join();
+    tb.join();
+    for (const Observed* run : {&a, &b}) {
+        EXPECT_EQ(run->breakdown, alone.breakdown);
+        EXPECT_EQ(run->audit, alone.audit);
+        // Traces run to megabytes: compare without printing them.
+        EXPECT_TRUE(run->trace == alone.trace) << "trace files differ";
+    }
 }
 
 } // namespace

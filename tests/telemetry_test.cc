@@ -5,8 +5,6 @@
  * Covers the observability tentpole's determinism contract:
  *  - collector probe semantics (gauge, delta, exact-permille ratio)
  *    and the sampling cadence on the simulated-time event queue;
- *  - the load-signal bus: deterministic subscription-order delivery
- *    and per-interval publication of flagged probes;
  *  - windowed SLO percentiles: every interval's per-class digest must
  *    match an offline recompute from the raw span records, using the
  *    spansClosed bucketing rule (window k covers close-sequence
@@ -42,7 +40,8 @@ namespace
 {
 
 /** Fresh, enabled telemetry + span layers for one test; clean (and
- *  disarmed) on the way out — both layers are process-global. */
+ *  disarmed) on the way out — both layers outlive the test on its
+ *  thread. */
 struct TelemetryScope
 {
     TelemetryScope()
@@ -77,9 +76,9 @@ slurp(const std::string& path)
 std::string
 telemetryRun(std::string* stats_out = nullptr)
 {
-    // Span counters (closedCount, window histograms) are process-
-    // global; start each run from zero so two runs export identical
-    // series.
+    // Span counters (closedCount, window histograms) outlive a system
+    // on its thread; start each run from zero so two runs export
+    // identical series.
     span::reset();
     core::SystemConfig cfg = core::SystemConfig::scaledTest();
     cfg.channels = 2;
@@ -125,41 +124,6 @@ telemetryRun(std::string* stats_out = nullptr)
 }
 
 // ---------------------------------------------------------------------
-// Signal bus.
-
-TEST(TelemetryBus, DeliversInSubscriptionOrderAndRemembersLast)
-{
-    telemetry::SignalBus bus;
-    std::vector<int> order;
-    Tick lastNow = 0;
-    std::uint64_t lastV = 0;
-    bus.subscribe("load", [&](Tick, std::uint64_t) {
-        order.push_back(1);
-    });
-    bus.subscribe("other", [&](Tick, std::uint64_t) {
-        order.push_back(99);
-    });
-    bus.subscribe("load", [&](Tick now, std::uint64_t v) {
-        order.push_back(2);
-        lastNow = now;
-        lastV = v;
-    });
-
-    bus.publish("load", 10, 7);
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(lastNow, Tick{10});
-    EXPECT_EQ(lastV, 7u);
-
-    std::uint64_t v = 0;
-    EXPECT_TRUE(bus.lastValue("load", v));
-    EXPECT_EQ(v, 7u);
-    EXPECT_FALSE(bus.lastValue("other", v)); // Never published.
-    bus.publish("load", 20, 9);
-    EXPECT_TRUE(bus.lastValue("load", v));
-    EXPECT_EQ(v, 9u);
-}
-
-// ---------------------------------------------------------------------
 // Collector probe semantics and cadence.
 
 TEST(TelemetryCollector, GaugeDeltaAndRatioAreExactIntegers)
@@ -196,12 +160,7 @@ TEST(TelemetryCollector, SamplesOnSimulatedTimeCadence)
     TelemetryScope scope;
     EventQueue eq;
     telemetry::Collector c(eq, 10 * kUs);
-    std::uint64_t published = 0;
-    c.addGauge("load", [&] { return eq.now(); }, /*signal=*/true);
-    c.bus().subscribe("load", [&](Tick now, std::uint64_t v) {
-        ++published;
-        EXPECT_EQ(v, now); // The gauge sampled the publish tick.
-    });
+    c.addGauge("now", [&] { return eq.now(); });
     c.start();
     eq.runFor(55 * kUs);
     c.stop();
@@ -211,8 +170,10 @@ TEST(TelemetryCollector, SamplesOnSimulatedTimeCadence)
     for (std::size_t k = 0; k < 5; ++k) {
         EXPECT_EQ(c.records()[k].at, Tick{(k + 1) * 10 * kUs});
         EXPECT_EQ(c.records()[k].index, k + 1);
+        // The gauge read the sample tick.
+        EXPECT_EQ(c.records()[k].values,
+                  (std::vector<std::uint64_t>{c.records()[k].at}));
     }
-    EXPECT_EQ(published, 5u);
 }
 
 // ---------------------------------------------------------------------
