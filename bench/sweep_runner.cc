@@ -10,11 +10,12 @@
  * metric, and each figure sweep pins at least one metric as an exact
  * anchor: a point whose anchor drifts fails.
  *
- * Each point builds its own EventQueue and system, so simulations
- * share no mutable state and the results are byte-identical to a
- * serial run regardless of --jobs; `--verify` proves that by running
- * every selected sweep serially first and comparing the formatted
- * results.
+ * Each point builds its own EventQueue and system and runs wholly on
+ * one worker, whose span, trace, telemetry and flight recorders are
+ * thread-local. Simulations therefore share no mutable state and the
+ * results are byte-identical to a serial run regardless of --jobs;
+ * `--verify` proves that by running every selected sweep serially
+ * first and comparing the formatted results.
  *
  * The observability exports write one line (or series) per point,
  * labelled sweep/point, in declaration order:
@@ -25,14 +26,17 @@
  *                               (latency_breakdown.jsonl)
  *   --telemetry[=FILE]          time-series telemetry every 4 x tREFI
  *                               (telemetry.jsonl); implies spans
- *   --trace[=FILE]              Chrome trace of the run (trace.json)
- *   --flight-dump[=FILE]        arm the flight recorder, dump at exit
- *                               (flight.json)
+ *   --trace[=FILE]              Chrome trace of the point
+ *                               (trace.json)
+ *   --flight-dump[=FILE]        arm the flight recorder, dump when
+ *                               the point ends (flight.json)
  *   --trace-max-events=N        override the tracer's event cap
  *
- * The recorders behind them are process-global, so any export runs
- * every sweep on one worker; the verify pass runs before the exports
- * start, so it never writes.
+ * Each worker resets its recorders before a point and renders the
+ * point's export text while the point's device is alive; the driver
+ * writes the text in declaration order. --trace and --flight-dump
+ * capture one simulation, so they need --sweep to select exactly one
+ * point. The verify pass runs without exports, so it never writes.
  *
  * Usage:
  *   sweep_runner [--sweep NAME|NAME/POINT-PREFIX|all]... [--jobs N]
@@ -87,9 +91,13 @@ struct PointResult
     Metrics metrics;
     std::string error;
     double wallMs = 0.0;
-    /** The point's device, kept alive until the driver has written
+    /** The point's device, kept alive until its worker has rendered
      *  its exports (null for points without one). */
     std::unique_ptr<BenchDevice> device;
+    /** The point's export text, rendered on its worker. */
+    std::string stats, breakdownTable, breakdown, telemetry;
+    /** Events the point's trace capture dropped at its cap. */
+    std::uint64_t traceDropped = 0;
 };
 
 struct SweepPoint
@@ -104,9 +112,6 @@ struct Sweep
 {
     std::string name;
     std::vector<SweepPoint> points;
-    /** Points use the process-global span recorder; run them on one
-     *  worker, where the driver resets it before each point. */
-    bool serialOnly = false;
 };
 
 /** Pin @p anchors of point @p name to exact values. */
@@ -1004,7 +1009,7 @@ runLatencyPoint(std::uint32_t channels, bool uncached)
 Sweep
 makeLatencySweep()
 {
-    Sweep sweep{"latency", {}, /*serialOnly=*/true};
+    Sweep sweep{"latency", {}};
     auto& p = sweep.points;
     p.push_back({"1ch_cached", [] { return runLatencyPoint(1, false); }});
     p.push_back({"4ch_cached", [] { return runLatencyPoint(4, false); }});
@@ -1064,7 +1069,7 @@ runTelemetryMixedPoint(const char* label)
 Sweep
 makeTelemetrySweep()
 {
-    Sweep sweep{"telemetry", {}, /*serialOnly=*/true};
+    Sweep sweep{"telemetry", {}};
     auto& p = sweep.points;
     p.push_back({"1ch_cached", [] {
         return runTelemetryFioPoint(1, false, "fig8/1ch_cached");
@@ -1262,12 +1267,11 @@ runBackendFig8Point(BackendKind kind, std::uint32_t channels,
  * The backends sweep (the MediaBackend seam's head-to-head): per
  * backend, the fig8/fig11/mixedload comparison whose JSON export is
  * committed as BENCH_backends.json, plus a 4-channel fig8 smoke.
- * serialOnly: the fig8 points use the process-global span recorder.
  */
 Sweep
 makeBackendsSweep()
 {
-    Sweep sweep{"backends", {}, /*serialOnly=*/true};
+    Sweep sweep{"backends", {}};
     auto& p = sweep.points;
     for (auto kind : {BackendKind::Nvdimmc, BackendKind::CxlHybrid,
                       BackendKind::Pmem}) {
@@ -1358,7 +1362,9 @@ openOutput(const std::string& path)
 /**
  * The observability exports. Each path is empty while its export is
  * off. Files open (truncated) before anything runs, so an unwritable
- * path fails fast.
+ * path fails fast. begin(), render() and end() run on the point's
+ * worker and act on its thread-local recorders; open(), write() and
+ * finish() run on the driver thread.
  */
 struct Exports
 {
@@ -1369,13 +1375,6 @@ struct Exports
     std::string flightPath;
     std::uint64_t traceMaxEvents = 0; ///< 0 = tracer default.
     std::ofstream stats, breakdown, telemetry;
-
-    bool any() const
-    {
-        return !(statsPath + breakdownPath + telemetryPath + tracePath +
-                 flightPath)
-                    .empty();
-    }
 
     /** Spans back the breakdown, the windowed telemetry percentiles
      *  and the flight recorder's span ring. */
@@ -1393,52 +1392,99 @@ struct Exports
             breakdown = openOutput(breakdownPath);
         if (!telemetryPath.empty())
             telemetry = openOutput(telemetryPath);
-        // The tracer and the flight recorder write at the end; probe
-        // their paths now.
+        // The tracer and the flight recorder write when their point
+        // ends; probe their paths now.
         for (const std::string& path : {tracePath, flightPath}) {
             if (!path.empty())
                 openOutput(path);
         }
     }
 
-    /** Start the run-long captures (after the verify pass). */
-    void start()
+    /** Set this worker's recorders up for a point: a fresh span
+     *  registry, the recorders the exports read (everything off
+     *  without exports), and the point's trace and flight captures. */
+    void begin() const
     {
+        span::reset();
+        if (spans())
+            span::enable();
+        else
+            span::disable();
+        if (!telemetryPath.empty())
+            telemetry::enable();
+        else
+            telemetry::disable();
         if (!tracePath.empty())
             trace::start(tracePath, traceMaxEvents);
         if (!flightPath.empty())
             telemetry::flightArm(flightPath);
     }
 
-    /** Write one finished point's lines while its device is alive. */
-    void write(const std::string& label, const PointResult& res)
+    /** Fail the point if its spans fail the audit, and render its
+     *  export text while its device is alive. */
+    void render(const std::string& label, PointResult& res) const
     {
-        if (res.device && stats.is_open()) {
-            stats << "{\"bench\":\"" << label << "\",\"backend\":\""
-                  << backend::toString(res.device->kind())
-                  << "\",\"_meta\":{\"schema_version\":"
-                  << telemetry::kSchemaVersion << "},\"stats\":";
-            res.device->dumpStatsJson(stats);
-            stats << "}\n";
+        if (span::openedCount() > 0 && !span::audit().ok() &&
+            res.error.empty())
+            res.error = "span audit failed";
+        if (res.device && !statsPath.empty()) {
+            std::ostringstream os;
+            os << "{\"bench\":\"" << label << "\",\"backend\":\""
+               << backend::toString(res.device->kind())
+               << "\",\"_meta\":{\"schema_version\":"
+               << telemetry::kSchemaVersion << "},\"stats\":";
+            res.device->dumpStatsJson(os);
+            os << "}\n";
+            res.stats = os.str();
         }
-        if (res.device && telemetry.is_open() &&
-            res.device->telemetryCollector())
-            res.device->telemetryCollector()->writeJsonl(telemetry, label);
-        if (breakdown.is_open() && span::openedCount() > 0) {
-            span::writeBreakdownTable(std::cout, label);
-            breakdown << "{\"bench\":\"" << label << "\",\"breakdown\":";
-            span::writeBreakdownJson(breakdown);
-            breakdown << "}\n";
+        if (res.device && !telemetryPath.empty() &&
+            res.device->telemetryCollector()) {
+            std::ostringstream os;
+            res.device->telemetryCollector()->writeJsonl(os, label);
+            res.telemetry = os.str();
+        }
+        if (!breakdownPath.empty() && span::openedCount() > 0) {
+            std::ostringstream table, line;
+            span::writeBreakdownTable(table, label);
+            line << "{\"bench\":\"" << label << "\",\"breakdown\":";
+            span::writeBreakdownJson(line);
+            line << "}\n";
+            res.breakdownTable = table.str();
+            res.breakdown = line.str();
         }
     }
 
-    /** Flush the trace and the flight dump, and check every file. */
+    /** Write the point's trace and flight dump once its device is
+     *  gone. A dump the point already wrote (span audit, fault
+     *  corruption) is the one worth keeping, so "flag" only writes
+     *  when there is none. */
+    void end(PointResult& res) const
+    {
+        if (!tracePath.empty()) {
+            res.traceDropped = trace::droppedCount();
+            if (!trace::stop())
+                res.error = "cannot write " + tracePath;
+        }
+        if (!flightPath.empty() && telemetry::flightDumpCount() == 0 &&
+            !telemetry::flightDump("flag"))
+            res.error = "cannot write " + flightPath;
+    }
+
+    /** Write one point's rendered text. */
+    void write(const PointResult& res)
+    {
+        std::cout << res.breakdownTable;
+        if (stats.is_open())
+            stats << res.stats;
+        if (breakdown.is_open())
+            breakdown << res.breakdown;
+        if (telemetry.is_open())
+            telemetry << res.telemetry;
+    }
+
+    /** Check every file once the last point is written. */
     void finish()
     {
-        if (!tracePath.empty() && !trace::stop())
-            fatal("cannot write ", tracePath);
-        if (!flightPath.empty() && !telemetry::flightDump("flag"))
-            fatal("cannot write ", flightPath);
         auto check = [](std::ofstream& os, const std::string& path) {
             if (os.is_open() && !os.flush())
                 fatal("cannot write ", path);
@@ -1466,34 +1512,6 @@ exportFlag(const std::string& arg, const std::string& name,
     return true;
 }
 
-/** Put the process-global recorders in the state @p exports asks for
- *  (everything off without exports). */
-void
-setRecorders(const Exports* exports)
-{
-    if (exports && exports->spans())
-        span::enable();
-    else
-        span::disable();
-    if (exports && !exports->telemetryPath.empty())
-        telemetry::enable();
-    else
-        telemetry::disable();
-}
-
-/** Fail the point if its spans fail the audit, write its exports and
- *  put back the recorder state a point may have toggled. */
-void
-finishPoint(const std::string& label, PointResult& res, Exports* exports)
-{
-    if (span::openedCount() > 0 && !span::audit().ok() &&
-        res.error.empty())
-        res.error = "span audit failed";
-    if (exports)
-        exports->write(label, res);
-    setRecorders(exports);
-}
-
 void
 checkAnchors(const SweepPoint& point, PointResult& res)
 {
@@ -1516,16 +1534,15 @@ checkAnchors(const SweepPoint& point, PointResult& res)
 }
 
 /**
- * Run every point of @p sweep on @p jobs worker threads. Points are
- * claimed from an atomic counter and results land in a slot indexed
- * by point, so the output order (and content) never depends on
- * scheduling. With @p exports, or a serialOnly sweep, one worker runs
- * the points and the span recorder is reset before each.
+ * Run every point of @p sweep on up to @p jobs worker threads. Points
+ * are claimed from an atomic counter and results land in a slot
+ * indexed by point, so the output order (and content) never depends
+ * on scheduling. A worker sets its recorders up before each point and
+ * renders the point's exports before claiming the next.
  */
 std::vector<PointResult>
-runSweep(const Sweep& sweep, std::size_t jobs, Exports* exports)
+runSweep(const Sweep& sweep, std::size_t jobs, const Exports& exports)
 {
-    const bool serial = jobs <= 1 || sweep.serialOnly || exports;
     std::vector<PointResult> results(sweep.points.size());
     std::atomic<std::size_t> next{0};
 
@@ -1536,10 +1553,7 @@ runSweep(const Sweep& sweep, std::size_t jobs, Exports* exports)
                 return;
             const SweepPoint& point = sweep.points[i];
             PointResult& res = results[i];
-            if (serial) {
-                span::reset();
-                setRecorders(exports);
-            }
+            exports.begin();
             auto t0 = std::chrono::steady_clock::now();
             try {
                 res = point.run();
@@ -1549,22 +1563,18 @@ runSweep(const Sweep& sweep, std::size_t jobs, Exports* exports)
             res.wallMs = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - t0)
                              .count();
-            if (serial)
-                finishPoint(sweep.name + "/" + point.name, res, exports);
+            exports.render(sweep.name + "/" + point.name, res);
             checkAnchors(point, res);
             res.device.reset();
+            exports.end(res);
         }
     };
 
-    if (serial) {
-        work();
-    } else {
-        std::vector<std::thread> pool;
-        for (std::size_t t = 0; t < std::min(jobs, results.size()); ++t)
-            pool.emplace_back(work);
-        for (auto& th : pool)
-            th.join();
-    }
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < std::min(jobs, results.size()); ++t)
+        pool.emplace_back(work);
+    for (auto& th : pool)
+        th.join();
     return results;
 }
 
@@ -1679,6 +1689,14 @@ sweepMain(int argc, char** argv)
         }
         return 0;
     }
+    // A trace or flight dump holds one simulation: over several points
+    // it would overlay unrelated runs that each start at tick 0.
+    std::size_t selected = 0;
+    for (const Sweep& sweep : sweeps)
+        selected += sweep.points.size();
+    if (selected != 1 && !(exports.tracePath + exports.flightPath).empty())
+        fatal(exports.tracePath.empty() ? "--flight-dump" : "--trace",
+              " takes one point, but --sweep selects ", selected);
     std::ofstream json_out;
     if (!json_path.empty())
         json_out = openOutput(json_path);
@@ -1688,25 +1706,28 @@ sweepMain(int argc, char** argv)
     // keep worker output off the console.
     setLogLevel(LogLevel::Silent);
 
-    // The reference pass runs before the exports start, so the
-    // exports see each point exactly once.
+    // The reference pass runs without exports, so it never writes.
     std::vector<std::vector<PointResult>> serial;
     if (verify) {
+        const Exports none;
         for (const Sweep& sweep : sweeps)
-            serial.push_back(runSweep(sweep, 1, nullptr));
+            serial.push_back(runSweep(sweep, 1, none));
     }
-    exports.start();
-    Exports* active = exports.any() ? &exports : nullptr;
 
     int rc = 0;
+    std::uint64_t traceDropped = 0;
     std::vector<std::vector<PointResult>> all;
     for (std::size_t s = 0; s < sweeps.size(); ++s) {
         const Sweep& sweep = sweeps[s];
         auto t0 = std::chrono::steady_clock::now();
-        std::vector<PointResult> results = runSweep(sweep, jobs, active);
+        std::vector<PointResult> results = runSweep(sweep, jobs, exports);
         double wall = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
+        for (const PointResult& res : results) {
+            exports.write(res);
+            traceDropped += res.traceDropped;
+        }
 
         if (verify) {
             bool same = true;
@@ -1742,8 +1763,11 @@ sweepMain(int argc, char** argv)
         all.push_back(std::move(results));
     }
 
-    // The tracer reports a truncated capture as a warning.
     setLogLevel(LogLevel::Warn);
+    if (traceDropped > 0)
+        warn("trace: the capture hit its event cap; dropped ",
+             traceDropped, " events (the written trace is truncated;"
+             " raise it via --trace-max-events=)");
     exports.finish();
     if (json_out.is_open()) {
         writeJson(json_out, sweeps, all, jobs);
