@@ -1,7 +1,7 @@
 /**
  * @file
  * System-building helpers for the bench driver (bench/sweep_runner),
- * plus the strict numeric-flag parser both bench executables share.
+ * plus its strict numeric-flag parser.
  *
  * Every helper builds a self-contained system on the scaled bench
  * configuration (512 MiB DRAM cache fronting ~3.75 GiB of exposed

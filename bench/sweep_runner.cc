@@ -824,7 +824,6 @@ makeAblationSweep()
                uncached(
                    [depth](core::SystemConfig& c) {
                        c.driver.cpQueueDepth = depth;
-                       c.nvmc.firmware.cpQueueDepth = depth;
                    },
                    /*threads=*/4));
     }
@@ -864,14 +863,12 @@ makeAblationSweep()
                     c.driver.prefetchEnabled = enabled;
                     c.driver.prefetchDepth = 2;
                     c.driver.cpQueueDepth = 4;
-                    c.nvmc.firmware.cpQueueDepth = 4;
                 }});
     }
     addFio(sweep, "everything",
            uncached(
                [](core::SystemConfig& c) {
                    c.nvmc.firmware = nvmc::FirmwareConfig::asic();
-                   c.nvmc.firmware.cpQueueDepth = 4;
                    c.driver.cpQueueDepth = 4;
                    c.nvmc.bytesPerWindow = 8192;
                    c.driver.mergedWbCf = true;
@@ -1087,15 +1084,26 @@ makeTelemetrySweep()
 }
 
 /**
- * One power-fail sweep point: cut at @p frac of the uncut run and
- * replay recovery. Integrity (corrupt=0 with ADR) lands in the
- * verified metrics.
+ * A campaign's FNV fingerprint as an exact metric: its top 52 bits fit
+ * a double's mantissa, so --verify and the baseline guard compare it
+ * like any counter.
+ */
+double
+fingerprintMetric(const std::string& hex)
+{
+    return static_cast<double>(std::stoull(hex, nullptr, 16) >> 12);
+}
+
+/**
+ * One power-fail point: cut workload @p seed at @p frac of its uncut
+ * run, with or without ADR, and replay recovery. A committed record
+ * corrupted under ADR fails the point.
  */
 PointResult
-runPowerFailPoint(double frac, bool adr)
+runPowerFailPoint(std::uint64_t seed, double frac, bool adr)
 {
     fault::PowerFailCampaignConfig cfg;
-    cfg.seed = 29;
+    cfg.seed = seed;
     cfg.adrWorks = adr;
     fault::PowerFailCampaignResult full = runPowerFailCampaign(cfg);
     cfg.haltAtTick = static_cast<Tick>(
@@ -1107,33 +1115,45 @@ runPowerFailPoint(double frac, bool adr)
 
     PointResult out;
     out.metrics = {
+        {"cut_tick_us", ticksToUs(cfg.haltAtTick)},
+        {"transactions", static_cast<double>(cut.transactions)},
         {"committed", static_cast<double>(cut.committedRecords)},
+        {"in_flight", static_cast<double>(cut.inFlightWrites)},
         {"corrupt", static_cast<double>(cut.corruptRecords)},
-        {"pages_dumped", static_cast<double>(cut.pagesDumped)},
+        {"wpq_flushed", static_cast<double>(cut.wpqFlushed)},
         {"wpq_lost", static_cast<double>(cut.wpqLost)},
+        {"pages_dumped", static_cast<double>(cut.pagesDumped)},
         {"recovery_us", ticksToUs(cut.recoveryTicks)},
+        {"fingerprint", fingerprintMetric(cut.fingerprint)},
     };
     if (adr && cut.corruptRecords != 0)
         out.error = "committed records corrupted despite ADR";
     return out;
 }
 
+/** One media-fault soak; a silent corruption or a broken FTL
+ *  invariant fails the point. */
 PointResult
-mediaPoint(const fault::MediaFaultCampaignResult& res)
+runMediaPoint(const fault::MediaFaultCampaignConfig& cfg)
 {
+    fault::MediaFaultCampaignResult res = runMediaFaultCampaign(cfg);
     PointResult out;
     out.metrics = {
         {"reads", static_cast<double>(res.reads)},
+        {"writes", static_cast<double>(res.writes)},
         {"read_errors", static_cast<double>(res.readErrorsInjected)},
         {"read_retries", static_cast<double>(res.readRetries)},
         {"retry_successes",
          static_cast<double>(res.readRetrySuccesses)},
         {"uncorrectable", static_cast<double>(res.uncorrectableReads)},
+        {"program_fails",
+         static_cast<double>(res.programFailsInjected)},
         {"grown_bad_blocks", static_cast<double>(res.grownBadBlocks)},
         {"gc_relocations", static_cast<double>(res.gcRelocations)},
         {"silent_corruptions",
          static_cast<double>(res.silentCorruptions)},
         {"invariants_ok", res.invariantsOk ? 1.0 : 0.0},
+        {"fingerprint", fingerprintMetric(res.fingerprint)},
     };
     if (res.silentCorruptions != 0)
         out.error = "silent corruption (mismatch without an "
@@ -1143,64 +1163,86 @@ mediaPoint(const fault::MediaFaultCampaignResult& res)
     return out;
 }
 
+/** The 32-round compressed-time ageing run of workload @p seed; a
+ *  divergent checkpoint-restored replay fails the point. */
+PointResult
+runAgeingCampaignPoint(std::uint64_t seed)
+{
+    fault::AgeingCampaignConfig cfg;
+    cfg.seed = seed;
+    cfg.rounds = 32;
+    cfg.writesPerRound = 96;
+    cfg.faults.readRberMean = 0.2;
+    cfg.faults.wearRberSlope = 0.02;
+    cfg.faults.programFailProb = 0.002;
+    fault::AgeingCampaignResult res = runAgeingCampaign(cfg);
+    PointResult out;
+    out.metrics = {
+        {"writes", static_cast<double>(res.writes)},
+        {"gc_erases", static_cast<double>(res.gcErases)},
+        {"gc_relocations", static_cast<double>(res.gcRelocations)},
+        {"grown_bad_blocks", static_cast<double>(res.grownBadBlocks)},
+        {"max_erase_count", static_cast<double>(res.maxEraseCount)},
+        {"wear_spread", static_cast<double>(res.wearSpread)},
+        {"silent_corruptions",
+         static_cast<double>(res.silentCorruptions)},
+        {"invariants_ok", res.invariantsOk ? 1.0 : 0.0},
+        {"checkpoint_deterministic",
+         res.checkpointDeterministic ? 1.0 : 0.0},
+        {"checkpoint_kb",
+         static_cast<double>(res.checkpointBytes) / 1024.0},
+        {"fingerprint", fingerprintMetric(res.fingerprint)},
+    };
+    if (!res.checkpointDeterministic)
+        out.error = "checkpoint-restored replay diverged";
+    else if (res.silentCorruptions != 0 || !res.invariantsOk)
+        out.error = "ageing campaign integrity failure";
+    return out;
+}
+
+/**
+ * The fault-campaign matrix (committed as BENCH_faults.json): for each
+ * workload seed 29 + 17k, k = 0..7, power cuts at 25/50/80 % with ADR
+ * and at 50 % without, the ECC soak (seed + 1000), the program-fail
+ * soak (seed + 2000) and the ageing run. `--sweep faults/seed29`
+ * selects one seed.
+ */
 Sweep
 makeFaultsSweep()
 {
     Sweep sweep{"faults", {}};
     auto& p = sweep.points;
-    p.push_back({"powerfail/early",
-                 [] { return runPowerFailPoint(0.25, true); }});
-    p.push_back({"powerfail/mid",
-                 [] { return runPowerFailPoint(0.5, true); }});
-    p.push_back({"powerfail/late",
-                 [] { return runPowerFailPoint(0.8, true); }});
-    p.push_back({"powerfail/noadr",
-                 [] { return runPowerFailPoint(0.5, false); }});
-    p.push_back({"media/ecc", [] {
-        fault::MediaFaultCampaignConfig cfg;
-        cfg.seed = 43;
-        cfg.faults.readRberMean = 0.9;
-        cfg.faults.wearRberSlope = 0.03;
-        cfg.readRetries = 2;
-        return mediaPoint(runMediaFaultCampaign(cfg));
-    }});
-    p.push_back({"media/program_fail", [] {
-        fault::MediaFaultCampaignConfig cfg;
-        cfg.seed = 47;
-        cfg.faults.programFailProb = 0.01;
-        cfg.ops = 2500;
-        return mediaPoint(runMediaFaultCampaign(cfg));
-    }});
-    p.push_back({"ageing/small", [] {
-        fault::AgeingCampaignConfig cfg;
-        cfg.seed = 53;
-        cfg.rounds = 24;
-        cfg.writesPerRound = 96;
-        cfg.faults.readRberMean = 0.2;
-        cfg.faults.wearRberSlope = 0.02;
-        cfg.faults.programFailProb = 0.002;
-        fault::AgeingCampaignResult res = runAgeingCampaign(cfg);
-        PointResult out;
-        out.metrics = {
-            {"writes", static_cast<double>(res.writes)},
-            {"gc_erases", static_cast<double>(res.gcErases)},
-            {"gc_relocations",
-             static_cast<double>(res.gcRelocations)},
-            {"wear_spread", static_cast<double>(res.wearSpread)},
-            {"max_erase_count",
-             static_cast<double>(res.maxEraseCount)},
-            {"silent_corruptions",
-             static_cast<double>(res.silentCorruptions)},
-            {"invariants_ok", res.invariantsOk ? 1.0 : 0.0},
-            {"checkpoint_deterministic",
-             res.checkpointDeterministic ? 1.0 : 0.0},
-        };
-        if (!res.checkpointDeterministic)
-            out.error = "checkpoint-restored replay diverged";
-        else if (res.silentCorruptions != 0 || !res.invariantsOk)
-            out.error = "ageing campaign integrity failure";
-        return out;
-    }});
+    for (std::uint64_t k = 0; k < 8; ++k) {
+        const std::uint64_t seed = 29 + 17 * k;
+        const std::string tag = "seed" + std::to_string(seed) + "/";
+        for (int pct : {25, 50, 80}) {
+            p.push_back({tag + "powerfail/cut" + std::to_string(pct) +
+                             "/adr",
+                         [seed, pct] {
+                             return runPowerFailPoint(seed, pct / 100.0,
+                                                      true);
+                         }});
+        }
+        p.push_back({tag + "powerfail/cut50/noadr", [seed] {
+            return runPowerFailPoint(seed, 0.5, false);
+        }});
+        p.push_back({tag + "media/ecc", [seed] {
+            fault::MediaFaultCampaignConfig cfg;
+            cfg.seed = seed + 1000;
+            cfg.faults.readRberMean = 0.9;
+            cfg.faults.wearRberSlope = 0.03;
+            return runMediaPoint(cfg);
+        }});
+        p.push_back({tag + "media/program_fail", [seed] {
+            fault::MediaFaultCampaignConfig cfg;
+            cfg.seed = seed + 2000;
+            cfg.faults.programFailProb = 0.01;
+            cfg.ops = 2500;
+            return runMediaPoint(cfg);
+        }});
+        p.push_back({tag + "ageing",
+                     [seed] { return runAgeingCampaignPoint(seed); }});
+    }
     return sweep;
 }
 

@@ -62,10 +62,8 @@ main(int argc, char** argv)
     cfg.driver.prefetchEnabled = overrides.getBool("prefetch", false);
     if (overrides.getBool("asic", false))
         cfg.nvmc.firmware = nvmc::FirmwareConfig::asic();
-    auto depth = static_cast<std::uint32_t>(
+    cfg.driver.cpQueueDepth = static_cast<std::uint32_t>(
         overrides.getUint("cpdepth", 1));
-    cfg.driver.cpQueueDepth = depth;
-    cfg.nvmc.firmware.cpQueueDepth = depth;
 
     core::NvdimmcSystem sys(cfg);
     sys.imc().setTemperature(overrides.getDouble("temp_c", 40.0));

@@ -11,14 +11,14 @@ Two input formats, auto-detected:
   halving throughput is the default bar.
 
 * sweep-runner exports (top-level "sweeps" key, e.g.
-  BENCH_backends.json): every point's metrics are
+  BENCH_backends.json, BENCH_faults.json): every point's metrics are
   deterministic simulation outputs. Metrics on the stable allowlist
   (byte-identity verdicts, audit results, op/span/transaction counts,
-  integrity counters) must match the committed baseline EXACTLY — any
-  drift there means a behaviour change, not noise, and the script
-  exits non-zero. Other metrics (throughput, latencies) are printed as
-  informational diffs; wall_ms and perf blocks are host wall-clock and
-  stay warn-only.
+  integrity counters, fault-campaign fingerprints) must match the
+  committed baseline EXACTLY — any drift there means a behaviour
+  change, not noise, and the script exits non-zero. Other metrics
+  (throughput, latencies) are printed as informational diffs; wall_ms
+  and perf blocks are host wall-clock and stay warn-only.
 
 Both formats carry a schema version (sweep exports: top-level
 "schema_version"; google-benchmark dumps and pre-versioned exports
@@ -63,6 +63,8 @@ STABLE_METRICS = frozenset({
     "intervals",
     "transactions",
     "committed",
+    "checkpoint_deterministic",
+    "fingerprint",
 })
 
 # Point keys that are not metrics.

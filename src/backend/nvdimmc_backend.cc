@@ -44,12 +44,9 @@ NvdimmcBackend::NvdimmcBackend(
     layouts_.reserve(layouts.size());
     for (std::uint32_t ch = 0; ch < channels_; ++ch) {
         const nvmc::ReservedLayout& lay = *layouts[ch];
-        NVDC_ASSERT(cfg.cpQueueDepth >= 1 &&
-                    cfg.cpQueueDepth <= lay.maxCommands,
-                    "CP depth exceeds the layout");
         layouts_.push_back(lay);
         std::vector<std::uint32_t> free_indices;
-        for (std::uint32_t i = 0; i < cfg.cpQueueDepth; ++i)
+        for (std::uint32_t i = 0; i < lay.maxCommands; ++i)
             free_indices.push_back(i);
         freeCpIndices_.push_back(std::move(free_indices));
         cpWaiters_.emplace_back();

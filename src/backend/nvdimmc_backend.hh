@@ -38,14 +38,12 @@ class Nvmc;
 namespace nvdimmc::backend
 {
 
-/** Timing/depth knobs of the CP transport (driver-side constants). */
+/** Timing knobs of the CP transport (driver-side constants). The
+ *  queue depth is each module's layout.maxCommands. */
 struct NvdimmcBackendConfig
 {
     Tick cpWriteCost = 300 * kNs;    ///< Compose + store CP command.
     Tick ackPollInterval = 500 * kNs;
-    /** CP command indices the driver cycles per channel
-     *  (<= layout.maxCommands). */
-    std::uint32_t cpQueueDepth = 1;
 };
 
 struct NvdimmcBackendStats
@@ -82,7 +80,7 @@ class NvdimmcBackend : public MediaBackend
     {
         std::uint64_t depth = 0;
         for (std::size_t ch = 0; ch < freeCpIndices_.size(); ++ch)
-            depth += cfg_.cpQueueDepth - freeCpIndices_[ch].size() +
+            depth += layouts_[ch].maxCommands - freeCpIndices_[ch].size() +
                      cpWaiters_[ch].size();
         return depth;
     }

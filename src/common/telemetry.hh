@@ -167,7 +167,9 @@ class Collector
      * version, interval, probe list), then one line per interval with
      * exact-integer values only. Byte-identical across reruns of the
      * same config (determinism contract above).
-     * @param label stamped into every line as "bench".
+     * @param label written as "bench" on the `_meta` header line
+     *        only; interval lines carry no label, so a reader
+     *        attributes them to the header above them.
      */
     void writeJsonl(std::ostream& os, const std::string& label) const;
 

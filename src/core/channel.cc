@@ -9,8 +9,7 @@ namespace nvdimmc::core
 {
 
 Channel::Channel(EventQueue& eq, const SystemConfig& cfg,
-                 std::uint32_t index, std::uint32_t count,
-                 std::uint32_t cp_depth)
+                 std::uint32_t index, std::uint32_t count)
     : index_(index)
 {
     map_ = std::make_unique<dram::AddressMap>(cfg.dramCacheBytes);
@@ -59,8 +58,8 @@ Channel::Channel(EventQueue& eq, const SystemConfig& cfg,
         break;
     }
 
-    layout_ = std::make_unique<nvmc::ReservedLayout>(cfg.dramCacheBytes,
-                                                     cp_depth);
+    layout_ = std::make_unique<nvmc::ReservedLayout>(
+        cfg.dramCacheBytes, cfg.driver.cpQueueDepth);
 
     if (cfg.nvmcEnabled) {
         nvmc::NvmcConfig nvmc_cfg = cfg.nvmc;

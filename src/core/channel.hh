@@ -45,11 +45,11 @@ class Channel
   public:
     /**
      * Build channel @p index of @p count from the per-module slice of
-     * @p cfg (capacities in the config are per module). @p cp_depth is
-     * the CP queue depth the system computed once.
+     * @p cfg (capacities in the config are per module). The reserved
+     * layout exposes cfg.driver.cpQueueDepth CP command slots.
      */
     Channel(EventQueue& eq, const SystemConfig& cfg, std::uint32_t index,
-            std::uint32_t count, std::uint32_t cp_depth);
+            std::uint32_t count);
 
     std::uint32_t index() const { return index_; }
 

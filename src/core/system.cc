@@ -1,6 +1,5 @@
 #include "core/system.hh"
 
-#include <algorithm>
 #include <array>
 #include <string>
 
@@ -42,24 +41,10 @@ NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
         cfg_.nvmcEnabled = false;
     }
 
-    if (!is_cxl &&
-        cfg_.driver.cpQueueDepth != cfg_.nvmc.firmware.cpQueueDepth) {
-        // The driver posts to every slot up to its depth but the
-        // firmware only polls up to its own: commands on the unpolled
-        // slots are never acked and their misses never complete.
-        panic("NvdimmcSystem: driver.cpQueueDepth (",
-              cfg_.driver.cpQueueDepth,
-              ") != nvmc.firmware.cpQueueDepth (",
-              cfg_.nvmc.firmware.cpQueueDepth,
-              "); the CP queue depths must match");
-    }
-    std::uint32_t cp_depth = std::max(cfg_.driver.cpQueueDepth,
-                                      cfg_.nvmc.firmware.cpQueueDepth);
-
     channels_.reserve(cfg_.channels);
     for (std::uint32_t i = 0; i < cfg_.channels; ++i)
-        channels_.push_back(std::make_unique<Channel>(
-            eq_, cfg_, i, cfg_.channels, cp_depth));
+        channels_.push_back(
+            std::make_unique<Channel>(eq_, cfg_, i, cfg_.channels));
 
     std::vector<imc::Imc*> imcs;
     imcs.reserve(channels_.size());
@@ -99,8 +84,7 @@ NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
         auto nvdc_transport = std::make_unique<backend::NvdimmcBackend>(
             eq_, *cpuCache_, layouts,
             backend::NvdimmcBackendConfig{cfg_.driver.cpWriteCost,
-                                          cfg_.driver.ackPollInterval,
-                                          cfg_.driver.cpQueueDepth});
+                                          cfg_.driver.ackPollInterval});
         for (std::uint32_t i = 0; i < channels_.size(); ++i)
             if (channels_[i]->nvmc())
                 nvdc_transport->attachNvmc(i, channels_[i]->nvmc());
@@ -109,7 +93,7 @@ NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
 
     driver_ = std::make_unique<driver::NvdcDriver>(
         eq_, *cpuCache_, *engine_, std::move(layouts), backend_pages,
-        cfg_.driver, transport_.get());
+        cfg_.driver, *transport_);
 
     if (telemetry::enabled()) {
         const Tick interval =

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstring>
 
-#include "backend/nvdimmc_backend.hh"
 #include "common/logging.hh"
 
 namespace nvdimmc::driver
@@ -12,37 +11,18 @@ namespace nvdimmc::driver
 
 NvdcDriver::NvdcDriver(EventQueue& eq, cpu::CpuCacheModel& cache_model,
                        cpu::MemcpyEngine& engine,
-                       const nvmc::ReservedLayout& layout,
-                       std::uint64_t backend_pages,
-                       const NvdcDriverConfig& cfg,
-                       backend::MediaBackend* transport)
-    : NvdcDriver(eq, cache_model, engine,
-                 std::vector<const nvmc::ReservedLayout*>{&layout},
-                 backend_pages, cfg, transport)
-{
-}
-
-NvdcDriver::NvdcDriver(EventQueue& eq, cpu::CpuCacheModel& cache_model,
-                       cpu::MemcpyEngine& engine,
                        std::vector<const nvmc::ReservedLayout*> layouts,
                        std::uint64_t backend_pages_total,
                        const NvdcDriverConfig& cfg,
-                       backend::MediaBackend* transport)
+                       backend::MediaBackend& transport)
     : eq_(eq),
       cacheModel_(cache_model),
       engine_(engine),
       backendPages_(backend_pages_total),
       cfg_(cfg),
-      ownedTransport_(
-          transport ? nullptr
-                    : new backend::NvdimmcBackend(
-                          eq, cache_model, layouts,
-                          backend::NvdimmcBackendConfig{
-                              cfg.cpWriteCost, cfg.ackPollInterval,
-                              cfg.cpQueueDepth})),
-      transport_(transport ? transport : ownedTransport_.get()),
+      transport_(transport),
       channels_(static_cast<std::uint32_t>(layouts.size())),
-      il_(channels_, transport_->traits().interleaveGranule),
+      il_(channels_, transport_.traits().interleaveGranule),
       everWritten_(backend_pages_total, false)
 {
     NVDC_ASSERT(!layouts.empty(), "driver needs at least one module");
@@ -531,8 +511,8 @@ NvdcDriver::faultPath(std::shared_ptr<Segment> seg)
                     op.nandPage2 = localPage(seg->devPage);
                     op.span = seg->span;
                     stats_.mergedCommands.inc();
-                    transport_->submit(ch, op,
-                                       [this, wb_page, install] {
+                    transport_.submit(ch, op,
+                                      [this, wb_page, install] {
                         writebackCompleted(wb_page);
                         install();
                     });
@@ -555,7 +535,7 @@ NvdcDriver::faultPath(std::shared_ptr<Segment> seg)
                     op.nandPage = localPage(seg->devPage);
                     op.span = seg->span;
                     stats_.cachefills.inc();
-                    transport_->submit(ch, op, install);
+                    transport_.submit(ch, op, install);
                 };
                 if (need_wb) {
                     backend::TransportOp op;
@@ -564,9 +544,9 @@ NvdcDriver::faultPath(std::shared_ptr<Segment> seg)
                     op.nandPage = localPage(wb_page);
                     op.span = seg->span;
                     stats_.writebacks.inc();
-                    transport_->submit(ch, op,
-                                       [this, seg, ch, slot, wb_page,
-                                        fill] {
+                    transport_.submit(ch, op,
+                                      [this, seg, ch, slot, wb_page,
+                                       fill] {
                         writebackCompleted(wb_page);
                         // The victim's bytes are durable (the module
                         // acked the writeback), but the in-DRAM slot
@@ -656,7 +636,7 @@ NvdcDriver::prefetchFill(std::uint64_t page)
             op.dramSlot = slot;
             op.nandPage = localPage(page);
             stats_.cachefills.inc();
-            transport_->submit(ch, op, [this, page, slot, ch] {
+            transport_.submit(ch, op, [this, page, slot, ch] {
                 auto finish = [this, page, slot, ch] {
                     locks_[ch]->acquire([this, page, slot, ch] {
                         DramCache& cache = *caches_[ch];
@@ -789,7 +769,7 @@ NvdcDriver::registerStats(StatRegistry& reg,
     // The transport's own counters sit where the CP ack-poll counter
     // historically lived (the NVDIMM-C transport registers exactly
     // ".ack_polls" here, keeping the golden snapshot byte-identical).
-    transport_->registerStats(reg, prefix);
+    transport_.registerStats(reg, prefix);
     reg.addCounter(prefix + ".prefetches", stats_.prefetchesIssued);
     reg.addCounter(prefix + ".prefetch_hits", stats_.prefetchHits);
     reg.addHistogram(prefix + ".hit_latency", stats_.hitLatency);

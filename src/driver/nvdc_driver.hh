@@ -99,8 +99,9 @@ struct NvdcDriverConfig
     bool invalidateAfterFill = true;
     /** Merge writeback+cachefill into one CP command (ablation). */
     bool mergedWbCf = false;
-    /** CP queue depth the driver uses per channel
-     *  (<= layout.maxCommands). */
+    /** CP queue depth per channel (1 on the PoC): the system builds
+     *  each module's reserved layout with this many command slots,
+     *  and the CP transport and the firmware both use all of them. */
     std::uint32_t cpQueueDepth = 1;
 
     /** @name Sequential prefetch (paper §VII-C, ref [37]).
@@ -145,35 +146,21 @@ class NvdcDriver
     static constexpr std::uint32_t kPageBytes = 4096;
 
     /**
-     * Single-channel constructor (the PoC machine).
-     * @param backend_pages logical device size in 4 KB pages (the
-     *        FTL's 120 GB view).
-     */
-    NvdcDriver(EventQueue& eq, cpu::CpuCacheModel& cache_model,
-               cpu::MemcpyEngine& engine,
-               const nvmc::ReservedLayout& layout,
-               std::uint64_t backend_pages,
-               const NvdcDriverConfig& cfg,
-               backend::MediaBackend* transport = nullptr);
-
-    /**
-     * Multi-channel constructor: one reserved layout per module (in
-     * channel order) and the *total* device size across all modules.
-     * Addresses handed to the CPU layer are flat interleaved addresses
+     * One reserved layout per module (in channel order) and the
+     * *total* device size in 4 KB pages across all modules. Addresses
+     * handed to the CPU layer are flat interleaved addresses
      * consistent with a ChannelInterleave over the same channel count
      * at the transport's interleave granule.
      *
      * @param transport the media-transport backend the fault path
-     *        submits cachefills/writebacks through. Null builds the
-     *        classic internal NVDIMM-C CP transport (byte-identical
-     *        to the pre-seam driver).
+     *        submits cachefills/writebacks through.
      */
     NvdcDriver(EventQueue& eq, cpu::CpuCacheModel& cache_model,
                cpu::MemcpyEngine& engine,
                std::vector<const nvmc::ReservedLayout*> layouts,
                std::uint64_t backend_pages_total,
                const NvdcDriverConfig& cfg,
-               backend::MediaBackend* transport = nullptr);
+               backend::MediaBackend& transport);
 
     /** Device capacity in bytes (the /dev/nvdc0 size). */
     std::uint64_t capacityBytes() const
@@ -198,8 +185,6 @@ class NvdcDriver
 
     /** @name Introspection (diagnostics / tests). */
     /** @{ */
-    bool lockHeld() const { return locks_[0]->held(); }
-    std::size_t lockWaiters() const { return locks_[0]->waiters(); }
     std::size_t pendingFillCount() const { return pendingFills_.size(); }
     std::size_t pendingWritebackCount() const
     {
@@ -232,11 +217,8 @@ class NvdcDriver
     PageTable& pageTable() { return pageTable_; }
     const NvdcDriverStats& stats() const { return stats_; }
     /** The media-transport backend the fault path goes through. */
-    backend::MediaBackend& transport() { return *transport_; }
-    const backend::MediaBackend& transport() const
-    {
-        return *transport_;
-    }
+    backend::MediaBackend& transport() { return transport_; }
+    const backend::MediaBackend& transport() const { return transport_; }
 
     /** Register driver counters + hit/fault latency histograms under
      *  @p prefix, and the DRAM cache under @p prefix ".cache" (on a
@@ -288,14 +270,6 @@ class NvdcDriver
 
     /** @name Per-page channel routing. */
     /** @{ */
-    DramCache& cacheFor(std::uint64_t page)
-    {
-        return *caches_[channelOf(page)];
-    }
-    SimMutex& lockFor(std::uint64_t page)
-    {
-        return *locks_[channelOf(page)];
-    }
     /** Flat interleaved address of a channel-local DRAM address. */
     Addr flatAddr(std::uint32_t channel, Addr local) const
     {
@@ -337,9 +311,7 @@ class NvdcDriver
     std::uint64_t backendPages_;
     NvdcDriverConfig cfg_;
 
-    /** Internal default transport when none was injected. */
-    std::unique_ptr<backend::MediaBackend> ownedTransport_;
-    backend::MediaBackend* transport_;
+    backend::MediaBackend& transport_;
 
     std::uint32_t channels_;
     /** Interleave at the transport's granule (4 KiB for NVDIMM-C —

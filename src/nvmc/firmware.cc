@@ -21,9 +21,6 @@ Firmware::Firmware(EventQueue& eq, DmaEngine& dma,
       cfg_(cfg),
       lastPhase_(layout.maxCommands, 0)
 {
-    NVDC_ASSERT(cfg.cpQueueDepth >= 1 &&
-                cfg.cpQueueDepth <= layout.maxCommands,
-                "CP queue depth exceeds the layout");
 }
 
 void
@@ -38,7 +35,7 @@ Firmware::maybeEnqueuePoll()
 {
     if (pollInFlight_ || decoding_)
         return;
-    if (opsInFlight_ >= cfg_.cpQueueDepth)
+    if (opsInFlight_ >= layout_.maxCommands)
         return;
     if (dma_.backlog() > 0)
         return; // Let queued data/ack work use the window first.
@@ -48,7 +45,7 @@ Firmware::maybeEnqueuePoll()
     trace::instant("nvmc.cp", "poll", eq_.now());
 
     auto data = std::make_shared<std::vector<std::uint8_t>>(
-        std::size_t{cfg_.cpQueueDepth} * ReservedLayout::kLineBytes);
+        std::size_t{layout_.maxCommands} * ReservedLayout::kLineBytes);
     DmaRequest req;
     req.addr = layout_.commandAddr(0);
     req.bytes = static_cast<std::uint32_t>(data->size());
@@ -68,8 +65,8 @@ void
 Firmware::decodePoll(std::shared_ptr<std::vector<std::uint8_t>> data)
 {
     decoding_ = false;
-    for (std::uint32_t i = 0; i < cfg_.cpQueueDepth; ++i) {
-        if (opsInFlight_ >= cfg_.cpQueueDepth)
+    for (std::uint32_t i = 0; i < layout_.maxCommands; ++i) {
+        if (opsInFlight_ >= layout_.maxCommands)
             break;
         CpCommand cmd = decodeCpCommand(
             data->data() + std::size_t{i} * ReservedLayout::kLineBytes);

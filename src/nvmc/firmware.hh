@@ -45,8 +45,6 @@ struct FirmwareConfig
     Tick decodeDelay = 8 * kUs;
     /** Software work between op completion and the ack enqueue. */
     Tick postOpDelay = 3 * kUs;
-    /** CP queue depth honoured (the PoC uses 1). */
-    std::uint32_t cpQueueDepth = 1;
     /** Ack a writeback as soon as the data left DRAM (the NAND
      *  program finishes in the background from the battery-backed
      *  buffer). */

@@ -7,7 +7,6 @@
 
 #include "common/logging.hh"
 
-#include "bus/bus_tracer.hh"
 #include "bus/memory_bus.hh"
 #include "common/event_queue.hh"
 
@@ -181,33 +180,6 @@ TEST_F(BusFixture, SameMasterOverDriveIsAConflict)
               std::string::npos);
     EXPECT_NE(bus.conflicts()[0].what.find("host"),
               std::string::npos);
-}
-
-TEST_F(BusFixture, TracerClearResetsTotalButClearEntriesKeepsIt)
-{
-    BusTracer tracer(2);
-    bus.addSnooper(&tracer);
-    const auto& t = dev.timing();
-    for (int i = 0; i < 3; ++i) {
-        bus.issueCommand(host, {Ddr4Op::Activate, 0, 0, 0, 0});
-        eq.runUntil(eq.now() + t.tCK);
-    }
-    // Ring holds the last two commands; the total keeps counting.
-    EXPECT_EQ(tracer.entries().size(), 2u);
-    EXPECT_EQ(tracer.totalObserved(), 3u);
-
-    tracer.clearEntries();
-    EXPECT_TRUE(tracer.entries().empty());
-    EXPECT_EQ(tracer.totalObserved(), 3u);
-
-    bus.issueCommand(host, {Ddr4Op::Activate, 0, 0, 0, 0});
-    EXPECT_EQ(tracer.totalObserved(), 4u);
-
-    // Full clear() also zeroes the running total — it used to leave
-    // the stale count from the discarded epoch behind.
-    tracer.clear();
-    EXPECT_TRUE(tracer.entries().empty());
-    EXPECT_EQ(tracer.totalObserved(), 0u);
 }
 
 } // namespace
