@@ -745,7 +745,8 @@ makeCachePolicySweep()
                 auto slots =
                     static_cast<std::uint32_t>(kDbPages * pct / 100);
                 driver::DramCache cache(
-                    slots, driver::ReplacementPolicy::create(policy));
+                    slots, kDbPages,
+                    driver::ReplacementPolicy::create(policy));
                 const auto& specs = workload::tpchQuerySpecs();
                 for (int qidx : {0, 4, 8, 16, 19, 20}) {
                     workload::replayTpchOnCache(

@@ -1,6 +1,5 @@
 #include "core/system.hh"
 
-#include <array>
 #include <string>
 
 #include "backend/nvdimmc_backend.hh"
@@ -205,7 +204,13 @@ void
 NvdimmcSystem::precondition(std::uint64_t first_page,
                             std::uint32_t pages, bool dirty)
 {
-    auto& pt = driver_->pageTable();
+    const std::uint64_t device_pages =
+        driver_->capacityBytes() / driver::NvdcDriver::kPageBytes;
+    NVDC_ASSERT(first_page <= device_pages &&
+                    pages <= device_pages - first_page,
+                "precondition of ", pages, " pages from page ",
+                first_page, " runs past the device's ", device_pages,
+                " pages");
 
     // Check capacity per channel slice before touching anything.
     std::vector<std::uint32_t> demand(channels_.size(), 0);
@@ -218,36 +223,35 @@ NvdimmcSystem::precondition(std::uint64_t first_page,
                     "preconditioning more pages than free slots");
     }
 
+    // Per channel, the 4-slot metadata lines the pages land in.
+    std::vector<std::vector<bool>> touched(channels_.size());
+    for (std::uint32_t c = 0; c < channels_.size(); ++c)
+        touched[c].resize((driver_->cache(c).slotCount() + 3) / 4);
     for (std::uint32_t i = 0; i < pages; ++i) {
         std::uint64_t dev_page = first_page + i;
         std::uint32_t c = driver_->channelOf(dev_page);
         auto& cache = driver_->cache(c);
-        std::uint32_t slot = cache.allocate(dev_page);
+        std::uint32_t slot = cache.allocate(driver_->localPage(dev_page));
         cache.finishFill(slot);
         if (dirty)
             cache.markDirty(slot);
-        pt.map(dev_page, slot);
+        touched[c][slot / 4] = true;
+    }
 
-        // Keep the in-DRAM metadata consistent (the firmware's
-        // power-fail dump reads it from the array).
+    // Keep the in-DRAM metadata consistent (the firmware's power-fail
+    // dump reads it from the array): write each touched line once, in
+    // its final state.
+    for (std::uint32_t c = 0; c < channels_.size(); ++c) {
         Channel& chan = *channels_[c];
-        std::uint32_t first = (slot / 4) * 4;
-        Addr addr = chan.layout().metadataAddr(first);
-        std::array<std::uint8_t, 64> line{};
-        for (std::uint32_t j = 0; j < 4; ++j) {
-            std::uint32_t s = first + j;
-            if (s >= cache.slotCount())
-                break;
-            const auto& cs = cache.slot(s);
-            nvmc::SlotMetadata m;
-            // Module-local page, as the firmware's dump expects (it
-            // writes into its own module's backend).
-            m.nandPage = cs.devPage / channels_.size();
-            m.valid = cs.state != driver::CacheSlot::State::Free;
-            m.dirty = cs.dirty;
-            nvmc::encodeSlotMetadata(m, line.data() + j * 16);
+        for (std::uint32_t line = 0; line < touched[c].size(); ++line) {
+            if (!touched[c][line])
+                continue;
+            std::uint32_t first = line * 4;
+            auto bytes = driver_->metadataLine(c, first);
+            chan.dram().writeBurst(
+                chan.map().decompose(chan.layout().metadataAddr(first)),
+                bytes.data());
         }
-        chan.dram().writeBurst(chan.map().decompose(addr), line.data());
     }
 }
 

@@ -109,9 +109,10 @@ class NvdimmcSystem
     /**
      * Test/bench scaffolding: install @p pages device pages as cached
      * (optionally dirty) without paying the fill latency, starting at
-     * device page @p first_page. Each page lands in its owning
-     * channel's cache slice; metadata in that channel's DRAM is
-     * updated so the power-fail dump stays consistent.
+     * device page @p first_page. The range must lie on the device.
+     * Each page lands in its owning channel's cache slice; metadata in
+     * that channel's DRAM is updated so the power-fail dump stays
+     * consistent.
      */
     void precondition(std::uint64_t first_page, std::uint32_t pages,
                       bool dirty);

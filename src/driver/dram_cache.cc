@@ -5,53 +5,49 @@
 namespace nvdimmc::driver
 {
 
-DramCache::DramCache(std::uint32_t slot_count,
+DramCache::DramCache(std::uint32_t slot_count, std::uint64_t page_count,
                      std::unique_ptr<ReplacementPolicy> policy)
     : slotCount_(slot_count),
+      pageCount_(page_count),
       policy_(std::move(policy)),
       slots_(slot_count),
       pins_(slot_count, 0)
 {
     NVDC_ASSERT(slot_count > 0, "empty DRAM cache");
     policy_->reset(slot_count);
+    // Address space only: untouched entries cost no memory, and the
+    // directory then grows in place instead of copying itself.
+    pageToSlot_.reserve(page_count);
     freeList_.reserve(slot_count);
     for (std::uint32_t s = slot_count; s > 0; --s)
         freeList_.push_back(s - 1);
 }
 
 std::optional<std::uint32_t>
-DramCache::lookup(std::uint64_t dev_page)
+DramCache::lookup(std::uint64_t page)
 {
-    const std::uint32_t* s = pageToSlot_.find(dev_page);
-    if (!s || slots_[*s].state != CacheSlot::State::Stable) {
+    auto s = peek(page);
+    if (!s) {
         stats_.misses.inc();
         return std::nullopt;
     }
     stats_.hits.inc();
     policy_->onAccess(*s);
-    return *s;
-}
-
-std::optional<std::uint32_t>
-DramCache::peek(std::uint64_t dev_page) const
-{
-    const std::uint32_t* s = pageToSlot_.find(dev_page);
-    if (!s || slots_[*s].state != CacheSlot::State::Stable)
-        return std::nullopt;
-    return *s;
+    return s;
 }
 
 std::uint32_t
-DramCache::allocate(std::uint64_t dev_page)
+DramCache::allocate(std::uint64_t page)
 {
     NVDC_ASSERT(!freeList_.empty(), "allocate with no free slot");
+    NVDC_ASSERT(page < pageCount_, "page ", page, " is outside the ",
+                pageCount_, " pages this cache serves");
     std::uint32_t s = freeList_.back();
     freeList_.pop_back();
     CacheSlot& slot = slots_[s];
-    slot.devPage = dev_page;
+    slot.page = page;
     slot.state = CacheSlot::State::Busy;
     slot.dirty = false;
-    pageToSlot_.insert_or_assign(dev_page, s);
     return s;
 }
 
@@ -128,7 +124,7 @@ DramCache::beginEvict(std::uint32_t s)
     policy_->onEvict(s);
     NVDC_ASSERT(stableCount_ > 0, "stable count underflow");
     --stableCount_;
-    pageToSlot_.erase(slot.devPage);
+    pageToSlot_[slot.page] = kNoSlot;
     slot.state = CacheSlot::State::Busy;
     return prior;
 }
@@ -141,19 +137,20 @@ DramCache::finishEvict(std::uint32_t s)
                 "finishing eviction of a non-busy slot");
     slot.state = CacheSlot::State::Free;
     slot.dirty = false;
-    slot.devPage = 0;
+    slot.page = 0;
     freeList_.push_back(s);
 }
 
 void
-DramCache::rebind(std::uint32_t s, std::uint64_t dev_page)
+DramCache::rebind(std::uint32_t s, std::uint64_t page)
 {
     CacheSlot& slot = slots_[s];
     NVDC_ASSERT(slot.state == CacheSlot::State::Busy,
                 "rebinding a non-busy slot");
-    slot.devPage = dev_page;
+    NVDC_ASSERT(page < pageCount_, "page ", page, " is outside the ",
+                pageCount_, " pages this cache serves");
+    slot.page = page;
     slot.dirty = false;
-    pageToSlot_.insert_or_assign(dev_page, s);
 }
 
 void
@@ -162,6 +159,11 @@ DramCache::finishFill(std::uint32_t s)
     CacheSlot& slot = slots_[s];
     NVDC_ASSERT(slot.state == CacheSlot::State::Busy,
                 "finishing fill of a non-busy slot");
+    if (slot.page >= pageToSlot_.size())
+        pageToSlot_.resize(slot.page + 1, kNoSlot);
+    NVDC_ASSERT(pageToSlot_[slot.page] == kNoSlot, "page ", slot.page,
+                " is already cached in slot ", pageToSlot_[slot.page]);
+    pageToSlot_[slot.page] = s;
     slot.state = CacheSlot::State::Stable;
     ++stableCount_;
     stats_.installs.inc();

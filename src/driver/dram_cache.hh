@@ -1,10 +1,17 @@
 /**
  * @file
  * Fully associative DRAM cache bookkeeping (paper §IV-B): 4 KB slots,
- * any device page in any slot, pluggable replacement policy. This is
- * pure state — the timing (CP commands, windows, NAND) lives in the
+ * any page in any slot, pluggable replacement policy. This is pure
+ * state — the timing (CP commands, windows, NAND) lives in the
  * NvdcDriver — so the hit-rate study (§VII-B5) can replay traces
  * through it directly.
+ *
+ * The page -> slot directory is also the DAX page table (paper Fig 6):
+ * a PTE is valid exactly while its page sits in a Stable slot, so the
+ * directory holds an entry for a page only then. It is dense, one
+ * entry per page index up to the highest page held, so pages come
+ * from a range bounded at construction: the driver keys each module's
+ * cache by module-local page.
  */
 
 #ifndef NVDIMMC_DRIVER_DRAM_CACHE_HH
@@ -15,7 +22,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/flat_map.hh"
 #include "common/stats.hh"
 #include "driver/replacement_policy.hh"
 
@@ -27,7 +33,9 @@ struct CacheSlot
 {
     enum class State : std::uint8_t { Free, Stable, Busy };
 
-    std::uint64_t devPage = 0; ///< Device (logical NAND) page cached.
+    /** Page held: the key the cache was given (the driver gives it
+     *  module-local NAND pages). */
+    std::uint64_t page = 0;
     State state = State::Free;
     bool dirty = false;
 };
@@ -55,7 +63,11 @@ struct DramCacheStats
 class DramCache
 {
   public:
-    DramCache(std::uint32_t slot_count,
+    /** @p page_count bounds the pages the cache may be given. The
+     *  directory reserves address space for that many entries up
+     *  front, so growing never copies it; only entries up to the
+     *  highest page held are ever written. */
+    DramCache(std::uint32_t slot_count, std::uint64_t page_count,
               std::unique_ptr<ReplacementPolicy> policy);
 
     std::uint32_t slotCount() const { return slotCount_; }
@@ -66,17 +78,23 @@ class DramCache
     bool hasFree() const { return !freeList_.empty(); }
 
     /**
-     * Look up @p dev_page; counts a hit/miss and (on hit) touches the
-     * replacement policy.
+     * Look up @p page; counts a hit/miss and (on hit) touches the
+     * replacement policy. Only Stable slots hit.
      */
-    std::optional<std::uint32_t> lookup(std::uint64_t dev_page);
+    std::optional<std::uint32_t> lookup(std::uint64_t page);
 
-    /** Look without counting or touching (driver re-checks). */
-    std::optional<std::uint32_t> peek(std::uint64_t dev_page) const;
+    /** Look without counting or touching (the driver's PTE walk). */
+    std::optional<std::uint32_t>
+    peek(std::uint64_t page) const
+    {
+        if (page >= pageToSlot_.size() || pageToSlot_[page] == kNoSlot)
+            return std::nullopt;
+        return pageToSlot_[page];
+    }
 
-    /** Take a free slot and bind it to @p dev_page (state Busy until
-     *  the fill completes). */
-    std::uint32_t allocate(std::uint64_t dev_page);
+    /** Take a free slot and bind it to @p page (state Busy until the
+     *  fill completes). @p page must be below the page count. */
+    std::uint32_t allocate(std::uint64_t page);
 
     /** Choose an evictable (Stable) victim via the policy. */
     std::uint32_t pickVictim();
@@ -87,8 +105,8 @@ class DramCache
      */
     std::optional<std::uint32_t> pickCleanVictim();
 
-    /** Begin evicting @p slot: unmaps the page, marks Busy.
-     *  @return the evicted slot's prior contents. */
+    /** Begin evicting @p slot: drops its page from the directory,
+     *  marks Busy. @return the evicted slot's prior contents. */
     CacheSlot beginEvict(std::uint32_t slot);
 
     /** Finish an eviction: the slot becomes Free. */
@@ -97,11 +115,12 @@ class DramCache
     /**
      * Rebind a slot mid-eviction to a new page (the evict/fill pair
      * reuses the same slot, as the paper's driver does). Slot stays
-     * Busy until finishFill().
+     * Busy until finishFill(). @p page must be below the page count.
      */
-    void rebind(std::uint32_t slot, std::uint64_t dev_page);
+    void rebind(std::uint32_t slot, std::uint64_t page);
 
-    /** Fill finished: slot becomes Stable (hit-able). */
+    /** Fill finished: slot becomes Stable (hit-able) and enters the
+     *  directory, which grows to hold its page if needed. */
     void finishFill(std::uint32_t slot);
 
     void markDirty(std::uint32_t slot);
@@ -126,14 +145,20 @@ class DramCache
                        const std::string& prefix) const;
 
   private:
+    /** Directory entry of a page that no Stable slot holds. */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
     std::uint32_t slotCount_;
+    std::uint64_t pageCount_;
     std::unique_ptr<ReplacementPolicy> policy_;
     std::vector<CacheSlot> slots_;
     std::vector<std::uint32_t> pins_;
     /** Number of Stable slots (== entries the policy knows about). */
     std::uint32_t stableCount_ = 0;
     std::vector<std::uint32_t> freeList_;
-    FlatMap<std::uint32_t> pageToSlot_;
+    /** Entry p: the Stable slot holding page p, or kNoSlot. Grown on
+     *  demand to the highest page held; lookups never grow it. */
+    std::vector<std::uint32_t> pageToSlot_;
     DramCacheStats stats_;
 };
 

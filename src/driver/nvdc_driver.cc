@@ -34,10 +34,9 @@ NvdcDriver::NvdcDriver(EventQueue& eq, cpu::CpuCacheModel& cache_model,
     for (std::uint32_t ch = 0; ch < channels_; ++ch) {
         const nvmc::ReservedLayout& lay = *layouts[ch];
         layouts_.push_back(lay);
-        caches_.push_back(std::make_unique<DramCache>(
-            lay.slotCount(),
-            ReplacementPolicy::create(cfg.policy,
-                                      cfg.policySeed + ch)));
+        caches_.emplace_back(
+            lay.slotCount(), backend_pages_total / channels_,
+            ReplacementPolicy::create(cfg.policy, cfg.policySeed + ch));
         locks_.push_back(std::make_unique<SimMutex>(eq));
     }
 }
@@ -46,8 +45,14 @@ void
 NvdcDriver::markEverWritten(std::uint64_t first_page,
                             std::uint64_t pages)
 {
-    for (std::uint64_t p = first_page; p < first_page + pages; ++p)
-        everWritten_[p] = true;
+    NVDC_ASSERT(first_page <= backendPages_ &&
+                    pages <= backendPages_ - first_page,
+                "markEverWritten of ", pages, " pages from page ",
+                first_page, " runs past the device's ", backendPages_,
+                " pages");
+    auto first = everWritten_.begin() +
+                 static_cast<std::ptrdiff_t>(first_page);
+    std::fill(first, first + static_cast<std::ptrdiff_t>(pages), true);
 }
 
 void
@@ -140,7 +145,10 @@ void
 NvdcDriver::doSegment(std::shared_ptr<Segment> seg)
 {
     seg->startedAt = eq_.now();
-    auto slot = pageTable_.translate(seg->devPage);
+    // The PTE walk: a page's PTE is valid exactly while its cache
+    // directory names a Stable slot for it.
+    auto slot = caches_[channelOf(seg->devPage)].peek(
+        localPage(seg->devPage));
     if (slot) {
         hitPath(seg, *slot);
     } else {
@@ -263,10 +271,10 @@ NvdcDriver::hitPath(std::shared_ptr<Segment> seg, std::uint32_t slot)
             eq_.scheduleAfter(hold, [this, seg, slot, ch] {
                 span::phase(seg->span, span::Phase::LockHold,
                             eq_.now());
-                DramCache& cache = *caches_[ch];
+                DramCache& cache = caches_[ch];
                 // Re-validate under the lock: the slot may have been
                 // evicted while we waited.
-                auto cur = cache.lookup(seg->devPage);
+                auto cur = cache.lookup(localPage(seg->devPage));
                 if (!cur || *cur != slot) {
                     locks_[ch]->release();
                     stats_.pageFaults.inc();
@@ -293,7 +301,7 @@ NvdcDriver::hitPath(std::shared_ptr<Segment> seg, std::uint32_t slot)
                     span::phase(seg->span, span::Phase::Metadata,
                                 eq_.now());
                     segmentMemcpy(seg, slot, [this, seg, slot, ch] {
-                        caches_[ch]->unpin(slot);
+                        caches_[ch].unpin(slot);
                         finishHit(seg);
                     });
                 };
@@ -318,22 +326,22 @@ NvdcDriver::hypotheticalFault(std::shared_ptr<Segment> seg)
         span::phase(seg->span, span::Phase::LockWait, eq_.now());
         eq_.scheduleAfter(cfg_.faultOverhead, [this, seg, ch] {
             span::phase(seg->span, span::Phase::FaultEntry, eq_.now());
-            DramCache& cache = *caches_[ch];
-            auto cur = cache.peek(seg->devPage);
+            DramCache& cache = caches_[ch];
+            const std::uint64_t local = localPage(seg->devPage);
+            auto cur = cache.peek(local);
             if (cur) {
                 locks_[ch]->release();
                 hitPath(seg, *cur);
                 return;
             }
-            cache.lookup(seg->devPage); // Record the miss.
+            cache.lookup(local); // Record the miss.
             std::uint32_t slot;
             if (cache.hasFree()) {
-                slot = cache.allocate(seg->devPage);
+                slot = cache.allocate(local);
             } else {
                 std::uint32_t victim = cache.pickVictim();
-                CacheSlot prior = cache.beginEvict(victim);
-                pageTable_.unmap(prior.devPage);
-                cache.rebind(victim, seg->devPage);
+                cache.beginEvict(victim);
+                cache.rebind(victim, local);
                 slot = victim;
             }
             locks_[ch]->release();
@@ -347,15 +355,14 @@ NvdcDriver::hypotheticalFault(std::shared_ptr<Segment> seg)
                 locks_[ch]->acquire([this, seg, slot, ch] {
                     span::phase(seg->span, span::Phase::LockWait,
                                 eq_.now());
-                    DramCache& cache = *caches_[ch];
+                    DramCache& cache = caches_[ch];
                     cache.finishFill(slot);
                     if (seg->isWrite || !cfg_.trackDirty)
                         cache.markDirty(slot);
-                    pageTable_.map(seg->devPage, slot);
                     cache.pin(slot);
                     locks_[ch]->release();
                     segmentMemcpy(seg, slot, [this, seg, slot, ch] {
-                        caches_[ch]->unpin(slot);
+                        caches_[ch].unpin(slot);
                         finishFault(seg);
                     });
                 });
@@ -375,10 +382,11 @@ NvdcDriver::faultPath(std::shared_ptr<Segment> seg)
         span::phase(seg->span, span::Phase::LockWait, eq_.now());
         eq_.scheduleAfter(cfg_.faultOverhead, [this, seg, ch] {
             span::phase(seg->span, span::Phase::FaultEntry, eq_.now());
-            DramCache& cache = *caches_[ch];
+            DramCache& cache = caches_[ch];
+            const std::uint64_t local = localPage(seg->devPage);
             // Someone else (or a prefetch) may have filled the page
             // while we waited.
-            auto cur = cache.peek(seg->devPage);
+            auto cur = cache.peek(local);
             if (cur) {
                 locks_[ch]->release();
                 hitPath(seg, *cur);
@@ -408,7 +416,7 @@ NvdcDriver::faultPath(std::shared_ptr<Segment> seg)
                 return;
             }
 
-            cache.lookup(seg->devPage); // Record the miss.
+            cache.lookup(local); // Record the miss.
             pendingFills_[seg->devPage]; // Claim the fill.
 
             bool sequential_stream =
@@ -421,15 +429,14 @@ NvdcDriver::faultPath(std::shared_ptr<Segment> seg)
             std::uint64_t wb_page = 0;
             std::uint32_t slot;
             if (cache.hasFree()) {
-                slot = cache.allocate(seg->devPage);
+                slot = cache.allocate(local);
             } else {
                 std::uint32_t victim = cache.pickVictim();
                 CacheSlot prior = cache.beginEvict(victim);
-                pageTable_.unmap(prior.devPage);
-                cache.rebind(victim, seg->devPage);
+                cache.rebind(victim, local);
                 slot = victim;
                 need_wb = prior.dirty || !cfg_.trackDirty;
-                wb_page = prior.devPage;
+                wb_page = il_.flattenPage(ch, prior.page);
                 if (need_wb) {
                     pendingWritebacks_[wb_page];
                     span::classify(seg->span,
@@ -457,14 +464,13 @@ NvdcDriver::faultPath(std::shared_ptr<Segment> seg)
                     locks_[ch]->acquire([this, seg, slot, ch] {
                         span::phase(seg->span, span::Phase::LockWait,
                                     eq_.now());
-                        DramCache& cache = *caches_[ch];
+                        DramCache& cache = caches_[ch];
                         cache.finishFill(slot);
                         // Without dirty tracking the PoC assumes every
                         // cached page is dirty (it writes all victims
                         // back and the power dump must save them).
                         if (seg->isWrite || !cfg_.trackDirty)
                             cache.markDirty(slot);
-                        pageTable_.map(seg->devPage, slot);
                         cache.pin(slot);
                         locks_[ch]->release();
                         writeMetadata(ch, slot, [this, seg, slot, ch] {
@@ -474,7 +480,7 @@ NvdcDriver::faultPath(std::shared_ptr<Segment> seg)
                             fillCompleted(seg->devPage);
                             segmentMemcpy(seg, slot,
                                           [this, seg, slot, ch] {
-                                caches_[ch]->unpin(slot);
+                                caches_[ch].unpin(slot);
                                 finishFault(seg);
                             });
                         });
@@ -601,8 +607,9 @@ NvdcDriver::prefetchFill(std::uint64_t page)
     std::uint32_t ch = channelOf(page);
     eq_.scheduleAfter(0, [this, page, ch] {
         locks_[ch]->acquire([this, page, ch] {
-            DramCache& cache = *caches_[ch];
-            if (cache.peek(page) || pendingFills_.count(page) ||
+            DramCache& cache = caches_[ch];
+            const std::uint64_t local = localPage(page);
+            if (cache.peek(local) || pendingFills_.count(page) ||
                 pendingWritebacks_.count(page)) {
                 locks_[ch]->release();
                 return;
@@ -613,7 +620,7 @@ NvdcDriver::prefetchFill(std::uint64_t page)
             }
             std::uint32_t slot;
             if (cache.hasFree()) {
-                slot = cache.allocate(page);
+                slot = cache.allocate(local);
             } else {
                 // A prefetch may reclaim a CLEAN victim, but must
                 // never trigger a writeback of its own.
@@ -622,9 +629,8 @@ NvdcDriver::prefetchFill(std::uint64_t page)
                     locks_[ch]->release();
                     return;
                 }
-                CacheSlot prior = cache.beginEvict(*clean);
-                pageTable_.unmap(prior.devPage);
-                cache.rebind(*clean, page);
+                cache.beginEvict(*clean);
+                cache.rebind(*clean, local);
                 slot = *clean;
             }
             pendingFills_[page];
@@ -639,11 +645,10 @@ NvdcDriver::prefetchFill(std::uint64_t page)
             transport_.submit(ch, op, [this, page, slot, ch] {
                 auto finish = [this, page, slot, ch] {
                     locks_[ch]->acquire([this, page, slot, ch] {
-                        DramCache& cache = *caches_[ch];
+                        DramCache& cache = caches_[ch];
                         cache.finishFill(slot);
                         if (!cfg_.trackDirty)
                             cache.markDirty(slot);
-                        pageTable_.map(page, slot);
                         locks_[ch]->release();
                         writeMetadata(ch, slot, [this, page] {
                             fillCompleted(page);
@@ -699,15 +704,11 @@ NvdcDriver::invalidateSlotLines(std::uint32_t channel,
     flushSlotLines(channel, slot, std::move(done));
 }
 
-void
-NvdcDriver::writeMetadata(std::uint32_t channel, std::uint32_t slot,
-                          Callback done)
+std::array<std::uint8_t, 64>
+NvdcDriver::metadataLine(std::uint32_t channel, std::uint32_t slot) const
 {
-    DramCache& cache = *caches_[channel];
+    const DramCache& cache = caches_[channel];
     std::uint32_t first = (slot / 4) * 4;
-    Addr addr = flatAddr(channel, layouts_[channel].metadataAddr(first));
-    NVDC_ASSERT(addr % 64 == 0, "metadata line misaligned");
-
     std::array<std::uint8_t, 64> line{};
     for (std::uint32_t i = 0; i < 4; ++i) {
         std::uint32_t s = first + i;
@@ -717,15 +718,25 @@ NvdcDriver::writeMetadata(std::uint32_t channel, std::uint32_t slot,
         nvmc::SlotMetadata m;
         // The firmware's power-fail dump feeds this page into its own
         // module's backend: it must be the module-LOCAL page, exactly
-        // as CP commands carry it. Encoding the flat page here sent
-        // channel >= 1 victims to the wrong NAND page.
-        m.nandPage = localPage(cs.devPage);
+        // as CP commands carry it — which is the page the cache is
+        // keyed by.
+        m.nandPage = cs.page;
         m.valid = cs.state != CacheSlot::State::Free;
         m.dirty = cs.dirty;
         nvmc::encodeSlotMetadata(m, line.data() + i * 16);
     }
+    return line;
+}
 
-    auto data = std::make_shared<std::array<std::uint8_t, 64>>(line);
+void
+NvdcDriver::writeMetadata(std::uint32_t channel, std::uint32_t slot,
+                          Callback done)
+{
+    Addr addr = flatAddr(channel,
+                         layouts_[channel].metadataAddr((slot / 4) * 4));
+    NVDC_ASSERT(addr % 64 == 0, "metadata line misaligned");
+    auto data = std::make_shared<std::array<std::uint8_t, 64>>(
+        metadataLine(channel, slot));
     cacheModel_.store(addr, data->data(), [this, addr, data,
                                            cb = std::move(done)] {
         cacheModel_.clflush(addr, [cb, data] { cb(); });
@@ -775,31 +786,31 @@ NvdcDriver::registerStats(StatRegistry& reg,
     reg.addHistogram(prefix + ".hit_latency", stats_.hitLatency);
     reg.addHistogram(prefix + ".fault_latency", stats_.faultLatency);
     if (channels_ == 1) {
-        caches_[0]->registerStats(reg, prefix + ".cache");
+        caches_[0].registerStats(reg, prefix + ".cache");
         return;
     }
     // Multi-channel: per-module cache blocks plus the aggregate the
     // flat cache.* aliases and sweep tooling key on.
     for (std::uint32_t ch = 0; ch < channels_; ++ch)
-        caches_[ch]->registerStats(
+        caches_[ch].registerStats(
             reg, prefix + ".ch" + std::to_string(ch) + ".cache");
     reg.add(prefix + ".cache.hits", [this] {
         double v = 0;
         for (const auto& c : caches_)
-            v += static_cast<double>(c->stats().hits.value());
+            v += static_cast<double>(c.stats().hits.value());
         return v;
     });
     reg.add(prefix + ".cache.misses", [this] {
         double v = 0;
         for (const auto& c : caches_)
-            v += static_cast<double>(c->stats().misses.value());
+            v += static_cast<double>(c.stats().misses.value());
         return v;
     });
     reg.add(prefix + ".cache.hit_rate", [this] {
         double hits = 0, misses = 0;
         for (const auto& c : caches_) {
-            hits += static_cast<double>(c->stats().hits.value());
-            misses += static_cast<double>(c->stats().misses.value());
+            hits += static_cast<double>(c.stats().hits.value());
+            misses += static_cast<double>(c.stats().misses.value());
         }
         double total = hits + misses;
         return total == 0 ? 0.0 : hits / total;

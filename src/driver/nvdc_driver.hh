@@ -19,16 +19,19 @@
  * Multi-channel topology: with N modules the device pages interleave
  * round-robin across channels (page p is owned by module p % N, at
  * module-local page p / N). Each channel has its own DRAM cache
- * slice, its own driver lock and its own CP command queue — per-module
- * resources in hardware, per-module locks in a production driver — so
- * independent channels fault and serve hits concurrently. With N == 1
- * every routing function is the identity and the driver behaves
- * byte-identically to the single-channel original.
+ * slice, keyed by module-local page (its directory is that module's
+ * page table), its own driver lock and its own CP command queue —
+ * per-module resources in hardware, per-module locks in a production
+ * driver — so independent channels fault and serve hits
+ * concurrently. With N == 1 every routing function is the identity
+ * and the driver behaves byte-identically to the single-channel
+ * original.
  */
 
 #ifndef NVDIMMC_DRIVER_NVDC_DRIVER_HH
 #define NVDIMMC_DRIVER_NVDC_DRIVER_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -45,7 +48,6 @@
 #include "cpu/memcpy_engine.hh"
 #include "dram/channel_interleave.hh"
 #include "driver/dram_cache.hh"
-#include "driver/page_table.hh"
 #include "nvmc/cp_protocol.hh"
 
 namespace nvdimmc::driver
@@ -179,9 +181,19 @@ class NvdcDriver
     /**
      * Declare a device range as holding data (e.g. after simulated
      * preconditioning): faults on it perform real cachefills instead
-     * of the zero-fill fast path.
+     * of the zero-fill fast path. The range must lie on the device.
      */
     void markEverWritten(std::uint64_t first_page, std::uint64_t pages);
+
+    /**
+     * The 64-byte in-DRAM metadata line covering @p slot of
+     * @p channel's cache: one 16-byte entry per slot of its 4-slot
+     * group, naming the slot's module-local NAND page (the page the
+     * firmware's power-fail dump writes it to) with its valid and
+     * dirty bits.
+     */
+    std::array<std::uint8_t, 64> metadataLine(std::uint32_t channel,
+                                              std::uint32_t slot) const;
 
     /** @name Introspection (diagnostics / tests). */
     /** @{ */
@@ -200,10 +212,19 @@ class NvdcDriver
     {
         return il_.pageChannel(page);
     }
-    DramCache& cache(std::uint32_t channel) { return *caches_[channel]; }
+    /** Module-local page of a device page on its owning channel: the
+     *  key of that channel's cache and the NAND page of its CP
+     *  commands. */
+    std::uint64_t localPage(std::uint64_t page) const
+    {
+        return il_.localPage(page);
+    }
+    /** Channel @p channel's cache slice, keyed by module-local page
+     *  (so its directory is the valid PTEs of that module's pages). */
+    DramCache& cache(std::uint32_t channel) { return caches_[channel]; }
     const DramCache& cache(std::uint32_t channel) const
     {
-        return *caches_[channel];
+        return caches_[channel];
     }
     const nvmc::ReservedLayout& layout(std::uint32_t channel) const
     {
@@ -212,9 +233,8 @@ class NvdcDriver
     /** @} */
 
     /** Channel-0 cache (the only one on a single-channel system). */
-    DramCache& cache() { return *caches_[0]; }
-    const DramCache& cache() const { return *caches_[0]; }
-    PageTable& pageTable() { return pageTable_; }
+    DramCache& cache() { return caches_[0]; }
+    const DramCache& cache() const { return caches_[0]; }
     const NvdcDriverStats& stats() const { return stats_; }
     /** The media-transport backend the fault path goes through. */
     backend::MediaBackend& transport() { return transport_; }
@@ -268,19 +288,11 @@ class NvdcDriver
     Tick postCost(const Segment& seg) const;
     Tick lockCost(const Segment& seg) const;
 
-    /** @name Per-page channel routing. */
-    /** @{ */
     /** Flat interleaved address of a channel-local DRAM address. */
     Addr flatAddr(std::uint32_t channel, Addr local) const
     {
         return il_.flatten(channel, local);
     }
-    /** Module-local NAND page index for a CP command field. */
-    std::uint64_t localPage(std::uint64_t page) const
-    {
-        return il_.localPage(page);
-    }
-    /** @} */
 
     /** Flush (or invalidate) every line of a slot, chained. Line
      *  addresses are composed channel-locally so they stay correct at
@@ -318,8 +330,10 @@ class NvdcDriver
      *  slots never stripe across modules; 256 B allowed for CXL). */
     dram::ChannelInterleave il_;
 
-    std::vector<std::unique_ptr<DramCache>> caches_;
-    PageTable pageTable_;
+    /** One per channel, held by value so the PTE walk in every
+     *  read/write reaches a directory one dependent load sooner. Sized
+     *  once at construction: registered stats point into it. */
+    std::vector<DramCache> caches_;
     std::vector<std::unique_ptr<SimMutex>> locks_;
     /** Blocks that have ever been written (or declared written via
      *  markEverWritten); reads of other blocks are zero-fills. */

@@ -8,13 +8,11 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/event_queue.hh"
-#include "common/flat_map.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/sim_mutex.hh"
@@ -498,95 +496,6 @@ TEST_P(HistogramProperty, PercentilesBounded)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HistogramProperty,
                          ::testing::Range(1, 11));
-
-TEST(FlatMap, BasicInsertFindErase)
-{
-    FlatMap<std::uint32_t> m;
-    EXPECT_TRUE(m.empty());
-    EXPECT_EQ(m.find(7), nullptr);
-    EXPECT_FALSE(m.erase(7));
-
-    m.insert_or_assign(7, 70);
-    m.insert_or_assign(0, 1); // Key 0 must be a legal key.
-    ASSERT_NE(m.find(7), nullptr);
-    EXPECT_EQ(*m.find(7), 70u);
-    ASSERT_NE(m.find(0), nullptr);
-    EXPECT_EQ(*m.find(0), 1u);
-    EXPECT_EQ(m.size(), 2u);
-
-    m.insert_or_assign(7, 71); // Overwrite, not duplicate.
-    EXPECT_EQ(*m.find(7), 71u);
-    EXPECT_EQ(m.size(), 2u);
-
-    EXPECT_TRUE(m.erase(7));
-    EXPECT_EQ(m.find(7), nullptr);
-    EXPECT_FALSE(m.erase(7));
-    EXPECT_EQ(m.size(), 1u);
-    EXPECT_TRUE(m.contains(0));
-}
-
-TEST(FlatMap, GrowsPastManyRehashes)
-{
-    FlatMap<std::uint32_t> m;
-    const std::uint64_t n = 10000;
-    for (std::uint64_t k = 0; k < n; ++k)
-        m.insert_or_assign(k * 4096, static_cast<std::uint32_t>(k));
-    EXPECT_EQ(m.size(), n);
-    for (std::uint64_t k = 0; k < n; ++k) {
-        const std::uint32_t* v = m.find(k * 4096);
-        ASSERT_NE(v, nullptr) << k;
-        EXPECT_EQ(*v, static_cast<std::uint32_t>(k));
-    }
-    EXPECT_EQ(m.find(1), nullptr);
-}
-
-/**
- * Differential check of backward-shift deletion: mirror a random
- * insert/overwrite/erase stream against std::map and compare every
- * lookup. Sequential page numbers + a power-of-two table is exactly
- * the collision shape the splitmix64 mix must survive.
- */
-TEST(FlatMap, RandomOpsMatchStdMap)
-{
-    Rng rng(77);
-    FlatMap<std::uint32_t> m;
-    std::map<std::uint64_t, std::uint32_t> ref;
-    const std::uint64_t keys = 512; // Dense → heavy probe runs.
-    for (int op = 0; op < 20000; ++op) {
-        std::uint64_t k = rng.below(keys);
-        if (rng.chance(0.55)) {
-            auto v = static_cast<std::uint32_t>(rng.next());
-            m.insert_or_assign(k, v);
-            ref[k] = v;
-        } else {
-            EXPECT_EQ(m.erase(k), ref.erase(k) > 0) << "key " << k;
-        }
-        std::uint64_t probe = rng.below(keys);
-        const std::uint32_t* got = m.find(probe);
-        auto it = ref.find(probe);
-        if (it == ref.end()) {
-            EXPECT_EQ(got, nullptr) << "key " << probe;
-        } else {
-            ASSERT_NE(got, nullptr) << "key " << probe;
-            EXPECT_EQ(*got, it->second);
-        }
-        EXPECT_EQ(m.size(), ref.size());
-    }
-}
-
-TEST(FlatMap, ReserveAndClear)
-{
-    FlatMap<std::uint32_t> m;
-    m.reserve(1000);
-    for (std::uint64_t k = 0; k < 1000; ++k)
-        m.insert_or_assign(k, 1);
-    EXPECT_EQ(m.size(), 1000u);
-    m.clear();
-    EXPECT_TRUE(m.empty());
-    EXPECT_EQ(m.find(5), nullptr);
-    m.insert_or_assign(5, 2);
-    EXPECT_EQ(*m.find(5), 2u);
-}
 
 } // namespace
 } // namespace nvdimmc

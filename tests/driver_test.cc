@@ -1,7 +1,8 @@
 /**
  * @file
- * Driver-layer tests: replacement policies, DRAM cache directory,
- * page table, and nvdc driver behaviour on a full system.
+ * Driver-layer tests: replacement policies, the DRAM cache directory
+ * (which is also the DAX page table), and nvdc driver behaviour on a
+ * full system.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 
 #include "core/system.hh"
 #include "driver/dram_cache.hh"
-#include "driver/page_table.hh"
 #include "driver/replacement_policy.hh"
 
 namespace nvdimmc::driver
@@ -141,7 +141,7 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyProperty,
 
 TEST(DramCacheTest, AllocateLookupEvictCycle)
 {
-    DramCache cache(4, ReplacementPolicy::create("lrc"));
+    DramCache cache(4, 128, ReplacementPolicy::create("lrc"));
     EXPECT_TRUE(cache.hasFree());
     std::uint32_t s = cache.allocate(100);
     EXPECT_FALSE(cache.lookup(100).has_value())
@@ -153,7 +153,7 @@ TEST(DramCacheTest, AllocateLookupEvictCycle)
     cache.markDirty(s);
     CacheSlot prior = cache.beginEvict(s);
     EXPECT_TRUE(prior.dirty);
-    EXPECT_EQ(prior.devPage, 100u);
+    EXPECT_EQ(prior.page, 100u);
     EXPECT_FALSE(cache.lookup(100).has_value());
     cache.finishEvict(s);
     EXPECT_EQ(cache.usedSlots(), 0u);
@@ -161,7 +161,7 @@ TEST(DramCacheTest, AllocateLookupEvictCycle)
 
 TEST(DramCacheTest, RebindReusesSlotForNewPage)
 {
-    DramCache cache(2, ReplacementPolicy::create("lrc"));
+    DramCache cache(2, 4, ReplacementPolicy::create("lrc"));
     std::uint32_t s = cache.allocate(1);
     cache.finishFill(s);
     cache.beginEvict(s);
@@ -174,36 +174,59 @@ TEST(DramCacheTest, RebindReusesSlotForNewPage)
 
 TEST(DramCacheTest, FillsToCapacityThenEvicts)
 {
-    DramCache cache(3, ReplacementPolicy::create("lrc"));
+    DramCache cache(3, 3, ReplacementPolicy::create("lrc"));
     for (std::uint64_t p = 0; p < 3; ++p)
         cache.finishFill(cache.allocate(p));
     EXPECT_FALSE(cache.hasFree());
     std::uint32_t v = cache.pickVictim();
-    EXPECT_EQ(cache.slot(v).devPage, 0u) << "LRC evicts oldest install";
+    EXPECT_EQ(cache.slot(v).page, 0u) << "LRC evicts oldest install";
 }
 
 TEST(DramCacheTest, HitRateAccounting)
 {
-    DramCache cache(2, ReplacementPolicy::create("lru"));
+    DramCache cache(2, 4, ReplacementPolicy::create("lru"));
     cache.finishFill(cache.allocate(1));
     cache.lookup(1);
     cache.lookup(2);
     EXPECT_DOUBLE_EQ(cache.stats().hitRate(), 0.5);
 }
 
-// --- PageTable ---
-
-TEST(PageTableTest, MapTranslateUnmap)
+TEST(DramCacheTest, DenseDirectoryEdges)
 {
-    PageTable pt;
-    EXPECT_FALSE(pt.translate(7).has_value());
-    pt.map(7, 3);
-    ASSERT_TRUE(pt.translate(7).has_value());
-    EXPECT_EQ(*pt.translate(7), 3u);
-    pt.unmap(7);
-    EXPECT_FALSE(pt.translate(7).has_value());
-    EXPECT_EQ(pt.totalMaps(), 1u);
-    EXPECT_EQ(pt.totalUnmaps(), 1u);
+    // Pages [0, high] are the cache's to serve; none is held yet.
+    const std::uint64_t high = std::uint64_t{1} << 20;
+    DramCache cache(2, high + 1, ReplacementPolicy::create("lrc"));
+    // A page far above any page held misses without growing the
+    // dense directory to reach it.
+    const std::uint64_t far = std::uint64_t{1} << 40;
+    EXPECT_FALSE(cache.lookup(far).has_value());
+    EXPECT_EQ(cache.stats().misses.value(), 1u);
+    EXPECT_FALSE(cache.peek(far).has_value());
+    EXPECT_EQ(cache.stats().misses.value(), 1u) << "peek counts nothing";
+    EXPECT_THROW(cache.allocate(high + 1), PanicError);
+    EXPECT_EQ(cache.usedSlots(), 0u);
+
+    std::uint32_t s = cache.allocate(3);
+    cache.finishFill(s);
+    ASSERT_TRUE(cache.lookup(3).has_value());
+
+    // Rebind the slot to a page above any held: the directory only
+    // names it once the fill finishes.
+    cache.beginEvict(s);
+    EXPECT_THROW(cache.rebind(s, high + 1), PanicError);
+    EXPECT_FALSE(cache.peek(3).has_value());
+    cache.rebind(s, high);
+    EXPECT_FALSE(cache.lookup(high).has_value()) << "busy slots miss";
+    cache.finishFill(s);
+    ASSERT_TRUE(cache.lookup(high).has_value());
+    EXPECT_EQ(*cache.lookup(high), s);
+    EXPECT_FALSE(cache.peek(3).has_value());
+    EXPECT_FALSE(cache.peek(far).has_value());
+
+    cache.beginEvict(s);
+    EXPECT_FALSE(cache.lookup(high).has_value());
+    EXPECT_FALSE(cache.peek(high).has_value());
+    EXPECT_EQ(cache.stats().misses.value(), 3u);
 }
 
 // --- NvdcDriver on a full system ---
@@ -422,6 +445,26 @@ TEST_F(DriverFixture, RejectsOutOfRangeAccess)
         sys->driver().read(sys->driver().capacityBytes(), 4096,
                            buf.data(), [] {}),
         PanicError);
+}
+
+TEST_F(DriverFixture, MarkEverWrittenRejectsRangePastDevice)
+{
+    build();
+    const std::uint64_t pages = sys->driver().capacityBytes() / 4096;
+    sys->driver().markEverWritten(pages - 1, 1); // The last page is fine.
+    EXPECT_THROW(sys->driver().markEverWritten(pages - 1, 2), PanicError);
+}
+
+TEST_F(DriverFixture, PreconditionRejectsRangePastDevice)
+{
+    build();
+    const std::uint64_t pages = sys->driver().capacityBytes() / 4096;
+    EXPECT_THROW(sys->precondition(pages - 2, 4, true), PanicError);
+    EXPECT_EQ(sys->driver().cache().usedSlots(), 0u)
+        << "a rejected range must leave the cache untouched";
+    EXPECT_FALSE(sys->driver().cache().peek(pages + 1).has_value());
+    sys->precondition(pages - 2, 2, true); // Ends on the last page.
+    EXPECT_TRUE(sys->driver().cache().peek(pages - 1).has_value());
 }
 
 } // namespace

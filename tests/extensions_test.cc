@@ -489,7 +489,7 @@ TEST_F(NvdimmNFixture, NandMustCoverTheDram)
 
 TEST(CleanVictim, AllDirtyMeansNoCleanVictim)
 {
-    driver::DramCache cache(4,
+    driver::DramCache cache(4, 4,
                             driver::ReplacementPolicy::create("lrc"));
     for (std::uint64_t p = 0; p < 4; ++p) {
         auto s = cache.allocate(p);
@@ -504,7 +504,7 @@ TEST(CleanVictim, AllDirtyMeansNoCleanVictim)
 
 TEST(CleanVictim, FindsTheCleanOne)
 {
-    driver::DramCache cache(4,
+    driver::DramCache cache(4, 4,
                             driver::ReplacementPolicy::create("lrc"));
     for (std::uint64_t p = 0; p < 4; ++p) {
         auto s = cache.allocate(p);
@@ -514,7 +514,7 @@ TEST(CleanVictim, FindsTheCleanOne)
     }
     auto v = cache.pickCleanVictim();
     ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(cache.slot(*v).devPage, 2u);
+    EXPECT_EQ(cache.slot(*v).page, 2u);
 }
 
 // --- System stats dump & the Fig 2b command interleaving ---

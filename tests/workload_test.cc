@@ -184,9 +184,9 @@ TEST(TpchReplayTest, LruBeatsLrcOnHotJoinQuery)
     const std::uint64_t db_pages = 65536;
     const std::uint32_t slots = 2048;
 
-    driver::DramCache lrc(slots,
+    driver::DramCache lrc(slots, db_pages,
                           driver::ReplacementPolicy::create("lrc"));
-    driver::DramCache lru(slots,
+    driver::DramCache lru(slots, db_pages,
                           driver::ReplacementPolicy::create("lru"));
     double hr_lrc = replayTpchOnCache(lrc, q9, db_pages, 120000, 3);
     double hr_lru = replayTpchOnCache(lru, q9, db_pages, 120000, 3);
@@ -210,7 +210,7 @@ TEST(TpchReplayTest, LruBeatsLrcOnRecencyWorkload)
         const std::uint32_t slots = 512;
         const std::uint64_t pages = 8192;
         driver::DramCache cache(
-            slots, driver::ReplacementPolicy::create(policy));
+            slots, pages, driver::ReplacementPolicy::create(policy));
         Rng rng(31);
         std::vector<std::uint64_t> recent;
         for (int i = 0; i < 200000; ++i) {
@@ -253,7 +253,7 @@ TEST(TpchReplayTest, HitRateGrowsWithCacheSize)
     double prev = -1.0;
     for (std::uint32_t slots : {256u, 1024u, 4096u}) {
         driver::DramCache cache(
-            slots, driver::ReplacementPolicy::create("lru"));
+            slots, db_pages, driver::ReplacementPolicy::create("lru"));
         double hr = replayTpchOnCache(cache, q9, db_pages, 60000, 5);
         EXPECT_GT(hr, prev);
         prev = hr;
