@@ -14,11 +14,12 @@ Two input formats, auto-detected:
   BENCH_backends.json, BENCH_faults.json): every point's metrics are
   deterministic simulation outputs. Metrics on the stable allowlist
   (byte-identity verdicts, audit results, op/span/transaction counts,
-  integrity counters, fault-campaign fingerprints) must match the
-  committed baseline EXACTLY — any drift there means a behaviour
-  change, not noise, and the script exits non-zero. Other metrics
-  (throughput, latencies) are printed as informational diffs; wall_ms
-  and perf blocks are host wall-clock and stay warn-only.
+  integrity counters, fault-campaign fingerprints and checkpoint
+  sizes) must match the committed baseline EXACTLY — any drift there
+  means a behaviour change, not noise, and the script exits non-zero.
+  Other metrics (throughput, latencies) are printed as informational
+  diffs; wall_ms and perf blocks are host wall-clock and stay
+  warn-only.
 
 Both formats carry a schema version (sweep exports: top-level
 "schema_version"; google-benchmark dumps and pre-versioned exports
@@ -64,6 +65,7 @@ STABLE_METRICS = frozenset({
     "transactions",
     "committed",
     "checkpoint_deterministic",
+    "checkpoint_kb",
     "fingerprint",
 })
 

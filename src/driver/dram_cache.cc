@@ -18,9 +18,6 @@ DramCache::DramCache(std::uint32_t slot_count, std::uint64_t page_count,
     // Address space only: untouched entries cost no memory, and the
     // directory then grows in place instead of copying itself.
     pageToSlot_.reserve(page_count);
-    freeList_.reserve(slot_count);
-    for (std::uint32_t s = slot_count; s > 0; --s)
-        freeList_.push_back(s - 1);
 }
 
 std::optional<std::uint32_t>
@@ -39,11 +36,16 @@ DramCache::lookup(std::uint64_t page)
 std::uint32_t
 DramCache::allocate(std::uint64_t page)
 {
-    NVDC_ASSERT(!freeList_.empty(), "allocate with no free slot");
+    NVDC_ASSERT(hasFree(), "allocate with no free slot");
     NVDC_ASSERT(page < pageCount_, "page ", page, " is outside the ",
                 pageCount_, " pages this cache serves");
-    std::uint32_t s = freeList_.back();
-    freeList_.pop_back();
+    std::uint32_t s;
+    if (freed_.empty()) {
+        s = nextFresh_++;
+    } else {
+        s = freed_.back();
+        freed_.pop_back();
+    }
     CacheSlot& slot = slots_[s];
     slot.page = page;
     slot.state = CacheSlot::State::Busy;
@@ -138,7 +140,7 @@ DramCache::finishEvict(std::uint32_t s)
     slot.state = CacheSlot::State::Free;
     slot.dirty = false;
     slot.page = 0;
-    freeList_.push_back(s);
+    freed_.push_back(s);
 }
 
 void

@@ -73,9 +73,12 @@ class DramCache
     std::uint32_t slotCount() const { return slotCount_; }
     std::uint32_t usedSlots() const
     {
-        return slotCount_ - static_cast<std::uint32_t>(freeList_.size());
+        return nextFresh_ - static_cast<std::uint32_t>(freed_.size());
     }
-    bool hasFree() const { return !freeList_.empty(); }
+    bool hasFree() const
+    {
+        return !freed_.empty() || nextFresh_ < slotCount_;
+    }
 
     /**
      * Look up @p page; counts a hit/miss and (on hit) touches the
@@ -93,7 +96,9 @@ class DramCache
     }
 
     /** Take a free slot and bind it to @p page (state Busy until the
-     *  fill completes). @p page must be below the page count. */
+     *  fill completes). @p page must be below the page count. Slots
+     *  freed by finishEvict come first, the most recently freed
+     *  first; then never-used slots, in ascending order. */
     std::uint32_t allocate(std::uint64_t page);
 
     /** Choose an evictable (Stable) victim via the policy. */
@@ -152,10 +157,15 @@ class DramCache
     std::uint64_t pageCount_;
     std::unique_ptr<ReplacementPolicy> policy_;
     std::vector<CacheSlot> slots_;
+    /** Pin count per slot, apart from slots_ on purpose: a read hit
+     *  pins its slot without touching the 16-byte slot array. */
     std::vector<std::uint32_t> pins_;
     /** Number of Stable slots (== entries the policy knows about). */
     std::uint32_t stableCount_ = 0;
-    std::vector<std::uint32_t> freeList_;
+    /** Slots [nextFresh_, slotCount_) have never been allocated. */
+    std::uint32_t nextFresh_ = 0;
+    /** Slots finishEvict freed, most recent last. */
+    std::vector<std::uint32_t> freed_;
     /** Entry p: the Stable slot holding page p, or kNoSlot. Grown on
      *  demand to the highest page held; lookups never grow it. */
     std::vector<std::uint32_t> pageToSlot_;

@@ -24,7 +24,7 @@ Ftl::Ftl(EventQueue& eq, nvm::ZNand& nand, const FtlConfig& cfg)
       logicalPages_(static_cast<std::uint64_t>(
           static_cast<double>(nand.params().totalPages()) *
           cfg.exposedFraction)),
-      map_(logicalPages_),
+      map_(logicalPages_, nand.params().totalPages()),
       bbm_(nand),
       wl_(nand, cfg.wearThreshold),
       ecc_(cfg.ecc),

@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/event_queue.hh"
@@ -308,7 +309,7 @@ TEST(FtlPrecondition, SequentialFillMapsInstantly)
 
 TEST(MappingTableUnit, MapRemapReverse)
 {
-    MappingTable mt(100);
+    MappingTable mt(100, 4096);
     EXPECT_EQ(mt.lookup(5), kUnmapped);
     EXPECT_EQ(mt.map(5, 1000), kUnmapped);
     EXPECT_EQ(mt.lookup(5), 1000u);
@@ -317,6 +318,79 @@ TEST(MappingTableUnit, MapRemapReverse)
     EXPECT_EQ(mt.reverseLookup(1000), kUnmapped);
     EXPECT_EQ(mt.reverseLookup(2000), 5u);
     EXPECT_EQ(mt.mappedCount(), 1u);
+}
+
+TEST(MappingTableUnit, RejectsOutOfRange)
+{
+    // An L2P entry is 32 bits wide, so a device whose physical page
+    // numbers it cannot all name is refused, by its page count.
+    try {
+        MappingTable too_big(16, std::uint64_t{1} << 32);
+        ADD_FAILURE() << "2^32 physical pages accepted";
+    } catch (const PanicError& e) {
+        EXPECT_NE(std::string(e.what()).find("4294967296"),
+                  std::string::npos)
+            << e.what();
+    }
+    MappingTable widest(16, ~std::uint32_t{0});
+    widest.map(0, std::uint64_t{~std::uint32_t{0}} - 1);
+    EXPECT_EQ(widest.lookup(0), std::uint64_t{~std::uint32_t{0}} - 1);
+
+    MappingTable mt(16, 64);
+    EXPECT_THROW(mt.map(16, 0), PanicError);
+    EXPECT_THROW(mt.map(std::uint64_t{1} << 20, 0), PanicError);
+    EXPECT_THROW(mt.map(0, 64), PanicError);
+    EXPECT_EQ(mt.mappedCount(), 0u);
+    EXPECT_EQ(mt.lookup(15), kUnmapped);
+    EXPECT_EQ(mt.lookup(std::uint64_t{1} << 40), kUnmapped);
+    EXPECT_EQ(mt.map(15, 63), kUnmapped) << "last lpn, last ppn";
+    EXPECT_EQ(mt.lookup(15), 63u);
+
+    // A checkpoint naming a ppn past the device is refused.
+    ByteWriter w;
+    w.tag(0x3150324c); // "L2P1"
+    w.u64(16);
+    for (std::uint64_t lpn = 0; lpn < 16; ++lpn)
+        w.u64(lpn == 5 ? 64 : kUnmapped);
+    MappingTable fresh(16, 64);
+    ByteReader r(w.data());
+    EXPECT_THROW(fresh.loadState(r), FatalError);
+}
+
+TEST(MappingTableUnit, CheckpointStreamIsOneEntryPerLogicalPage)
+{
+    // Fault-campaign checkpoints hold the L2P as one u64 per logical
+    // page, kUnmapped where none is mapped, however the table keeps
+    // it in memory.
+    MappingTable mt(16, 64);
+    mt.map(3, 40);
+    mt.map(15, 41);
+    ByteWriter saved;
+    mt.saveState(saved);
+
+    ByteWriter expect;
+    expect.tag(0x3150324c); // "L2P1"
+    expect.u64(16);
+    for (std::uint64_t lpn = 0; lpn < 16; ++lpn)
+        expect.u64(lpn == 3 ? 40 : lpn == 15 ? 41 : kUnmapped);
+    EXPECT_EQ(saved.data(), expect.data());
+
+    // Loading replaces whatever the table held.
+    MappingTable restored(16, 64);
+    restored.map(7, 50);
+    ByteReader r(expect.data());
+    restored.loadState(r);
+    EXPECT_EQ(r.remaining(), 0u);
+    for (std::uint64_t lpn = 0; lpn < 16; ++lpn)
+        EXPECT_EQ(restored.lookup(lpn), mt.lookup(lpn)) << "lpn " << lpn;
+    EXPECT_EQ(restored.reverseLookup(40), 3u);
+    EXPECT_EQ(restored.reverseLookup(41), 15u);
+    EXPECT_EQ(restored.reverseLookup(50), kUnmapped);
+    EXPECT_EQ(restored.mappedCount(), 2u);
+
+    MappingTable wider(17, 64);
+    ByteReader r17(expect.data());
+    EXPECT_THROW(wider.loadState(r17), FatalError);
 }
 
 TEST(GarbageCollectorUnit, GreedyPicksFewestValid)
