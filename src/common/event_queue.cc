@@ -22,7 +22,7 @@ EventQueue::schedule(Event& ev, Tick when)
     ev.seq_ = nextSeq_++;
     ev.sched_ = true;
     heap_.push_back(HeapEntry{when, ev.seq_, &ev});
-    std::push_heap(heap_.begin(), heap_.end(), later);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
     ++livePending_;
     if (heap_.size() - livePending_ > livePending_)
         dropDeadEntries();
@@ -34,14 +34,14 @@ EventQueue::dropDeadEntries()
     heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                                [](const HeapEntry& e) { return !live(e); }),
                 heap_.end());
-    std::make_heap(heap_.begin(), heap_.end(), later);
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool
 EventQueue::fireNextBound(Tick limit)
 {
     auto pop = [this] {
-        std::pop_heap(heap_.begin(), heap_.end(), later);
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
         heap_.pop_back();
     };
     // Dead entries leave as soon as they surface, whatever their tick.

@@ -305,12 +305,17 @@ class EventQueue
 
     /** The less-than for std::*_heap, which keep the greatest element
      *  on top: ordering by "later" makes the earliest (tick, seq) the
-     *  greatest. */
-    static bool
-    later(const HeapEntry& a, const HeapEntry& b)
+     *  greatest. A stateless function object rather than a function,
+     *  so the heap algorithms inline the comparison instead of calling
+     *  through a pointer. */
+    struct Later
     {
-        return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-    }
+        bool
+        operator()(const HeapEntry& a, const HeapEntry& b) const
+        {
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+        }
+    };
 
     /** A heap entry is live iff the event is still scheduled for it. */
     static bool

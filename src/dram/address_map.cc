@@ -1,5 +1,7 @@
 #include "dram/address_map.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace nvdimmc::dram
@@ -32,6 +34,9 @@ AddressMap::AddressMap(std::uint64_t capacity_bytes,
     if (row_bytes < kBurstBytes)
         fatal("AddressMap: row smaller than one burst");
     burstsPerRow_ = rowBytes_ / kBurstBytes;
+    colBits_ = static_cast<std::uint8_t>(std::countr_zero(burstsPerRow_));
+    bankBits_ = static_cast<std::uint8_t>(std::countr_zero(banksPerGroup_));
+    groupBits_ = static_cast<std::uint8_t>(std::countr_zero(bankGroups_));
     std::uint64_t per_row_span =
         std::uint64_t{rowBytes_} * totalBanks();
     if (capacity_bytes < per_row_span || capacity_bytes % per_row_span)
@@ -43,15 +48,15 @@ DramCoord
 AddressMap::decompose(Addr addr) const
 {
     NVDC_ASSERT(addr < capacity_, "address ", addr, " beyond capacity");
-    std::uint64_t burst = addr / kBurstBytes;
+    std::uint64_t burst = addr >> kBurstShift;
 
     DramCoord c;
-    c.col = static_cast<std::uint32_t>(burst % burstsPerRow_);
-    burst /= burstsPerRow_;
-    c.bank = static_cast<std::uint8_t>(burst % banksPerGroup_);
-    burst /= banksPerGroup_;
-    c.bankGroup = static_cast<std::uint8_t>(burst % bankGroups_);
-    burst /= bankGroups_;
+    c.col = static_cast<std::uint32_t>(burst & (burstsPerRow_ - 1));
+    burst >>= colBits_;
+    c.bank = static_cast<std::uint8_t>(burst & (banksPerGroup_ - 1u));
+    burst >>= bankBits_;
+    c.bankGroup = static_cast<std::uint8_t>(burst & (bankGroups_ - 1u));
+    burst >>= groupBits_;
     c.row = static_cast<std::uint32_t>(burst);
     return c;
 }
@@ -59,11 +64,13 @@ AddressMap::decompose(Addr addr) const
 Addr
 AddressMap::compose(const DramCoord& c) const
 {
+    // Adds, not ors: a field past its range carries into the next one,
+    // as the multiply-add form of this map always did.
     std::uint64_t burst = c.row;
-    burst = burst * bankGroups_ + c.bankGroup;
-    burst = burst * banksPerGroup_ + c.bank;
-    burst = burst * burstsPerRow_ + c.col;
-    Addr addr = burst * kBurstBytes;
+    burst = (burst << groupBits_) + c.bankGroup;
+    burst = (burst << bankBits_) + c.bank;
+    burst = (burst << colBits_) + c.col;
+    Addr addr = burst << kBurstShift;
     NVDC_ASSERT(addr < capacity_, "composed address beyond capacity");
     return addr;
 }

@@ -33,6 +33,7 @@ class AddressMap
 {
   public:
     static constexpr std::uint32_t kBurstBytes = 64;
+    static constexpr unsigned kBurstShift = 6; ///< log2(kBurstBytes)
 
     /**
      * @param capacity_bytes total rank capacity; must be a power of
@@ -74,6 +75,12 @@ class AddressMap
     std::uint32_t rows_;
     std::uint8_t bankGroups_;
     std::uint8_t banksPerGroup_;
+    /** log2 of burstsPerRow_, banksPerGroup_ and bankGroups_: every
+     *  field is a power of two, so decompose and compose are shifts
+     *  and masks (they run on every iMC request and DMA step). */
+    std::uint8_t colBits_;
+    std::uint8_t bankBits_;
+    std::uint8_t groupBits_;
 };
 
 } // namespace nvdimmc::dram

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstring>
+#include <vector>
 
 #include "common/random.hh"
 #include "dram/address_map.hh"
@@ -57,6 +58,48 @@ TEST(AddressMap, SequentialBurstsStayInRow)
     EXPECT_EQ(a.bank, b.bank);
     EXPECT_EQ(a.bankGroup, b.bankGroup);
     EXPECT_EQ(b.col, a.col + 1);
+}
+
+/** The address map's layout written out with divisions, as a
+ *  reference for the shift-and-mask decomposition. */
+DramCoord
+divisionReference(const AddressMap& m, Addr addr)
+{
+    std::uint64_t burst = addr / AddressMap::kBurstBytes;
+    DramCoord c;
+    c.col = static_cast<std::uint32_t>(burst % m.burstsPerRow());
+    burst /= m.burstsPerRow();
+    c.bank = static_cast<std::uint8_t>(burst % m.banksPerGroup());
+    burst /= m.banksPerGroup();
+    c.bankGroup = static_cast<std::uint8_t>(burst % m.bankGroups());
+    burst /= m.bankGroups();
+    c.row = static_cast<std::uint32_t>(burst);
+    return c;
+}
+
+TEST(AddressMap, DecomposeMatchesDivisionReference)
+{
+    const AddressMap maps[] = {
+        AddressMap(16 * kMiB),             // default geometry
+        AddressMap(64 * kMiB, 4096),       // 4 KB rows
+        AddressMap(16 * kMiB, 8192, 2, 2), // 2x2 banks
+        AddressMap(16 * kGiB),             // the paper's module
+    };
+    Rng rng(20260419);
+    for (const AddressMap& m : maps) {
+        // Both ends of the range, then a seeded sample (any byte
+        // offset: decompose ignores the bits below a burst).
+        std::vector<Addr> addrs = {0, 63, 64, m.rowBytes(),
+                                   m.capacity() - 64, m.capacity() - 1};
+        for (int i = 0; i < 2000; ++i)
+            addrs.push_back(rng.below(m.capacity()));
+        for (Addr a : addrs) {
+            DramCoord c = m.decompose(a);
+            ASSERT_EQ(c, divisionReference(m, a))
+                << "capacity " << m.capacity() << " address " << a;
+            EXPECT_EQ(m.compose(c), a & ~Addr{63});
+        }
+    }
 }
 
 class AddressMapRoundTrip : public ::testing::TestWithParam<int>
