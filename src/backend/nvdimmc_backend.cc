@@ -1,7 +1,6 @@
 #include "backend/nvdimmc_backend.hh"
 
 #include <array>
-#include <memory>
 #include <utility>
 
 #include "common/logging.hh"
@@ -45,12 +44,16 @@ NvdimmcBackend::NvdimmcBackend(
     for (std::uint32_t ch = 0; ch < channels_; ++ch) {
         const nvmc::ReservedLayout& lay = *layouts[ch];
         layouts_.push_back(lay);
+        std::vector<CpSlot> slots(lay.maxCommands);
         std::vector<std::uint32_t> free_indices;
-        for (std::uint32_t i = 0; i < lay.maxCommands; ++i)
+        for (std::uint32_t i = 0; i < lay.maxCommands; ++i) {
+            slots[i].channel = ch;
+            slots[i].index = i;
             free_indices.push_back(i);
+        }
+        cpSlots_.push_back(std::move(slots));
         freeCpIndices_.push_back(std::move(free_indices));
         cpWaiters_.emplace_back();
-        cpPhase_.emplace_back(lay.maxCommands, 0);
     }
 }
 
@@ -100,122 +103,93 @@ NvdimmcBackend::registerStats(StatRegistry& reg,
 }
 
 void
-NvdimmcBackend::acquireCpIndex(
-    std::uint32_t channel, std::function<void(std::uint32_t)> granted)
+NvdimmcBackend::cpTransaction(std::uint32_t channel,
+                              const nvmc::CpCommand& cmd, Callback done)
 {
     auto& free_indices = freeCpIndices_[channel];
-    if (!free_indices.empty()) {
-        std::uint32_t i = free_indices.back();
-        free_indices.pop_back();
-        granted(i);
+    if (free_indices.empty()) {
+        cpWaiters_[channel].push_back({cmd, std::move(done)});
         return;
     }
-    cpWaiters_[channel].push_back(std::move(granted));
+    CpSlot& s = cpSlots_[channel][free_indices.back()];
+    free_indices.pop_back();
+    s.cmd = cmd;
+    s.done = std::move(done);
+    beginTransaction(s);
 }
 
 void
-NvdimmcBackend::releaseCpIndex(std::uint32_t channel,
-                               std::uint32_t index)
+NvdimmcBackend::releaseCpIndex(CpSlot& s)
 {
-    auto& waiters = cpWaiters_[channel];
+    auto& waiters = cpWaiters_[s.channel];
     if (!waiters.empty()) {
-        auto next = std::move(waiters.front());
+        s.cmd = waiters.front().cmd;
+        s.done = std::move(waiters.front().done);
         waiters.pop_front();
-        eq_.scheduleAfter(0, [next = std::move(next), index] {
-            next(index);
-        });
+        eq_.scheduleAfter(0, [this, slot = &s] { beginTransaction(*slot); });
         return;
     }
-    freeCpIndices_[channel].push_back(index);
-}
-
-std::uint8_t
-NvdimmcBackend::nextPhase(std::uint32_t channel, std::uint32_t index)
-{
-    std::uint8_t p = cpPhase_[channel][index];
-    p = (p == 255) ? 1 : p + 1;
-    cpPhase_[channel][index] = p;
-    return p;
+    freeCpIndices_[s.channel].push_back(s.index);
 }
 
 void
-NvdimmcBackend::cpTransaction(std::uint32_t channel, nvmc::CpCommand cmd,
-                              Callback done)
+NvdimmcBackend::beginTransaction(CpSlot& s)
 {
-    acquireCpIndex(channel, [this, channel, cmd,
-                             done = std::move(done)](
-                                std::uint32_t index) mutable {
-        // Waiting for a free CP slot (queue depth contention).
-        span::phase(cmd.spanId, span::Phase::CpQueue, eq_.now());
-        eq_.scheduleAfter(cfg_.cpWriteCost, [this, channel, cmd, index,
-                                             done = std::move(done)]()
-                              mutable {
-            nvmc::CpCommand final_cmd = cmd;
-            final_cmd.phase = nextPhase(channel, index);
+    // Waiting for a free CP slot (queue depth contention).
+    span::phase(s.cmd.spanId, span::Phase::CpQueue, eq_.now());
+    eq_.scheduleAfter(cfg_.cpWriteCost,
+                      [this, slot = &s] { writeCommand(*slot); });
+}
 
-            auto line = std::make_shared<
-                std::array<std::uint8_t, 64>>();
-            nvmc::encodeCpCommand(final_cmd, line->data());
-
-            Addr addr =
-                flatAddr(channel, layouts_[channel].commandAddr(index));
-            std::uint8_t phase = final_cmd.phase;
-            span::Id sp = final_cmd.spanId;
-            // Store the command, then clflush + sfence so the FPGA's
-            // next poll sees it in DRAM.
-            cacheModel_.store(addr, line->data(), [this, addr, line,
-                                                   channel, index,
-                                                   phase, sp,
-                                                   done =
-                                                       std::move(done)]()
-                                  mutable {
-                cacheModel_.clflush(addr, [this, channel, index, phase,
-                                           line, sp,
-                                           done = std::move(done)]()
-                                        mutable {
-                    // Command composed, stored and flushed; it is now
-                    // visible to the module's next poll.
-                    span::phase(sp, span::Phase::CpWrite, eq_.now());
-                    pollAck(channel, index, phase,
-                            [this, channel, index, sp,
-                             done = std::move(done)] {
-                        // Everything after the module's last mark was
-                        // spent waiting for the driver to observe the
-                        // ack line.
-                        span::phase(sp, span::Phase::CpAck, eq_.now());
-                        releaseCpIndex(channel, index);
-                        done();
-                    });
-                });
-            });
+void
+NvdimmcBackend::writeCommand(CpSlot& s)
+{
+    s.phase = (s.phase == 255) ? 1 : s.phase + 1;
+    s.cmd.phase = s.phase;
+    std::array<std::uint8_t, 64> line{};
+    nvmc::encodeCpCommand(s.cmd, line.data());
+    // Store the command, then clflush + sfence so the FPGA's next poll
+    // sees it in DRAM. The store copies the line before it returns.
+    cacheModel_.store(commandAddr(s), line.data(), [this, slot = &s] {
+        cacheModel_.clflush(commandAddr(*slot), [this, slot] {
+            // Command composed, stored and flushed; it is now visible
+            // to the module's next poll.
+            span::phase(slot->cmd.spanId, span::Phase::CpWrite,
+                        eq_.now());
+            pollAck(*slot);
         });
     });
 }
 
 void
-NvdimmcBackend::pollAck(std::uint32_t channel, std::uint32_t index,
-                        std::uint8_t phase, Callback done)
+NvdimmcBackend::pollAck(CpSlot& s)
 {
     stats_.ackPolls.inc();
-    Addr addr = flatAddr(channel, layouts_[channel].ackAddr(index));
+    Addr addr = ackAddr(s);
     // Invalidate first: the FPGA writes the ack behind the CPU
     // cache's back (paper §V-B).
     cacheModel_.invalidate(addr);
-    auto buf = std::make_shared<std::array<std::uint8_t, 64>>();
-    cacheModel_.load(addr, buf->data(), [this, channel, index, phase,
-                                         buf, done = std::move(done)]()
-                         mutable {
-        nvmc::CpAck ack = nvmc::decodeCpAck(buf->data());
-        if (ack.phase == phase && ack.status == 1) {
-            done();
-            return;
-        }
+    cacheModel_.load(addr, s.ack.data(),
+                     [this, slot = &s] { ackLoaded(*slot); });
+}
+
+void
+NvdimmcBackend::ackLoaded(CpSlot& s)
+{
+    nvmc::CpAck ack = nvmc::decodeCpAck(s.ack.data());
+    if (ack.phase != s.phase || ack.status != 1) {
         eq_.scheduleAfter(cfg_.ackPollInterval,
-                          [this, channel, index, phase,
-                           done = std::move(done)]() mutable {
-            pollAck(channel, index, phase, std::move(done));
-        });
-    });
+                          [this, slot = &s] { pollAck(*slot); });
+        return;
+    }
+    // Everything after the module's last mark was spent waiting for
+    // the driver to observe the ack line.
+    span::phase(s.cmd.spanId, span::Phase::CpAck, eq_.now());
+    // Move the completion out first: releasing the index may hand the
+    // record to the next transaction.
+    Callback done = std::move(s.done);
+    releaseCpIndex(s);
+    done();
 }
 
 } // namespace nvdimmc::backend

@@ -18,9 +18,9 @@
 #ifndef NVDIMMC_BACKEND_NVDIMMC_BACKEND_HH
 #define NVDIMMC_BACKEND_NVDIMMC_BACKEND_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "backend/media_backend.hh"
@@ -91,22 +91,55 @@ class NvdimmcBackend : public MediaBackend
     const NvdimmcBackendStats& stats() const { return stats_; }
 
   private:
+    /**
+     * One CP command index of one module and the transaction holding
+     * it: its command, its completion and the line its ack polls load
+     * into. Records are built with the layout and never move, so each
+     * step of a transaction is a continuation carrying only `this` and
+     * the record.
+     */
+    struct CpSlot
+    {
+        std::uint32_t channel = 0;
+        std::uint32_t index = 0;
+        /** Phase of the last command written at this index. */
+        std::uint8_t phase = 0;
+        nvmc::CpCommand cmd;
+        Callback done;
+        std::array<std::uint8_t, 64> ack{};
+    };
+
+    /** A transaction waiting for a free CP index. */
+    struct CpWaiter
+    {
+        nvmc::CpCommand cmd;
+        Callback done;
+    };
+
     /** @name CP channel (one command queue per module). */
     /** @{ */
-    void acquireCpIndex(std::uint32_t channel,
-                        std::function<void(std::uint32_t)> granted);
-    void releaseCpIndex(std::uint32_t channel, std::uint32_t index);
-    void cpTransaction(std::uint32_t channel, nvmc::CpCommand cmd,
+    void cpTransaction(std::uint32_t channel, const nvmc::CpCommand& cmd,
                        Callback done);
-    void pollAck(std::uint32_t channel, std::uint32_t index,
-                 std::uint8_t phase, Callback done);
-    std::uint8_t nextPhase(std::uint32_t channel, std::uint32_t index);
+    /** Hand @p s's index to the next waiter, or free it. */
+    void releaseCpIndex(CpSlot& s);
+    void beginTransaction(CpSlot& s);
+    void writeCommand(CpSlot& s);
+    void pollAck(CpSlot& s);
+    void ackLoaded(CpSlot& s);
     /** @} */
 
     /** Flat interleaved address of a channel-local DRAM address. */
     Addr flatAddr(std::uint32_t channel, Addr local) const
     {
         return il_.flatten(channel, local);
+    }
+    Addr commandAddr(const CpSlot& s) const
+    {
+        return flatAddr(s.channel, layouts_[s.channel].commandAddr(s.index));
+    }
+    Addr ackAddr(const CpSlot& s) const
+    {
+        return flatAddr(s.channel, layouts_[s.channel].ackAddr(s.index));
     }
 
     EventQueue& eq_;
@@ -118,10 +151,10 @@ class NvdimmcBackend : public MediaBackend
     std::uint32_t channels_;
     dram::ChannelInterleave il_;
 
+    /** Per module, one record per CP index. */
+    std::vector<std::vector<CpSlot>> cpSlots_;
     std::vector<std::vector<std::uint32_t>> freeCpIndices_;
-    std::vector<std::deque<std::function<void(std::uint32_t)>>>
-        cpWaiters_;
-    std::vector<std::vector<std::uint8_t>> cpPhase_;
+    std::vector<std::deque<CpWaiter>> cpWaiters_;
 
     std::vector<nvmc::Nvmc*> nvmcs_;
 

@@ -10,6 +10,7 @@
 
 #include <deque>
 #include <functional>
+#include <utility>
 
 #include "common/event_queue.hh"
 #include "common/logging.hh"
@@ -25,9 +26,12 @@ class SimMutex
 
     explicit SimMutex(EventQueue& eq) : eq_(eq) {}
 
-    /** Request the lock; @p granted fires when it is held. */
+    /** Request the lock; @p granted fires when it is held. An
+     *  uncontended acquire runs @p granted in place; only a parked one
+     *  is stored, as a Granted. */
+    template <typename F>
     void
-    acquire(Granted granted)
+    acquire(F&& granted)
     {
         if (!held_) {
             held_ = true;
@@ -35,7 +39,7 @@ class SimMutex
             granted();
             return;
         }
-        waiters_.push_back(std::move(granted));
+        waiters_.emplace_back(std::forward<F>(granted));
     }
 
     /** Release; the next waiter (if any) is granted at the same tick. */

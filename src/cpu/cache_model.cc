@@ -35,14 +35,15 @@ CpuCacheModel::maybeEvictOne()
     auto it = lines_.begin();
     stats_.capacityEvictions.inc();
     if (it->second.dirty)
-        writeBack(it->first, it->second.data, nullptr);
+        writeBack(it->first, it->second.data, [] {});
     lines_.erase(it);
 }
 
+template <typename F>
 void
 CpuCacheModel::writeBack(Addr line_addr,
                          const std::array<std::uint8_t, 64>& data,
-                         Callback accepted)
+                         F accepted)
 {
     // The line has already left the cache, so a full WPQ must not
     // drop it: re-park until the queue takes it.
@@ -54,8 +55,7 @@ CpuCacheModel::writeBack(Addr line_addr,
                         });
         return;
     }
-    if (accepted)
-        accepted();
+    accepted();
 }
 
 void
@@ -71,36 +71,50 @@ CpuCacheModel::load(Addr addr, std::uint8_t* buf, Callback done)
         return;
     }
 
-    // Fill via a stable staging buffer: the line may be evicted while
-    // the miss is outstanding, so the iMC must never write into the
-    // map node directly. The callback lives in a shared_ptr because
-    // it must survive a rejected readLine (the lambda handed to the
-    // iMC is destroyed on the failure path) for the retry.
-    auto staging = std::make_shared<std::array<std::uint8_t, 64>>();
-    auto cb = std::make_shared<Callback>(std::move(done));
-    bool ok = port_.readLine(line_addr, staging->data(),
-                             [this, line_addr, buf, staging, cb] {
-        maybeEvictOne();
-        auto& line = lines_[line_addr];
-        // Don't clobber a line that was dirtied while the miss was
-        // outstanding (store-after-load race).
-        if (!line.dirty)
-            line.data = *staging;
-        if (buf)
-            std::memcpy(buf, line.data.data(), 64);
-        if (*cb)
-            (*cb)();
-    });
-    if (ok) {
+    std::uint32_t m = misses_.acquire();
+    Miss& miss = misses_[m];
+    miss.addr = addr;
+    miss.buf = buf;
+    miss.done = std::move(done);
+    if (port_.readLine(line_addr, miss.staging.data(),
+                       [this, m] { missFilled(m); })) {
         // A rejected attempt is not a miss: its retry runs load() again.
         stats_.loadMisses.inc();
         return;
     }
     // Read queue full: retry when space frees.
     port_.whenSpace(line_addr, imc::SpaceFor::Read,
-                    [this, addr, buf, cb] {
-                        load(addr, buf, std::move(*cb));
-                    });
+                    [this, m] { missRetry(m); });
+}
+
+void
+CpuCacheModel::missFilled(std::uint32_t m)
+{
+    Miss& miss = misses_[m];
+    maybeEvictOne();
+    auto& line = lines_[lineOf(miss.addr)];
+    // Don't clobber a line that was dirtied while the miss was
+    // outstanding (store-after-load race).
+    if (!line.dirty)
+        line.data = miss.staging;
+    if (miss.buf)
+        std::memcpy(miss.buf, line.data.data(), 64);
+    // Free the record first: the completion may load again.
+    Callback done = std::move(miss.done);
+    misses_.release(m);
+    if (done)
+        done();
+}
+
+void
+CpuCacheModel::missRetry(std::uint32_t m)
+{
+    Miss& miss = misses_[m];
+    Addr addr = miss.addr;
+    std::uint8_t* buf = miss.buf;
+    Callback done = std::move(miss.done);
+    misses_.release(m);
+    load(addr, buf, std::move(done));
 }
 
 void

@@ -25,8 +25,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <memory_resource>
 #include <unordered_map>
 
+#include "common/record_pool.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "imc/host_port.hh"
@@ -111,20 +113,47 @@ class CpuCacheModel
         bool dirty = false;
     };
 
+    /**
+     * One load miss in flight (or parked on a full read queue). The
+     * iMC fills the staging line, never the map node: the line may be
+     * evicted while the miss is outstanding. The continuations handed
+     * to the iMC carry only the record's index.
+     */
+    struct Miss
+    {
+        std::array<std::uint8_t, 64> staging{};
+        Addr addr = 0;
+        std::uint8_t* buf = nullptr;
+        Callback done;
+    };
+
     static Addr lineOf(Addr addr) { return addr & ~Addr{63}; }
+    /** The iMC delivered miss @p m's line: install it and complete. */
+    void missFilled(std::uint32_t m);
+    /** Miss @p m's read queue has room again: load afresh. */
+    void missRetry(std::uint32_t m);
     void maybeEvictOne();
     /** Post a dirty line's writeback, re-parking on a full WPQ until
-     *  the queue accepts it; then run @p accepted (if any). */
+     *  the queue accepts it; then run @p accepted. Only a parked
+     *  writeback stores @p accepted (in a Callback). */
+    template <typename F>
     void writeBack(Addr line_addr,
-                   const std::array<std::uint8_t, 64>& data,
-                   Callback accepted);
+                   const std::array<std::uint8_t, 64>& data, F accepted);
 
     EventQueue& eq_;
     /** Owned identity port for the single-iMC constructor. */
     std::unique_ptr<imc::HostPort> ownedPort_;
     imc::HostPort& port_;
     Params params_;
-    std::unordered_map<Addr, Line> lines_;
+    /** Backs lines_' nodes, so a line that comes and goes (every ack
+     *  poll's line does) reuses a node rather than the heap. */
+    std::pmr::unsynchronized_pool_resource linePool_;
+    /** Victims are taken in this map's iteration order, so its hash,
+     *  rehash policy and bucket count are part of the simulation. */
+    std::pmr::unordered_map<Addr, Line> lines_{&linePool_};
+    /** A staging line never moves while the iMC holds a pointer into
+     *  it: pooled records stay put. */
+    RecordPool<Miss> misses_;
     CacheStats stats_;
 };
 

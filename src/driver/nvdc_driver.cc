@@ -162,64 +162,71 @@ NvdcDriver::doSegment(std::shared_ptr<Segment> seg)
 
 void
 NvdcDriver::segmentMemcpy(std::shared_ptr<Segment> seg,
-                          std::uint32_t slot, Callback done)
+                          std::uint32_t slot, bool fault)
 {
-    if (seg->span != 0) {
-        done = [this, seg, cb = std::move(done)]() mutable {
-            span::phase(seg->span, span::Phase::Memcpy, eq_.now());
-            cb();
-        };
-    }
-    std::uint32_t ch = channelOf(seg->devPage);
-    Addr local = layouts_[ch].slotAddr(slot) + seg->pageOffset;
-    const std::uint32_t granule = il_.granule();
-    if (channels_ == 1 || granule >= kPageBytes) {
-        // The whole slot range is one granule run: its flat image is
-        // contiguous (slotAddr is page-aligned), one engine op moves
-        // it — the classic NVDIMM-C path, bit for bit.
-        Addr addr = flatAddr(ch, local);
-        if (seg->isWrite) {
-            engine_.writeNt(addr, seg->len, seg->wdata,
-                            std::move(done));
-        } else {
-            engine_.read(addr, seg->len, seg->rbuf, true,
-                         std::move(done));
-        }
+    std::uint32_t c = copies_.acquire();
+    const Segment& s = *seg;
+    copies_[c] = SlotCopy{std::move(seg), slot, 0, fault};
+    if (channels_ > 1 && il_.granule() < kPageBytes) {
+        // Fine-granule interleave (the CXL backend's 256 B stripes):
+        // the slot's channel-local bytes scatter across flat space in
+        // granule-sized runs. Stream them in address order, one engine
+        // op per run, as a single core walking the page would.
+        copyNextRun(c);
         return;
     }
-    // Fine-granule interleave (the CXL backend's 256 B stripes): the
-    // slot's channel-local bytes scatter across flat space in
-    // granule-sized runs. Stream them in address order, one engine op
-    // per run, as a single core walking the page would.
-    segmentMemcpyChunk(seg, ch, local, 0, std::move(done));
+    // The whole slot range is one granule run: its flat image is
+    // contiguous (slotAddr is page-aligned), one engine op moves it —
+    // the classic NVDIMM-C path, bit for bit.
+    std::uint32_t ch = channelOf(s.devPage);
+    Addr addr = flatAddr(ch, layouts_[ch].slotAddr(slot) + s.pageOffset);
+    if (s.isWrite)
+        engine_.writeNt(addr, s.len, s.wdata, [this, c] { copyDone(c); });
+    else
+        engine_.read(addr, s.len, s.rbuf, true, [this, c] { copyDone(c); });
 }
 
 void
-NvdcDriver::segmentMemcpyChunk(std::shared_ptr<Segment> seg,
-                               std::uint32_t ch, Addr local,
-                               std::uint32_t off, Callback done)
+NvdcDriver::copyNextRun(std::uint32_t c)
 {
-    if (off >= seg->len) {
-        done();
+    SlotCopy& copy = copies_[c];
+    const Segment& s = *copy.seg;
+    if (copy.off >= s.len) {
+        copyDone(c);
         return;
     }
     const std::uint32_t granule = il_.granule();
-    Addr cur = local + off;
+    std::uint32_t ch = channelOf(s.devPage);
+    Addr cur = layouts_[ch].slotAddr(copy.slot) + s.pageOffset + copy.off;
     std::uint32_t run = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(seg->len - off,
+        std::min<std::uint64_t>(s.len - copy.off,
                                 granule - cur % granule));
+    std::uint32_t off = copy.off;
+    copy.off += run;
     Addr addr = flatAddr(ch, cur);
-    Callback next = [this, seg, ch, local, off, run,
-                     done = std::move(done)]() mutable {
-        segmentMemcpyChunk(seg, ch, local, off + run, std::move(done));
-    };
-    if (seg->isWrite) {
-        engine_.writeNt(addr, run, seg->wdata ? seg->wdata + off : nullptr,
-                        std::move(next));
+    if (s.isWrite) {
+        engine_.writeNt(addr, run, s.wdata ? s.wdata + off : nullptr,
+                        [this, c] { copyNextRun(c); });
     } else {
-        engine_.read(addr, run, seg->rbuf ? seg->rbuf + off : nullptr,
-                     true, std::move(next));
+        engine_.read(addr, run, s.rbuf ? s.rbuf + off : nullptr, true,
+                     [this, c] { copyNextRun(c); });
     }
+}
+
+void
+NvdcDriver::copyDone(std::uint32_t c)
+{
+    SlotCopy& copy = copies_[c];
+    std::shared_ptr<Segment> seg = std::move(copy.seg);
+    std::uint32_t slot = copy.slot;
+    bool fault = copy.fault;
+    copies_.release(c);
+    span::phase(seg->span, span::Phase::Memcpy, eq_.now());
+    caches_[channelOf(seg->devPage)].unpin(slot);
+    if (fault)
+        finishFault(std::move(seg));
+    else
+        finishHit(std::move(seg));
 }
 
 Tick
@@ -300,10 +307,7 @@ NvdcDriver::hitPath(std::shared_ptr<Segment> seg, std::uint32_t slot)
                 auto after_meta = [this, seg, slot, ch] {
                     span::phase(seg->span, span::Phase::Metadata,
                                 eq_.now());
-                    segmentMemcpy(seg, slot, [this, seg, slot, ch] {
-                        caches_[ch].unpin(slot);
-                        finishHit(seg);
-                    });
+                    segmentMemcpy(seg, slot, false);
                 };
                 if (meta_dirty)
                     writeMetadata(ch, slot, after_meta);
@@ -361,10 +365,7 @@ NvdcDriver::hypotheticalFault(std::shared_ptr<Segment> seg)
                         cache.markDirty(slot);
                     cache.pin(slot);
                     locks_[ch]->release();
-                    segmentMemcpy(seg, slot, [this, seg, slot, ch] {
-                        caches_[ch].unpin(slot);
-                        finishFault(seg);
-                    });
+                    segmentMemcpy(seg, slot, true);
                 });
             });
         });
@@ -478,11 +479,7 @@ NvdcDriver::faultPath(std::shared_ptr<Segment> seg)
                                         span::Phase::Metadata,
                                         eq_.now());
                             fillCompleted(seg->devPage);
-                            segmentMemcpy(seg, slot,
-                                          [this, seg, slot, ch] {
-                                caches_[ch].unpin(slot);
-                                finishFault(seg);
-                            });
+                            segmentMemcpy(seg, slot, true);
                         });
                     });
                 };
@@ -668,30 +665,31 @@ void
 NvdcDriver::flushSlotLines(std::uint32_t channel, std::uint32_t slot,
                            Callback done)
 {
-    flushLinesFrom(channel, slot, 0, std::move(done));
+    std::uint32_t c = flushChains_.acquire();
+    flushChains_[c] = FlushChain{channel, slot, 0, std::move(done)};
+    flushNextLine(c);
 }
 
 void
-NvdcDriver::flushLinesFrom(std::uint32_t channel, std::uint32_t slot,
-                           std::uint32_t line, Callback done)
+NvdcDriver::flushNextLine(std::uint32_t c)
 {
-    if (line >= kPageBytes / 64) {
+    FlushChain& chain = flushChains_[c];
+    if (chain.line >= kPageBytes / 64) {
+        // Free the record first: the completion may start a chain.
+        Callback done = std::move(chain.done);
+        flushChains_.release(c);
         done();
         return;
     }
     // Compose each line's flat address from the channel-local offset
     // so the chain follows the slot across fine interleave granules
     // (at page granule this equals flat-base + line * 64, bit for
-    // bit). Each clflush continuation owns the rest of the chain, so
-    // the chain's storage dies with its last link.
-    Addr addr = flatAddr(channel, layouts_[channel].slotAddr(slot) +
-                                      std::uint64_t{line} * 64);
-    cacheModel_.clflush(addr,
-                        [this, channel, slot, line,
-                         done = std::move(done)]() mutable {
-                            flushLinesFrom(channel, slot, line + 1,
-                                           std::move(done));
-                        });
+    // bit).
+    Addr addr = flatAddr(chain.channel,
+                         layouts_[chain.channel].slotAddr(chain.slot) +
+                             std::uint64_t{chain.line} * 64);
+    ++chain.line;
+    cacheModel_.clflush(addr, [this, c] { flushNextLine(c); });
 }
 
 void
@@ -735,11 +733,16 @@ NvdcDriver::writeMetadata(std::uint32_t channel, std::uint32_t slot,
     Addr addr = flatAddr(channel,
                          layouts_[channel].metadataAddr((slot / 4) * 4));
     NVDC_ASSERT(addr % 64 == 0, "metadata line misaligned");
-    auto data = std::make_shared<std::array<std::uint8_t, 64>>(
-        metadataLine(channel, slot));
-    cacheModel_.store(addr, data->data(), [this, addr, data,
-                                           cb = std::move(done)] {
-        cacheModel_.clflush(addr, [cb, data] { cb(); });
+    std::uint32_t w = metadataWrites_.acquire();
+    metadataWrites_[w] = MetadataWrite{addr, std::move(done)};
+    // The store copies the line before it returns.
+    std::array<std::uint8_t, 64> line = metadataLine(channel, slot);
+    cacheModel_.store(addr, line.data(), [this, w] {
+        cacheModel_.clflush(metadataWrites_[w].addr, [this, w] {
+            Callback done = std::move(metadataWrites_[w].done);
+            metadataWrites_.release(w);
+            done();
+        });
     });
 }
 

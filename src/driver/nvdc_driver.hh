@@ -41,6 +41,7 @@
 
 #include "backend/media_backend.hh"
 #include "common/event_queue.hh"
+#include "common/record_pool.hh"
 #include "common/sim_mutex.hh"
 #include "common/span.hh"
 #include "common/stats.hh"
@@ -277,12 +278,15 @@ class NvdcDriver
     void hitPath(std::shared_ptr<Segment> seg, std::uint32_t slot);
     void faultPath(std::shared_ptr<Segment> seg);
     void hypotheticalFault(std::shared_ptr<Segment> seg);
+    /** Copy @p seg's bytes between its pinned @p slot and the
+     *  caller's buffer, then unpin the slot and finish the segment as
+     *  a fault if @p fault, else as a hit. */
     void segmentMemcpy(std::shared_ptr<Segment> seg, std::uint32_t slot,
-                       Callback done);
-    /** One granule-run of a fine-interleave segment memcpy. */
-    void segmentMemcpyChunk(std::shared_ptr<Segment> seg,
-                            std::uint32_t ch, Addr local,
-                            std::uint32_t off, Callback done);
+                       bool fault);
+    /** Issue copy @p c's next granule run (fine interleave), or finish
+     *  the copy after its last. */
+    void copyNextRun(std::uint32_t c);
+    void copyDone(std::uint32_t c);
     void finishHit(std::shared_ptr<Segment> seg);
     void finishFault(std::shared_ptr<Segment> seg);
     Tick postCost(const Segment& seg) const;
@@ -299,8 +303,8 @@ class NvdcDriver
      *  any interleave granule. */
     void flushSlotLines(std::uint32_t channel, std::uint32_t slot,
                         Callback done);
-    void flushLinesFrom(std::uint32_t channel, std::uint32_t slot,
-                        std::uint32_t line, Callback done);
+    /** clflush chain @p c's next line, or complete it after the last. */
+    void flushNextLine(std::uint32_t c);
     void invalidateSlotLines(std::uint32_t channel, std::uint32_t slot,
                              Callback done);
 
@@ -355,6 +359,39 @@ class NvdcDriver
         pendingWritebacks_;
 
     void writebackCompleted(std::uint64_t dev_page);
+
+    /** @name In-flight records (common/record_pool.hh): each
+     *  continuation these steps hand the CPU layer carries only the
+     *  record's index. */
+    /** @{ */
+    /** One slot's clflush chain. */
+    struct FlushChain
+    {
+        std::uint32_t channel = 0;
+        std::uint32_t slot = 0;
+        std::uint32_t line = 0; ///< Next line to flush.
+        Callback done;
+    };
+    RecordPool<FlushChain> flushChains_;
+
+    /** One segment's copy between its slot and the caller's buffer. */
+    struct SlotCopy
+    {
+        std::shared_ptr<Segment> seg;
+        std::uint32_t slot = 0;
+        std::uint32_t off = 0; ///< Next byte to copy (granule runs).
+        bool fault = false;
+    };
+    RecordPool<SlotCopy> copies_;
+
+    /** One metadata line's store and clflush. */
+    struct MetadataWrite
+    {
+        Addr addr = 0;
+        Callback done;
+    };
+    RecordPool<MetadataWrite> metadataWrites_;
+    /** @} */
 
     NvdcDriverStats stats_;
 };

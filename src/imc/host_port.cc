@@ -52,9 +52,17 @@ HostPort::bulkTransfer(Addr flat, std::uint32_t bytes, bool is_write,
         return;
     }
 
+    // A transfer inside one granule (every 4 KB page copy at the page
+    // granule) is one slice on one channel: hand it straight over.
+    const std::uint32_t granule = interleave_.granule();
+    if (bytes > 0 && flat % granule + bytes <= granule) {
+        imcs_[channelOf(flat)]->bulkTransfer(bytes, is_write,
+                                             std::move(done));
+        return;
+    }
+
     // Split the byte count per owning channel at granule boundaries.
     std::vector<std::uint32_t> per_channel(imcs_.size(), 0);
-    const std::uint32_t granule = interleave_.granule();
     Addr cur = flat;
     std::uint32_t left = bytes;
     while (left > 0) {

@@ -73,7 +73,8 @@ class HostPort
      * Analytic bulk transfer of [flat, flat+bytes): byte counts are
      * split per owning channel at interleave granules and each slice
      * runs on its channel's iMC concurrently; @p done fires when the
-     * slowest slice completes. One channel == one iMC call.
+     * slowest slice completes. One channel, or a transfer inside one
+     * granule, is one iMC call.
      */
     void bulkTransfer(Addr flat, std::uint32_t bytes, bool is_write,
                       Callback done);

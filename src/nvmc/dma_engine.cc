@@ -63,8 +63,9 @@ DmaEngine::closeWindow()
 }
 
 void
-DmaEngine::runNext(Tick win_end)
+DmaEngine::runNext()
 {
+    const Tick win_end = windowEnd_;
     // CP control lines (single-burst polls and acks) ride along for
     // free; the byte budget models the PoC's 4 KB data-DMA limit.
     bool control = !queue_.empty() && queue_.front().bytes <= 64;
@@ -91,7 +92,7 @@ DmaEngine::runNext(Tick win_end)
 
     ctrl_.transferInWindow(
         req.addr, chunk, req.isWrite, rbuf, wdata, eq_.now(), win_end,
-        [this, win_end, control](std::uint32_t moved) {
+        [this, control](std::uint32_t moved) {
             DmaRequest& front = queue_.front();
             dmaStats_.bytesMoved.inc(moved);
             windowBytes_ += moved;
@@ -117,7 +118,7 @@ DmaEngine::runNext(Tick win_end)
                 closeWindow();
                 return;
             }
-            runNext(win_end);
+            runNext();
         });
 }
 

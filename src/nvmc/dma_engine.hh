@@ -60,7 +60,7 @@ class DmaEngine
     DmaEngine(EventQueue& eq, NvmcDdr4Controller& ctrl,
               std::uint32_t bytes_per_window)
         : eq_(eq), ctrl_(ctrl), bytesPerWindow_(bytes_per_window),
-          windowStartEvent_([this] { runNext(windowEnd_); },
+          windowStartEvent_([this] { runNext(); },
                             "dma-window-start")
     {
     }
@@ -85,7 +85,10 @@ class DmaEngine
     const DmaStats& stats() const { return dmaStats_; }
 
   private:
-    void runNext(Tick win_end);
+    /** Start the next transfer in the active window, which ends at
+     *  windowEnd_ (its continuation then carries only `this` and a
+     *  flag, small enough for std::function to hold inline). */
+    void runNext();
     /** Close the active window: record used ticks/bytes, fire the
      *  window-done callback. */
     void closeWindow();

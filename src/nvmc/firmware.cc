@@ -19,7 +19,9 @@ Firmware::Firmware(EventQueue& eq, DmaEngine& dma,
       dram_(dram),
       layout_(layout),
       cfg_(cfg),
-      lastPhase_(layout.maxCommands, 0)
+      lastPhase_(layout.maxCommands, 0),
+      pollImage_(std::make_shared<std::vector<std::uint8_t>>(
+          std::size_t{layout.maxCommands} * ReservedLayout::kLineBytes))
 {
 }
 
@@ -44,32 +46,30 @@ Firmware::maybeEnqueuePoll()
     stats_.cpPolls.inc();
     trace::instant("nvmc.cp", "poll", eq_.now());
 
-    auto data = std::make_shared<std::vector<std::uint8_t>>(
-        std::size_t{layout_.maxCommands} * ReservedLayout::kLineBytes);
     DmaRequest req;
     req.addr = layout_.commandAddr(0);
-    req.bytes = static_cast<std::uint32_t>(data->size());
+    req.bytes = static_cast<std::uint32_t>(pollImage_->size());
     req.isWrite = false;
-    req.buffer = data;
-    req.done = [this, data] {
+    req.buffer = pollImage_;
+    req.done = [this] {
         pollInFlight_ = false;
         decoding_ = true;
         // CP decode runs in A53 software.
-        eq_.scheduleAfter(cfg_.decodeDelay,
-                          [this, data] { decodePoll(data); });
+        eq_.scheduleAfter(cfg_.decodeDelay, [this] { decodePoll(); });
     };
     dma_.enqueue(std::move(req));
 }
 
 void
-Firmware::decodePoll(std::shared_ptr<std::vector<std::uint8_t>> data)
+Firmware::decodePoll()
 {
     decoding_ = false;
+    const std::vector<std::uint8_t>& data = *pollImage_;
     for (std::uint32_t i = 0; i < layout_.maxCommands; ++i) {
         if (opsInFlight_ >= layout_.maxCommands)
             break;
         CpCommand cmd = decodeCpCommand(
-            data->data() + std::size_t{i} * ReservedLayout::kLineBytes);
+            data.data() + std::size_t{i} * ReservedLayout::kLineBytes);
         if (cmd.phase == 0 || cmd.phase == lastPhase_[i])
             continue;
         lastPhase_[i] = cmd.phase;

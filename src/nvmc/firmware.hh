@@ -122,7 +122,7 @@ class Firmware
     };
 
     void maybeEnqueuePoll();
-    void decodePoll(std::shared_ptr<std::vector<std::uint8_t>> data);
+    void decodePoll();
     void startOp(Op op);
     void runCachefill(std::shared_ptr<Op> op, std::uint64_t nand_page,
                       std::uint32_t dram_slot, bool ack_after);
@@ -140,6 +140,10 @@ class Firmware
     FirmwareConfig cfg_;
 
     std::vector<std::uint8_t> lastPhase_;
+    /** The CP area image a poll reads. One poll is read or decoded at
+     *  a time, and its DMA fills the whole image before decodePoll
+     *  reads it, so every poll reuses it. */
+    std::shared_ptr<std::vector<std::uint8_t>> pollImage_;
     bool pollInFlight_ = false;
     bool decoding_ = false;
     std::uint32_t opsInFlight_ = 0;

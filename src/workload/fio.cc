@@ -8,6 +8,11 @@ namespace nvdimmc::workload
 FioJob::FioJob(EventQueue& eq, AccessFn access, const FioConfig& cfg)
     : eq_(eq), access_(std::move(access)), cfg_(cfg)
 {
+    // Offsets are whole blocks and devices move 64 B lines.
+    if (cfg.blockSize == 0 || cfg.blockSize % 64 != 0) {
+        fatal("FioJob: blockSize ", cfg.blockSize,
+              " must be a non-zero multiple of 64");
+    }
     NVDC_ASSERT(cfg.regionBytes >= cfg.blockSize,
                 "FIO region smaller than one block");
     NVDC_ASSERT(cfg.threads >= 1, "FIO needs at least one thread");
@@ -49,6 +54,7 @@ FioJob::run()
 
     rngs_.clear();
     seqCursor_.assign(cfg_.threads, 0);
+    opDone_.assign(cfg_.threads, nullptr);
     workers_.clear();
     for (unsigned t = 0; t < cfg_.threads; ++t) {
         rngs_.push_back(std::make_unique<Rng>(cfg_.seed + 17 * t + 1,
@@ -56,10 +62,13 @@ FioJob::run()
         auto op = [this, t, is_write](
                       std::function<void(std::uint64_t)> op_done) {
             Addr off = pickOffset(t);
-            access_(off, cfg_.blockSize, is_write,
-                    [op_done = std::move(op_done), this] {
-                        op_done(cfg_.blockSize);
-                    });
+            // The worker's op completion waits in its slot, so the
+            // access completion is small enough to allocate nothing.
+            opDone_[t] = std::move(op_done);
+            access_(off, cfg_.blockSize, is_write, [this, t] {
+                auto done = std::move(opDone_[t]);
+                done(cfg_.blockSize);
+            });
         };
         workers_.push_back(std::make_unique<cpu::WorkerThread>(
             eq_, "fio-" + std::to_string(t), std::move(op)));

@@ -85,6 +85,8 @@ class FioJob
 
     std::vector<std::unique_ptr<Rng>> rngs_;
     std::vector<Addr> seqCursor_;
+    /** Each worker's completion of its one op in flight. */
+    std::vector<std::function<void(std::uint64_t)>> opDone_;
     std::vector<std::unique_ptr<cpu::WorkerThread>> workers_;
 };
 

@@ -13,6 +13,7 @@
 
 #include <cstring>
 #include <map>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -180,6 +181,68 @@ TEST_P(BackendConformance, SpanPhasesTileTheEndToEndLatency)
     }
     span::reset();
     span::disable();
+}
+
+TEST(NvdimmcBackend, ConcurrentCpIndicesCompleteOnceWithTheirOwnPhase)
+{
+    // Queue depth 2 on one module: two transactions poll their acks on
+    // the two CP indices at once, each through the record of its index.
+    SystemConfig cfg = testConfig(backend::BackendKind::Nvdimmc);
+    cfg.driver.cpQueueDepth = 2;
+    NvdimmcSystem sys(cfg);
+    backend::TransportOp op;
+    op.kind = backend::TransportOp::Kind::Cachefill;
+
+    // A transaction takes a few refresh windows; a lost one must fail
+    // the test rather than spin on refresh events forever.
+    const Tick limit = sys.eq().now() + 1 * kMs;
+    auto run_while = [&sys, limit](auto pending) {
+        while (pending() && sys.eq().now() < limit && sys.eq().runOne()) {
+        }
+    };
+
+    // One transaction alone leaves its index at phase 1.
+    std::vector<int> done(3, 0);
+    op.dramSlot = 0;
+    sys.transport().submit(0, op, [&done] { ++done[0]; });
+    run_while([&done] { return !done[0]; });
+
+    // Two at once: one index moves to phase 2, the other to phase 1.
+    op.dramSlot = 1;
+    sys.transport().submit(0, op, [&done] { ++done[1]; });
+    op.dramSlot = 2;
+    sys.transport().submit(0, op, [&done] { ++done[2]; });
+    run_while([&done] { return !(done[1] && done[2]); });
+    sys.run(20 * kUs);
+    EXPECT_EQ(done, (std::vector<int>{1, 1, 1}));
+    EXPECT_EQ(sys.nvmc()->firmware().stats().commandsAccepted.value(),
+              3u);
+
+    // In DRAM, each index holds its own last command, and its ack
+    // echoes that command's phase.
+    dram::DramDevice& dram = sys.dramDevice();
+    std::map<std::uint32_t, std::uint8_t> phase_of_slot;
+    for (std::uint32_t i = 0; i < 2; ++i) {
+        std::uint8_t cmd_line[64], ack_line[64];
+        dram.readBurst(dram.addressMap().decompose(
+                           sys.layout().commandAddr(i)),
+                       cmd_line);
+        dram.readBurst(
+            dram.addressMap().decompose(sys.layout().ackAddr(i)),
+            ack_line);
+        nvmc::CpCommand cmd = nvmc::decodeCpCommand(cmd_line);
+        nvmc::CpAck ack = nvmc::decodeCpAck(ack_line);
+        EXPECT_EQ(ack.phase, cmd.phase) << "index " << i;
+        EXPECT_EQ(ack.status, 1) << "index " << i;
+        phase_of_slot[cmd.dramSlot] = cmd.phase;
+    }
+    EXPECT_EQ(phase_of_slot.size(), 2u);
+    EXPECT_EQ(phase_of_slot.count(0), 0u)
+        << "slot 0's command was not replaced";
+    std::set<std::uint8_t> phases;
+    for (auto [slot, phase] : phase_of_slot)
+        phases.insert(phase);
+    EXPECT_EQ(phases, (std::set<std::uint8_t>{1, 2}));
 }
 
 TEST(CxlBackend, FillsAndWritebacksAreCounted)

@@ -179,6 +179,44 @@ TEST_F(CpuFixture, LoadsSurviveReadQueueRejection)
     EXPECT_EQ(done, n);
 }
 
+TEST_F(CpuFixture, ParkedLoadsDeliverTheirOwnLines)
+{
+    // Each miss stages its line in a pooled record that the iMC fills
+    // through a raw pointer. On a one-entry read queue every load but
+    // the first parks, and retries reuse the records freed by earlier
+    // misses; each load must still return its own line's bytes.
+    imc::ImcConfig small;
+    small.readQueueCap = 1;
+    imc::Imc tiny_imc(eq, bus, small);
+    CpuCacheModel tiny_cache(eq, tiny_imc, cacheParams());
+
+    const int n = 8;
+    for (int i = 0; i < n; ++i) {
+        std::array<std::uint8_t, 64> line;
+        line.fill(static_cast<std::uint8_t>(0x10 + i));
+        dev.writeBurst(map.decompose(static_cast<Addr>(i) * 4096),
+                       line.data());
+    }
+    std::vector<std::array<std::uint8_t, 64>> bufs(n);
+    std::vector<int> done(n, 0);
+    for (int i = 0; i < n; ++i) {
+        tiny_cache.load(static_cast<Addr>(i) * 4096, bufs[i].data(),
+                        [&done, i] { ++done[i]; });
+    }
+    ASSERT_EQ(tiny_imc.stats().readsAccepted.value(), 1u)
+        << "the other loads were not parked";
+    eq.runFor(100 * kUs);
+
+    for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(done[i], 1) << "load " << i;
+        std::array<std::uint8_t, 64> want;
+        want.fill(static_cast<std::uint8_t>(0x10 + i));
+        EXPECT_EQ(bufs[i], want) << "load " << i;
+    }
+    EXPECT_EQ(tiny_cache.stats().loadMisses.value(),
+              static_cast<std::uint64_t>(n));
+}
+
 TEST_F(CpuFixture, ParkedLoadCountsOneMiss)
 {
     // Regression: a load rejected by a full read queue counted a miss

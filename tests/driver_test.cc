@@ -437,6 +437,66 @@ TEST_F(DriverFixture, ConcurrentFaultsToSamePageFillOnce)
         << "second fault must piggyback on the first fill";
 }
 
+TEST_F(DriverFixture, ConcurrentVictimFlushesEachFlushTheirOwnSlot)
+{
+    // Two dirty misses on two modules at one tick: each clflushes its
+    // victim slot's 64 lines in its own chain record, both chains in
+    // flight at once. The CPU holds every victim line dirty with bytes
+    // of its own, so a chain that completed early, twice, or over the
+    // other chain's slot would write stale bytes to NAND.
+    build([](core::SystemConfig& c) { c.channels = 2; });
+    NvdcDriver& drv = sys->driver();
+    const std::uint32_t slots = sys->totalSlotCount();
+    sys->precondition(0, slots, true);
+    drv.markEverWritten(0, drv.capacityBytes() / 4096);
+
+    auto pattern = [](std::uint64_t page, std::uint32_t line) {
+        return static_cast<std::uint8_t>(0x40 + page * 64 + line);
+    };
+    // LRC evicts in install order: device page 0 on module 0, page 1
+    // on module 1.
+    for (std::uint64_t page : {0, 1}) {
+        std::uint32_t ch = drv.channelOf(page);
+        std::uint32_t slot = *drv.cache(ch).peek(drv.localPage(page));
+        for (std::uint32_t l = 0; l < 64; ++l) {
+            std::vector<std::uint8_t> line(64, pattern(page, l));
+            Addr flat = sys->hostPort().interleave().flatten(
+                ch, drv.layout(ch).slotAddr(slot) + l * 64);
+            sys->cpuCache().store(flat, line.data(), nullptr);
+        }
+    }
+    const auto flushes = sys->cpuCache().stats().flushWritebacks.value();
+
+    int done0 = 0, done1 = 0;
+    drv.write(static_cast<Addr>(slots) * 4096, 4096, nullptr,
+              [&] { ++done0; });
+    drv.write(static_cast<Addr>(slots + 1) * 4096, 4096, nullptr,
+              [&] { ++done1; });
+    // Bounded: a lost completion must fail, not spin on refresh.
+    const Tick limit = sys->eq().now() + 1 * kMs;
+    while (!(done0 && done1) && sys->eq().now() < limit &&
+           sys->eq().runOne()) {
+    }
+    sys->eq().runFor(10 * kUs);
+    EXPECT_EQ(done0, 1);
+    EXPECT_EQ(done1, 1);
+    EXPECT_EQ(drv.stats().writebacks.value(), 2u);
+    EXPECT_FALSE(drv.cache(0).peek(drv.localPage(0)));
+    EXPECT_FALSE(drv.cache(1).peek(drv.localPage(1)));
+    EXPECT_GE(sys->cpuCache().stats().flushWritebacks.value() - flushes,
+              128u);
+
+    for (std::uint64_t page : {0, 1}) {
+        std::vector<std::uint8_t> buf(4096, 0);
+        read(page * 4096, 4096, buf.data());
+        for (std::uint32_t l = 0; l < 64; ++l) {
+            ASSERT_EQ(buf[l * 64], pattern(page, l))
+                << "page " << page << " line " << l;
+        }
+    }
+    EXPECT_TRUE(sys->hardwareClean());
+}
+
 TEST_F(DriverFixture, MultiPageAccessSpansSegments)
 {
     build();

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "common/event_queue.hh"
+#include "common/logging.hh"
 #include "driver/dram_cache.hh"
 #include "workload/fio.hh"
 #include "workload/filecopy.hh"
@@ -123,6 +125,33 @@ TEST(FioJobTest, SequentialPatternAdvancesAndWraps)
     }
     // Wrap-around back to 0.
     EXPECT_EQ(dev.ops[64].offset, 0u);
+}
+
+TEST(FioJobTest, RejectsZeroAndUnalignedBlockSize)
+{
+    // Regression: blockSize 0 passed construction and later divided by
+    // zero in pickOffset (SIGFPE); 100 reached the driver and panicked
+    // at the first op. Both now fail at construction, naming the field.
+    EventQueue eq;
+    RecordingDevice dev{eq, 1 * kUs, {}};
+    for (std::uint32_t bs : {0u, 100u, 32u}) {
+        FioConfig cfg;
+        cfg.blockSize = bs;
+        cfg.regionBytes = 4 * kMiB;
+        try {
+            FioJob job(eq, dev.fn(), cfg);
+            ADD_FAILURE() << "blockSize " << bs << " was accepted";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find("blockSize"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    FioConfig ok;
+    ok.blockSize = 128;
+    ok.regionBytes = 4 * kMiB;
+    EXPECT_NO_THROW(FioJob(eq, dev.fn(), ok));
+    EXPECT_TRUE(dev.ops.empty());
 }
 
 TEST(SsdTest, SequentialReadRateIsHonoured)
