@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""A/B timing of two perfbench binaries in alternating pinned pairs.
+
+Runs PARENT_BIN and CHANGE_BIN (each a build of perfbench/perfbench.cc,
+for example two checkouts' ``perfbench/build/perfbench``) on one
+workload, one fresh single-threaded process at a time. Pair k runs both
+binaries back to back on CPU k mod nproc; even pairs start with the
+parent, odd pairs with the change, so neither side always runs first on
+a warm CPU.
+
+    python3 scripts/perfbench_pairs.py PARENT_BIN CHANGE_BIN \\
+        --workload uncached_rw_1ch --seed 1 --pairs 10
+    python3 scripts/perfbench_pairs.py BIN BIN --workload all \\
+        --pairs 2 --short          # self-check: one binary on both sides
+
+For ``phase_s`` (the timed load phase) and set-up (``build_s`` plus
+``precondition_s``) it prints each side's median and quartiles, how many
+pairs the change won (ties count for neither), and the ratio of the
+medians (change / parent). The simulated fields must repeat exactly in
+every process of both sides; the script exits 1 when one differs, so a
+change that claims to be a pure speed-up also proves it simulated the
+same thing. Nothing here reads or writes the perfbench directory: it
+only runs the binaries it is given.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+WORKLOADS = ("cached_rw_4ch", "uncached_rw_1ch", "mixedload_250u")
+# perfbench result fields that a seed fixes exactly.
+EXACT_FIELDS = ("ops", "events", "lat_p50_ps", "lat_p99_ps", "sim_kiops",
+                "validation_failures", "hardware_clean")
+# A repetition takes seconds; one that runs this long is hung.
+REP_TIMEOUT_S = 120
+
+
+def run_one(binary, workload, seed, short, cpu):
+    """One pinned perfbench process; its JSON record."""
+    cmd = [binary, "--workload", workload, "--seed", str(seed)]
+    if short:
+        cmd.append("--short")
+    proc = subprocess.run(
+        cmd, stdout=subprocess.PIPE, timeout=REP_TIMEOUT_S, check=False,
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    if proc.returncode != 0:
+        raise RuntimeError(f"{binary} --workload {workload} exited with "
+                           f"{proc.returncode}")
+    rec = json.loads(proc.stdout.decode().strip().splitlines()[-1])
+    rec["setup_s"] = rec["build_s"] + rec["precondition_s"]
+    return rec
+
+
+def quartiles(values):
+    """(q1, median, q3) of @p values, interpolated between samples."""
+    if len(values) < 2:
+        v = values[0]
+        return v, v, v
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(name, parent, change):
+    """Print one metric's medians, quartiles, wins and ratio."""
+    p = [r[name] for r in parent]
+    c = [r[name] for r in change]
+    wins = sum(1 for a, b in zip(p, c) if b < a)
+    pq = quartiles(p)
+    cq = quartiles(c)
+    ratio = cq[1] / pq[1] if pq[1] else float("nan")
+    print(f"  {name:10} parent {pq[1]:.6f} s (q1 {pq[0]:.6f}, q3 "
+          f"{pq[2]:.6f})  change {cq[1]:.6f} s (q1 {cq[0]:.6f}, q3 "
+          f"{cq[2]:.6f})  ratio {ratio:.3f}  change lower in "
+          f"{wins}/{len(p)} pairs")
+
+
+def exact_mismatches(records):
+    """Fields of EXACT_FIELDS that differ between any two records."""
+    ref = records[0]
+    return sorted({f for r in records[1:] for f in EXACT_FIELDS
+                   if r[f] != ref[f]})
+
+
+def compare(args, workload, cpus):
+    parent, change = [], []
+    for k in range(args.pairs):
+        cpu = cpus[k % len(cpus)]
+        order = [("parent", args.parent), ("change", args.change)]
+        if k % 2:
+            order.reverse()
+        for side, binary in order:
+            rec = run_one(binary, workload, args.seed, args.short, cpu)
+            (parent if side == "parent" else change).append(rec)
+    print(f"# {workload} seed={args.seed} pairs={args.pairs} "
+          f"short={int(args.short)} cpus={len(cpus)}")
+    summarize("phase_s", parent, change)
+    summarize("setup_s", parent, change)
+    bad = exact_mismatches(parent + change)
+    ref = parent[0]
+    print("  exact     " + " ".join(f"{f}={ref[f]}" for f in EXACT_FIELDS)
+          + ("  MISMATCH: " + ", ".join(bad) if bad else "  equal"))
+    return not bad
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", help="perfbench binary of the parent")
+    ap.add_argument("change", help="perfbench binary of the change")
+    ap.add_argument("--workload", required=True,
+                    choices=WORKLOADS + ("all",))
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--short", action="store_true",
+                    help="perfbench's short windows (a smoke run)")
+    args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    for b in (args.parent, args.change):
+        if not os.access(b, os.X_OK):
+            ap.error(f"{b} is not an executable")
+
+    cpus = sorted(os.sched_getaffinity(0))
+    names = WORKLOADS if args.workload == "all" else (args.workload,)
+    try:
+        ok = all([compare(args, w, cpus) for w in names])
+    except (RuntimeError, subprocess.TimeoutExpired, ValueError,
+            KeyError) as e:
+        print(f"perfbench_pairs: {e}", file=sys.stderr)
+        return 1
+    if not ok:
+        print("perfbench_pairs: simulated results differ", file=sys.stderr)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
