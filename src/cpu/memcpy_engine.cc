@@ -21,6 +21,18 @@ MemcpyEngine::MemcpyEngine(EventQueue& eq, imc::HostPort& port,
 {
 }
 
+std::uint32_t
+MemcpyEngine::startTransfer(Addr addr, std::uint32_t len, Callback done)
+{
+    std::uint32_t i = transfers_.acquire();
+    Transfer& t = transfers_[i];
+    t.addr = addr;
+    t.len = len;
+    t.serial = ++nextSerial_;
+    t.done = std::move(done);
+    return i;
+}
+
 void
 MemcpyEngine::read(Addr addr, std::uint32_t len, std::uint8_t* buf,
                    bool via_cache, Callback done)
@@ -31,15 +43,10 @@ MemcpyEngine::read(Addr addr, std::uint32_t len, std::uint8_t* buf,
         port_.bulkTransfer(addr, len, false, std::move(done));
         return;
     }
-    auto t = std::make_shared<Transfer>();
-    t->addr = addr;
-    t->len = len;
-    t->rbuf = buf;
-    t->wdata = nullptr;
-    t->isWrite = false;
-    t->viaCache = via_cache && cache_ != nullptr;
-    t->done = std::move(done);
-    pumpRead(t);
+    std::uint32_t i = startTransfer(addr, len, std::move(done));
+    transfers_[i].rbuf = buf;
+    transfers_[i].viaCache = via_cache && cache_ != nullptr;
+    pumpRead(i);
 }
 
 void
@@ -52,86 +59,92 @@ MemcpyEngine::writeNt(Addr addr, std::uint32_t len,
         port_.bulkTransfer(addr, len, true, std::move(done));
         return;
     }
-    auto t = std::make_shared<Transfer>();
-    t->addr = addr;
-    t->len = len;
-    t->rbuf = nullptr;
-    t->wdata = data;
-    t->isWrite = true;
-    t->viaCache = false;
-    t->done = std::move(done);
-    pumpWrite(t);
+    std::uint32_t i = startTransfer(addr, len, std::move(done));
+    transfers_[i].wdata = data;
+    pumpWrite(i);
 }
 
 void
-MemcpyEngine::pumpRead(const std::shared_ptr<Transfer>& t)
+MemcpyEngine::finish(std::uint32_t i)
 {
-    t->stalled = false;
-    while (t->inFlight < params_.parallelism && t->issued < t->len) {
-        Addr line = t->addr + t->issued;
-        std::uint32_t off = t->issued;
+    Callback done = std::move(transfers_[i].done);
+    transfers_.release(i);
+    if (done)
+        done();
+}
 
-        auto on_line_done = [this, t] {
-            NVDC_ASSERT(t->inFlight > 0, "memcpy MLP underflow");
-            t->inFlight -= 1;
-            t->completed += 64;
-            if (t->completed == t->len) {
-                if (t->done)
-                    t->done();
-                return;
-            }
-            if (!t->stalled)
-                pumpRead(t);
-        };
+void
+MemcpyEngine::pumpRead(std::uint32_t i)
+{
+    // Records never move, so t stays valid; but a line that completes
+    // synchronously (a cache hit or a WPQ forward) may finish the copy
+    // and hand the record to a new one, which the serial check sees.
+    Transfer& t = transfers_[i];
+    const std::uint64_t serial = t.serial;
+    t.stalled = false;
+    while (t.inFlight < params_.parallelism && t.issued < t.len) {
+        Addr line = t.addr + t.issued;
+        std::uint8_t* dst = t.rbuf ? t.rbuf + t.issued : nullptr;
 
         // Account the line as in flight *before* issuing: a hit or a
         // forward can complete synchronously.
-        t->inFlight += 1;
-        t->issued += 64;
+        t.inFlight += 1;
+        t.issued += 64;
 
-        if (t->viaCache) {
+        if (t.viaCache) {
             // Cache loads always accept (internal retry on full).
-            cache_->load(line, t->rbuf ? t->rbuf + off : nullptr,
-                         on_line_done);
-        } else {
-            bool accepted = port_.readLine(
-                line, t->rbuf ? t->rbuf + off : nullptr, on_line_done);
-            if (!accepted) {
-                t->inFlight -= 1;
-                t->issued -= 64;
-                t->stalled = true;
-                port_.whenSpace(line, imc::SpaceFor::Read,
-                                [this, t] { pumpRead(t); });
-                return;
-            }
+            cache_->load(line, dst, [this, i] { lineRead(i); });
+        } else if (!port_.readLine(line, dst,
+                                   [this, i] { lineRead(i); })) {
+            t.inFlight -= 1;
+            t.issued -= 64;
+            t.stalled = true;
+            port_.whenSpace(line, imc::SpaceFor::Read,
+                            [this, i] { pumpRead(i); });
+            return;
         }
-        if (t->completed == t->len)
+        if (t.serial != serial || t.completed == t.len)
             return; // Everything finished synchronously.
     }
 }
 
 void
-MemcpyEngine::pumpWrite(const std::shared_ptr<Transfer>& t)
+MemcpyEngine::lineRead(std::uint32_t i)
 {
-    if (t->issued >= t->len) {
-        if (t->done)
-            t->done();
+    Transfer& t = transfers_[i];
+    NVDC_ASSERT(t.inFlight > 0, "memcpy MLP underflow");
+    t.inFlight -= 1;
+    t.completed += 64;
+    if (t.completed == t.len) {
+        finish(i);
         return;
     }
-    Addr line = t->addr + t->issued;
-    const std::uint8_t* src = t->wdata ? t->wdata + t->issued : nullptr;
+    if (!t.stalled)
+        pumpRead(i);
+}
+
+void
+MemcpyEngine::pumpWrite(std::uint32_t i)
+{
+    Transfer& t = transfers_[i];
+    if (t.issued >= t.len) {
+        finish(i);
+        return;
+    }
+    Addr line = t.addr + t.issued;
+    const std::uint8_t* src = t.wdata ? t.wdata + t.issued : nullptr;
 
     bool accepted = cache_ ? cache_->storeNt(line, src)
                            : port_.writeLine(line, src, nullptr);
     if (!accepted) {
         // WPQ full: resume once the drain frees an entry.
         port_.whenSpace(line, imc::SpaceFor::Write,
-                        [this, t] { pumpWrite(t); });
+                        [this, i] { pumpWrite(i); });
         return;
     }
-    t->issued += 64;
+    t.issued += 64;
     // Non-temporal stores issue at the core's store-throughput rate.
-    eq_.scheduleAfter(params_.ntIssueGap, [this, t] { pumpWrite(t); });
+    eq_.scheduleAfter(params_.ntIssueGap, [this, i] { pumpWrite(i); });
 }
 
 } // namespace nvdimmc::cpu

@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 
+#include "common/record_pool.hh"
 #include "cpu/cache_model.hh"
 #include "imc/host_port.hh"
 #include "imc/imc.hh"
@@ -65,23 +66,33 @@ class MemcpyEngine
                  Callback done);
 
   private:
+    /** One line-mode copy in flight (DESIGN §6e): each line completion,
+     *  pacing step and retry captures the engine and the index. */
     struct Transfer
     {
-        Addr addr;
-        std::uint32_t len;
-        std::uint8_t* rbuf;
-        const std::uint8_t* wdata;
-        bool isWrite;
-        bool viaCache;
+        Addr addr = 0;
+        std::uint32_t len = 0;
+        std::uint8_t* rbuf = nullptr;
+        const std::uint8_t* wdata = nullptr;
+        bool viaCache = false;
         std::uint32_t issued = 0;
         std::uint32_t completed = 0;
         unsigned inFlight = 0;
         bool stalled = false;
+        /** Which copy holds the record, so a pump loop can tell that a
+         *  completion released it (and a new copy took it) under it. */
+        std::uint64_t serial = 0;
         Callback done;
     };
 
-    void pumpRead(const std::shared_ptr<Transfer>& t);
-    void pumpWrite(const std::shared_ptr<Transfer>& t);
+    /** A fresh record for a copy of @p len bytes at @p addr. */
+    std::uint32_t startTransfer(Addr addr, std::uint32_t len,
+                                Callback done);
+    void pumpRead(std::uint32_t i);
+    void lineRead(std::uint32_t i);
+    void pumpWrite(std::uint32_t i);
+    /** Release record @p i, then run its completion. */
+    void finish(std::uint32_t i);
 
     EventQueue& eq_;
     /** Owned identity port for the single-iMC constructor. */
@@ -89,6 +100,8 @@ class MemcpyEngine
     imc::HostPort& port_;
     CpuCacheModel* cache_;
     Params params_;
+    RecordPool<Transfer> transfers_;
+    std::uint64_t nextSerial_ = 0;
 };
 
 } // namespace nvdimmc::cpu

@@ -120,6 +120,7 @@ runPowerFailCampaign(const PowerFailCampaignConfig& cfg)
     // events are resumed.
     dram::ChannelInterleave il(cfg.channels,
                                dram::ChannelInterleave::kPageGranule);
+    const workload::RecordPattern pattern(kRecordBytes);
     std::vector<std::uint8_t> buf(kRecordBytes);
     Fingerprint fp;
     PowerFailCampaignResult res;
@@ -128,8 +129,7 @@ runPowerFailCampaign(const PowerFailCampaignConfig& cfg)
         std::uint32_t ch = il.pageChannel(page);
         std::uint64_t local = il.localPage(page);
         sys.channel(ch).backend().readPage(local, buf.data(), [] {});
-        bool ok = workload::checkRecordPattern(buf.data(), kRecordBytes,
-                                               rec.seed);
+        bool ok = pattern.check(buf.data(), rec.seed);
         if (!ok)
             res.corruptRecords += 1;
         fp.add(rec.addr);
@@ -185,6 +185,7 @@ runMediaFaultCampaign(const MediaFaultCampaignConfig& cfg)
     std::uint64_t working_set =
         std::min<std::uint64_t>(cfg.workingSetPages, ftl.pageCount());
     std::unordered_map<std::uint64_t, std::uint64_t> oracle;
+    const workload::RecordPattern pattern(kRecordBytes);
     std::vector<std::uint8_t> buf(kRecordBytes);
 
     MediaFaultCampaignResult res;
@@ -192,7 +193,7 @@ runMediaFaultCampaign(const MediaFaultCampaignConfig& cfg)
         std::uint64_t lpn = op_rng.below(working_set);
         if (op_rng.uniform() < cfg.writeFraction) {
             std::uint64_t seed = op_rng.next64() | 1;
-            workload::fillRecordPattern(buf.data(), kRecordBytes, seed);
+            pattern.fill(buf.data(), seed);
             auto done = std::make_shared<bool>(false);
             ftl.writePage(lpn, buf.data(), [done] { *done = true; });
             eq.runAll();
@@ -209,8 +210,7 @@ runMediaFaultCampaign(const MediaFaultCampaignConfig& cfg)
             res.reads += 1;
             auto it = oracle.find(lpn);
             if (*done && it != oracle.end() &&
-                !workload::checkRecordPattern(buf.data(), kRecordBytes,
-                                              it->second)) {
+                !pattern.check(buf.data(), it->second)) {
                 res.oracleMismatches += 1;
                 if (ftl.stats().uncorrectableReads.value() ==
                     uncorr_before) {
@@ -265,6 +265,7 @@ struct AgeingRig
     ftl::Ftl ftl;
     MediaFaultInjector inj;
     Rng rng;
+    const workload::RecordPattern pattern{kRecordBytes};
     /** Ordered so sampling by index is deterministic. */
     std::map<std::uint64_t, std::uint64_t> oracle;
     std::uint64_t writesAcked = 0;
@@ -291,8 +292,7 @@ struct AgeingRig
         for (unsigned w = 0; w < cfg.writesPerRound; ++w) {
             std::uint64_t lpn = rng.below(working_set);
             std::uint64_t seed = rng.next64() | 1;
-            workload::fillRecordPattern(buf.data(), kRecordBytes,
-                                        seed);
+            pattern.fill(buf.data(), seed);
             auto done = std::make_shared<bool>(false);
             ftl.writePage(lpn, buf.data(), [done] { *done = true; });
             eq.runAll();
@@ -316,9 +316,7 @@ struct AgeingRig
             ftl.readPage(it->first, buf.data(),
                          [done] { *done = true; });
             eq.runAll();
-            if (*done &&
-                !workload::checkRecordPattern(buf.data(), kRecordBytes,
-                                              it->second)) {
+            if (*done && !pattern.check(buf.data(), it->second)) {
                 mismatches += 1;
                 if (ftl.stats().uncorrectableReads.value() ==
                     uncorr_before)

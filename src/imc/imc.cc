@@ -1,5 +1,6 @@
 #include "imc/imc.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -9,12 +10,23 @@
 namespace nvdimmc::imc
 {
 
+namespace
+{
+
+/** Room for the write bursts between CAS and burst end: a burst is on
+ *  the wires for tCWL plus its burst time, and write CAS commands
+ *  issue at least tCCD_S apart, so only a handful overlap. */
+constexpr std::size_t kInflightWritesReserved = 8;
+
+} // namespace
+
 Imc::Imc(EventQueue& eq, bus::MemoryBus& bus, const ImcConfig& cfg)
     : eq_(eq),
       bus_(bus),
       cfg_(cfg),
       masterId_(bus.registerMaster("host-imc")),
       shadow_(bus.dram().addressMap(), bus.dram().timing()),
+      readQ_(cfg.readQueueCap),
       wpq_(cfg.wpqCap, cfg.wpqWatermark),
       nextRefreshDue_(cfg.refresh.tREFI + cfg.refreshPhase),
       baseRefresh_(cfg.refresh),
@@ -23,6 +35,7 @@ Imc::Imc(EventQueue& eq, bus::MemoryBus& bus, const ImcConfig& cfg)
       trackRefresh_(cfg.name + ".refresh")
 {
     NVDC_ASSERT(cfg.wpqWatermark <= cfg.wpqCap, "bad WPQ watermark");
+    inflightWrites_.reserve(kInflightWritesReserved);
     // Refresh must run even while the host is idle: the NVDIMM-C
     // design feeds on the cadence.
     if (cfg_.refreshEnabled)
@@ -80,13 +93,14 @@ Imc::readLine(Addr addr, std::uint8_t* buf, Callback done)
 {
     NVDC_ASSERT(addr % dram::AddressMap::kBurstBytes == 0,
                 "unaligned line read");
-    // Store-to-load forwarding: the WPQ holds the newest data.
-    for (auto it = wpq_.entries().rbegin(); it != wpq_.entries().rend();
-         ++it) {
-        if (it->addr == addr) {
+    // Store-to-load forwarding: the WPQ holds the newest data, so scan
+    // newest first.
+    for (std::size_t i = wpq_.size(); i-- > 0;) {
+        const MemRequest& w = wpq_[i];
+        if (w.addr == addr) {
             stats_.wpqForwards.inc();
-            if (buf && it->hasWriteData) {
-                std::memcpy(buf, it->writeData.data(),
+            if (buf && w.hasWriteData) {
+                std::memcpy(buf, w.writeData.data(),
                             dram::AddressMap::kBurstBytes);
             }
             Tick enq = eq_.now();
@@ -102,19 +116,16 @@ Imc::readLine(Addr addr, std::uint8_t* buf, Callback done)
         }
     }
 
-    if (readQ_.size() >= cfg_.readQueueCap)
+    if (readQ_.full())
         return false;
 
     lastActivityAt_ = eq_.now();
 
-    MemRequest req;
-    req.kind = MemRequest::Kind::Read;
-    req.addr = addr;
-    req.coord = bus_.dram().addressMap().decompose(addr);
-    req.enqueued = eq_.now();
+    MemRequest& req =
+        readQ_.push(MemRequest::Kind::Read, addr,
+                    bus_.dram().addressMap().decompose(addr), eq_.now());
     req.readBuf = buf;
     req.onComplete = std::move(done);
-    readQ_.push_back(std::move(req));
     stats_.readsAccepted.inc();
     trace::counter(trackQueues_.c_str(), "rdq", eq_.now(),
                    static_cast<double>(readQ_.size()));
@@ -132,17 +143,14 @@ Imc::writeLine(Addr addr, const std::uint8_t* data, Callback done)
 
     lastActivityAt_ = eq_.now();
 
-    MemRequest req;
-    req.kind = MemRequest::Kind::Write;
-    req.addr = addr;
-    req.coord = bus_.dram().addressMap().decompose(addr);
-    req.enqueued = eq_.now();
+    MemRequest& req =
+        wpq_.push(MemRequest::Kind::Write, addr,
+                  bus_.dram().addressMap().decompose(addr), eq_.now());
     if (data) {
         std::memcpy(req.writeData.data(), data,
                     dram::AddressMap::kBurstBytes);
         req.hasWriteData = true;
     }
-    wpq_.push(std::move(req));
     stats_.writesAccepted.inc();
     trace::counter(trackQueues_.c_str(), "wpq", eq_.now(),
                    static_cast<double>(wpq_.size()));
@@ -182,7 +190,7 @@ Imc::notifySpace()
 }
 
 void
-Imc::completeRead(MemRequest req, Tick data_end)
+Imc::completeRead(MemRequest& req, Tick data_end)
 {
     // Capture the array contents at CAS time; deliver at burst end.
     // Between the two no other master may legally write (the NVMC only
@@ -200,23 +208,30 @@ Imc::completeRead(MemRequest req, Tick data_end)
 }
 
 void
-Imc::commitWrite(MemRequest req, Tick data_end)
+Imc::commitWrite(MemRequest& req, Tick data_end)
 {
     // Park the request where a power-fail flush can still see it; the
-    // burst-end event commits it to the array and retires it. If ADR
-    // already flushed it post-mortem, the event finds nothing to do.
+    // burst-end event commits it to the array and retires it.
     std::uint64_t id = nextInflightWrite_++;
-    inflightWrites_.emplace(id, std::move(req));
-    eq_.schedule(data_end, [this, id] {
-        auto it = inflightWrites_.find(id);
-        if (it != inflightWrites_.end()) {
-            if (it->second.hasWriteData)
-                bus_.dram().writeBurst(it->second.coord,
-                                       it->second.writeData.data());
-            inflightWrites_.erase(it);
-        }
-        notifySpace();
-    });
+    inflightWrites_.push_back({id, std::move(req)});
+    eq_.schedule(data_end, [this, id] { landWrite(id); });
+}
+
+void
+Imc::landWrite(std::uint64_t id)
+{
+    // If ADR already flushed the burst post-mortem, there is nothing
+    // left to land.
+    auto it = std::find_if(
+        inflightWrites_.begin(), inflightWrites_.end(),
+        [id](const InflightWrite& w) { return w.id == id; });
+    if (it != inflightWrites_.end()) {
+        if (it->req.hasWriteData)
+            bus_.dram().writeBurst(it->req.coord,
+                                   it->req.writeData.data());
+        inflightWrites_.erase(it);
+    }
+    notifySpace();
 }
 
 void
@@ -325,8 +340,8 @@ Imc::tick()
         wpq_.aboveWatermark() ||
         (!wpq_.empty() &&
          now >= wpq_.front().enqueued + cfg_.wpqMaxAge);
-    SchedDecision d = pickNext(readQ_, wpq_.entries(), drain_writes,
-                               shadow_, map, cfg_.schedWindow);
+    SchedDecision d = pickNext(readQ_, wpq_, drain_writes, shadow_, map,
+                               cfg_.schedWindow);
     if (d.action == SchedDecision::Action::None) {
         // Sleep until a new request arrives — but keep the refresh
         // cadence armed regardless.
@@ -343,8 +358,9 @@ Imc::tick()
         return;
     }
 
-    const MemRequest& req = d.fromWriteQueue ? wpq_.at(d.queueIndex)
-                                             : readQ_[d.queueIndex];
+    // Slots never move, so the request stays put across issueCommand.
+    MemRequest& req = d.fromWriteQueue ? wpq_[d.queueIndex]
+                                       : readQ_[d.queueIndex];
     const auto& c = req.coord;
     std::uint32_t fb = map.flatBank(c);
 
@@ -366,16 +382,14 @@ Imc::tick()
                                      {dram::Ddr4Op::Read, c.bankGroup,
                                       c.bank, c.row, c.col});
         shadow_.onRead(fb, c.bankGroup, now);
-        MemRequest done = std::move(readQ_[d.queueIndex]);
-        readQ_.erase(readQ_.begin() +
-                     static_cast<std::ptrdiff_t>(d.queueIndex));
         // A rejected CAS (e.g. the NVMC corrupted bank state during a
         // collision scenario) returns no data window; fall back to
         // nominal timing so the pipeline keeps moving.
         Tick data_end = res.ok && res.dataEnd > now
                             ? res.dataEnd
                             : now + t.readLatency();
-        completeRead(std::move(done), data_end);
+        completeRead(req, data_end);
+        readQ_.erase(d.queueIndex);
         break;
       }
 
@@ -384,11 +398,11 @@ Imc::tick()
                                      {dram::Ddr4Op::Write, c.bankGroup,
                                       c.bank, c.row, c.col});
         shadow_.onWrite(fb, c.bankGroup, now);
-        MemRequest done = wpq_.popAt(d.queueIndex);
         Tick data_end = res.ok && res.dataEnd > now
                             ? res.dataEnd
                             : now + t.writeLatency();
-        commitWrite(std::move(done), data_end);
+        commitWrite(req, data_end);
+        wpq_.erase(d.queueIndex);
         break;
       }
 
@@ -501,18 +515,19 @@ Imc::adrFlushWpq()
     std::size_t n = 0;
     // Bursts already on the wires land first (they left the WPQ
     // before anything still queued behind them).
-    for (auto& [id, req] : inflightWrites_) {
-        if (req.hasWriteData)
-            bus_.dram().writeBurst(req.coord, req.writeData.data());
+    for (const InflightWrite& w : inflightWrites_) {
+        if (w.req.hasWriteData)
+            bus_.dram().writeBurst(w.req.coord, w.req.writeData.data());
         ++n;
     }
     inflightWrites_.clear();
-    while (!wpq_.empty()) {
-        MemRequest req = wpq_.pop();
+    for (std::size_t i = 0; i < wpq_.size(); ++i) {
+        const MemRequest& req = wpq_[i];
         if (req.hasWriteData)
             bus_.dram().writeBurst(req.coord, req.writeData.data());
         ++n;
     }
+    wpq_.clear();
     return n;
 }
 

@@ -18,8 +18,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "bus/memory_bus.hh"
 #include "common/event_queue.hh"
@@ -217,8 +217,9 @@ class Imc
     void wake(Tick at);
     void tick();
     void notifySpace();
-    void completeRead(MemRequest req, Tick data_end);
-    void commitWrite(MemRequest req, Tick data_end);
+    void completeRead(MemRequest& req, Tick data_end);
+    void commitWrite(MemRequest& req, Tick data_end);
+    void landWrite(std::uint64_t id);
 
     EventQueue& eq_;
     bus::MemoryBus& bus_;
@@ -226,7 +227,7 @@ class Imc
     int masterId_;
 
     TimingShadow shadow_;
-    std::deque<MemRequest> readQ_;
+    RequestQueue readQ_;
     WritePendingQueue wpq_;
 
     struct SpaceWaiter
@@ -243,9 +244,16 @@ class Imc
      * yet landed in the array. Kept so a power-fail flush can commit
      * them — otherwise a cut between CAS and burst-end would lose an
      * already-acked posted store (it is in neither the WPQ nor the
-     * array). Ordered map: flush order is deterministic.
+     * array). In issue order, so the flush order is deterministic;
+     * only a few bursts are on the wires at once, so the reserved
+     * vector never grows per burst.
      */
-    std::map<std::uint64_t, MemRequest> inflightWrites_;
+    struct InflightWrite
+    {
+        std::uint64_t id;
+        MemRequest req;
+    };
+    std::vector<InflightWrite> inflightWrites_;
     std::uint64_t nextInflightWrite_ = 0;
 
     enum class RefState : std::uint8_t { Idle, WaitPrea, WaitRef,

@@ -224,8 +224,8 @@ isRowHit(const MemRequest& req, const TimingShadow& shadow,
 } // namespace
 
 SchedDecision
-pickNext(const std::deque<MemRequest>& read_q,
-         const std::deque<MemRequest>& write_q,
+pickNext(const RequestQueue& read_q,
+         const RequestQueue& write_q,
          bool drain_writes,
          const TimingShadow& shadow,
          const dram::AddressMap& map,

@@ -117,8 +117,8 @@ struct SchedDecision
  * requests per queue (real schedulers have a bounded associative
  * search).
  */
-SchedDecision pickNext(const std::deque<MemRequest>& read_q,
-                       const std::deque<MemRequest>& write_q,
+SchedDecision pickNext(const RequestQueue& read_q,
+                       const RequestQueue& write_q,
                        bool drain_writes,
                        const TimingShadow& shadow,
                        const dram::AddressMap& map,

@@ -15,71 +15,38 @@
 #define NVDIMMC_IMC_WPQ_HH
 
 #include <cstddef>
-#include <deque>
 
-#include "common/stats.hh"
 #include "imc/request.hh"
 
 namespace nvdimmc::imc
 {
 
 /** Bounded posted-write queue with a drain watermark. */
-class WritePendingQueue
+class WritePendingQueue : public RequestQueue
 {
   public:
-    explicit WritePendingQueue(std::size_t capacity,
-                               std::size_t drain_watermark)
-        : capacity_(capacity), watermark_(drain_watermark)
+    WritePendingQueue(std::size_t capacity, std::size_t drain_watermark)
+        : RequestQueue(capacity), watermark_(drain_watermark)
     {
     }
-
-    bool full() const { return queue_.size() >= capacity_; }
-    bool empty() const { return queue_.empty(); }
-    std::size_t size() const { return queue_.size(); }
-    std::size_t capacity() const { return capacity_; }
 
     /** True when the scheduler should prefer draining writes. */
-    bool aboveWatermark() const { return queue_.size() >= watermark_; }
-
-    void push(MemRequest req) { queue_.push_back(std::move(req)); }
-
-    MemRequest& front() { return queue_.front(); }
-    const MemRequest& front() const { return queue_.front(); }
-    MemRequest& at(std::size_t i) { return queue_[i]; }
-    const MemRequest& at(std::size_t i) const { return queue_[i]; }
-
-    MemRequest pop()
-    {
-        MemRequest r = std::move(queue_.front());
-        queue_.pop_front();
-        return r;
-    }
-
-    MemRequest popAt(std::size_t i)
-    {
-        MemRequest r = std::move(queue_[i]);
-        queue_.erase(queue_.begin() +
-                     static_cast<std::ptrdiff_t>(i));
-        return r;
-    }
+    bool aboveWatermark() const { return size() >= watermark_; }
 
     /**
      * Drop every entry (simulated power failure *without* ADR flush):
      * the stores are lost. @return how many were lost.
      */
-    std::size_t dropAll()
+    std::size_t
+    dropAll()
     {
-        std::size_t n = queue_.size();
-        queue_.clear();
+        std::size_t n = size();
+        clear();
         return n;
     }
 
-    const std::deque<MemRequest>& entries() const { return queue_; }
-
   private:
-    std::size_t capacity_;
     std::size_t watermark_;
-    std::deque<MemRequest> queue_;
 };
 
 } // namespace nvdimmc::imc

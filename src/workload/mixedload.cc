@@ -15,32 +15,17 @@ namespace nvdimmc::workload
 namespace
 {
 
-/** Deterministic record pattern. */
-void
-fillPattern(std::uint8_t* buf, std::uint32_t len, std::uint64_t seed)
-{
-    std::uint64_t x = seed * 0x9e3779b97f4a7c15ull + 1;
-    for (std::uint32_t i = 0; i < len; ++i) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        buf[i] = static_cast<std::uint8_t>(x);
-    }
-}
+constexpr std::uint64_t kSeedMul = 0x9e3779b97f4a7c15ull;
 
-bool
-checkPattern(const std::uint8_t* buf, std::uint32_t len,
-             std::uint64_t seed)
+/** One xorshift64 (13, 7, 17) step, of one state or a lane pair. */
+template <typename T>
+T
+xorshift(T x)
 {
-    std::uint64_t x = seed * 0x9e3779b97f4a7c15ull + 1;
-    for (std::uint32_t i = 0; i < len; ++i) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        if (buf[i] != static_cast<std::uint8_t>(x))
-            return false;
-    }
-    return true;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
 }
 
 struct UserState
@@ -59,18 +44,107 @@ struct UserState
 
 } // namespace
 
-void
-fillRecordPattern(std::uint8_t* buf, std::uint32_t len,
-                  std::uint64_t seed)
+RecordPattern::RecordPattern(std::uint32_t len)
+    : len_(len), lane_(len / kLanes)
 {
-    fillPattern(buf, len, seed);
+    if (lane_ == 0)
+        return;
+    // Column k of the jump matrix is unit vector k stepped lane_ times.
+    std::array<std::uint64_t, 64> cols;
+    for (unsigned k = 0; k < 64; ++k)
+        cols[k] = std::uint64_t{1} << k;
+    for (std::uint32_t t = 0; t < lane_; ++t) {
+        for (std::uint64_t& c : cols)
+            c = xorshift(c);
+    }
+    for (unsigned n = 0; n < 16; ++n) {
+        for (unsigned v = 0; v < 16; ++v) {
+            std::uint64_t col_sum = 0;
+            for (unsigned b = 0; b < 4; ++b) {
+                if (v >> b & 1)
+                    col_sum ^= cols[4 * n + b];
+            }
+            jump_[n][v] = col_sum;
+        }
+    }
+}
+
+std::uint64_t
+RecordPattern::jump(std::uint64_t x) const
+{
+    std::uint64_t r = 0;
+    for (unsigned n = 0; n < 16; ++n)
+        r ^= jump_[n][(x >> (4 * n)) & 15];
+    return r;
+}
+
+void
+RecordPattern::startLanes(std::uint64_t x, LanePair* pairs) const
+{
+    for (unsigned k = 0; k < kLanes / 2; ++k) {
+        std::uint64_t odd = jump(x);
+        pairs[k] = LanePair{x, odd};
+        x = jump(odd);
+    }
+}
+
+void
+RecordPattern::fill(std::uint8_t* buf, std::uint64_t seed) const
+{
+    std::uint64_t x = seed * kSeedMul + 1;
+    std::uint32_t i = 0;
+    if (lane_ > 0) {
+        LanePair s[kLanes / 2];
+        startLanes(x, s);
+        const std::uint32_t l = lane_;
+        for (std::uint32_t t = 0; t < l; ++t) {
+            std::uint8_t* p = buf + t;
+#pragma GCC unroll 8
+            for (unsigned k = 0; k < kLanes / 2; ++k) {
+                s[k] = xorshift(s[k]);
+                p[2 * k * l] = static_cast<std::uint8_t>(s[k][0]);
+                p[(2 * k + 1) * l] = static_cast<std::uint8_t>(s[k][1]);
+            }
+        }
+        // The last lane ends on the state before the tail's first.
+        x = s[kLanes / 2 - 1][1];
+        i = kLanes * l;
+    }
+    for (; i < len_; ++i) {
+        x = xorshift(x);
+        buf[i] = static_cast<std::uint8_t>(x);
+    }
 }
 
 bool
-checkRecordPattern(const std::uint8_t* buf, std::uint32_t len,
-                   std::uint64_t seed)
+RecordPattern::check(const std::uint8_t* buf, std::uint64_t seed) const
 {
-    return checkPattern(buf, len, seed);
+    std::uint64_t x = seed * kSeedMul + 1;
+    std::uint32_t i = 0;
+    // Low bytes of (expected ^ found), ORed: 0 only if all match.
+    std::uint64_t diff = 0;
+    if (lane_ > 0) {
+        LanePair s[kLanes / 2];
+        startLanes(x, s);
+        const std::uint32_t l = lane_;
+        for (std::uint32_t t = 0; t < l; ++t) {
+            const std::uint8_t* p = buf + t;
+#pragma GCC unroll 8
+            for (unsigned k = 0; k < kLanes / 2; ++k) {
+                s[k] = xorshift(s[k]);
+                diff |= static_cast<std::uint8_t>(s[k][0] ^ p[2 * k * l]) |
+                        static_cast<std::uint8_t>(s[k][1] ^
+                                                  p[(2 * k + 1) * l]);
+            }
+        }
+        x = s[kLanes / 2 - 1][1];
+        i = kLanes * l;
+    }
+    for (; i < len_; ++i) {
+        x = xorshift(x);
+        diff |= static_cast<std::uint8_t>(x ^ buf[i]);
+    }
+    return diff == 0;
 }
 
 MixedLoadResult
@@ -111,6 +185,7 @@ runMixedLoad(EventQueue& eq, const DataDevice& dev,
         MixedLoadResult& res;
         std::shared_ptr<std::vector<UserState>> users;
         std::shared_ptr<unsigned> alive;
+        const RecordPattern pattern;
 
         void
         runTxn(unsigned u)
@@ -153,7 +228,7 @@ runMixedLoad(EventQueue& eq, const DataDevice& dev,
             std::uint64_t seed =
                 (std::uint64_t{st.id} << 40) ^
                 (st.rng.next64() | 1);
-            fillPattern(st.buf.data(), cfg.recordBytes, seed);
+            pattern.fill(st.buf.data(), seed);
             Addr addr = st.base + slot * cfg.recordBytes;
             st.inflight.insert(slot);
             dev.write(addr, cfg.recordBytes, st.buf.data(),
@@ -186,9 +261,8 @@ runMixedLoad(EventQueue& eq, const DataDevice& dev,
                     dev.read(addr, cfg.recordBytes, st.buf.data(),
                              [this, u, seed, slot] {
                                  UserState& stx = (*users)[u];
-                                 if (!checkPattern(stx.buf.data(),
-                                                   cfg.recordBytes,
-                                                   seed)) {
+                                 if (!pattern.check(stx.buf.data(),
+                                                    seed)) {
                                      res.validationFailures += 1;
                                      warn("mixedload: user ", u,
                                           " slot ", slot,
@@ -210,8 +284,7 @@ runMixedLoad(EventQueue& eq, const DataDevice& dev,
             dev.read(addr, cfg.recordBytes, st.buf.data(),
                      [this, u, idx, seed, slot, written] {
                          UserState& stx = (*users)[u];
-                         if (!checkPattern(stx.buf.data(),
-                                           cfg.recordBytes, seed)) {
+                         if (!pattern.check(stx.buf.data(), seed)) {
                              res.validationFailures += 1;
                              warn("mixedload: user ", u, " slot ",
                                   slot, " immediate readback ",
@@ -224,7 +297,8 @@ runMixedLoad(EventQueue& eq, const DataDevice& dev,
     };
 
     auto drv = std::make_shared<Driver>(
-        Driver{eq, dev, cfg, res, users, alive});
+        Driver{eq, dev, cfg, res, users, alive,
+               RecordPattern(cfg.recordBytes)});
     for (unsigned u = 0; u < cfg.users; ++u)
         drv->runTxn(u);
 

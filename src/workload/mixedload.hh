@@ -12,6 +12,7 @@
 #ifndef NVDIMMC_WORKLOAD_MIXEDLOAD_HH
 #define NVDIMMC_WORKLOAD_MIXEDLOAD_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -84,13 +85,50 @@ struct MixedLoadResult
 MixedLoadResult runMixedLoad(EventQueue& eq, const DataDevice& dev,
                              const MixedLoadConfig& cfg);
 
-/** @name The record pattern, exposed for recovery replay. */
-/** @{ */
-void fillRecordPattern(std::uint8_t* buf, std::uint32_t len,
-                       std::uint64_t seed);
-bool checkRecordPattern(const std::uint8_t* buf, std::uint32_t len,
-                        std::uint64_t seed);
-/** @} */
+/**
+ * The bytes of a record of one length, to write it and to validate
+ * it (the mixed load, recovery replay and the fault campaigns).
+ *
+ * Byte i of the record with seed s is the low byte of the (i+1)-th
+ * xorshift64 (13, 7, 17) state from s * 0x9e3779b97f4a7c15 + 1. The
+ * step is linear over GF(2), so the state L steps on is a fixed bit
+ * matrix times the state. A pattern cuts the record into kLanes lanes
+ * of L = length / kLanes bytes, starts lane j at the state jL steps
+ * on, and steps the lanes side by side; a record shorter than kLanes
+ * bytes, and the tail past the last lane, take the serial step. The
+ * matrix depends only on the length, so a pattern is built once per
+ * length. It is immutable: threads may share one.
+ */
+class RecordPattern
+{
+  public:
+    static constexpr unsigned kLanes = 16;
+
+    explicit RecordPattern(std::uint32_t len);
+
+    /** Write the record of @p seed into @p buf, as long as the
+     *  pattern's record length. */
+    void fill(std::uint8_t* buf, std::uint64_t seed) const;
+
+    /** True when @p buf holds the record of @p seed, every byte. */
+    bool check(const std::uint8_t* buf, std::uint64_t seed) const;
+
+  private:
+    /** Two lanes' states in one SSE2 register. */
+    using LanePair = std::uint64_t __attribute__((vector_size(16)));
+
+    /** The state lane_ steps after @p x. */
+    std::uint64_t jump(std::uint64_t x) const;
+    /** The first state of every lane, two lanes a pair. */
+    void startLanes(std::uint64_t x, LanePair* pairs) const;
+
+    std::uint32_t len_;
+    /** Bytes per lane; 0 when the record is too short for lanes. */
+    std::uint32_t lane_;
+    /** jump_[n][v]: the state lane_ steps after v << 4n, so a jump is
+     *  16 lookups, one per nibble of the state. */
+    std::array<std::array<std::uint64_t, 16>, 16> jump_{};
+};
 
 } // namespace nvdimmc::workload
 

@@ -7,10 +7,11 @@
  * counting allocator. Each test warms a system up, then counts the
  * heap blocks a run of 4 KB ops at queue depth 1 allocates. In-flight
  * state on the uncached path (CP ack polls, clflush chains, CPU-cache
- * misses) lives in records its component owns, and bulk copies go
- * straight to one iMC, so a steady-state op allocates little; the
- * bounds catch a continuation that starts allocating per poll, per
- * line or per copy again.
+ * misses) and of detailed line-by-line copies lives in records its
+ * component owns, the iMC queues requests in fixed slots, and bulk
+ * copies go straight to one iMC, so a steady-state op allocates
+ * little; the bounds catch a continuation that starts allocating per
+ * poll, per line or per copy again.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +19,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "core/system.hh"
+#include "workload/mixedload.hh"
 
 namespace
 {
@@ -132,9 +135,72 @@ class QueueDepthOne
     bool write_ = false;
 };
 
+/**
+ * Closed loop of one thread with real bytes: it writes a page's
+ * record, reads the page back and validates it, then moves to the
+ * next page, each op issued when the previous one completes.
+ */
+class ValidatingLoop
+{
+  public:
+    explicit ValidatingLoop(core::NvdimmcSystem& sys)
+        : sys_(sys), pattern_(kPage), buf_(kPage)
+    {
+    }
+
+    /** Run @p ops ops to completion; false if the queue drained
+     *  before they all completed. */
+    bool
+    run(std::uint32_t ops)
+    {
+        left_ = ops;
+        issue();
+        while (left_ > 0 && sys_.eq().runOne()) {
+        }
+        return left_ == 0;
+    }
+
+    std::uint64_t failures() const { return failures_; }
+
+  private:
+    void
+    issue()
+    {
+        Addr off = page_ * kPage;
+        if (write_) {
+            pattern_.fill(buf_.data(), page_ + 1);
+            sys_.driver().write(off, kPage, buf_.data(),
+                                [this] { done(); });
+        } else {
+            sys_.driver().read(off, kPage, buf_.data(), [this] {
+                failures_ += pattern_.check(buf_.data(), page_ + 1) ? 0 : 1;
+                ++page_;
+                done();
+            });
+        }
+        write_ = !write_;
+    }
+
+    void
+    done()
+    {
+        if (--left_ > 0)
+            issue();
+    }
+
+    core::NvdimmcSystem& sys_;
+    const workload::RecordPattern pattern_;
+    std::vector<std::uint8_t> buf_;
+    std::uint64_t page_ = 0;
+    std::uint64_t failures_ = 0;
+    std::uint32_t left_ = 0;
+    bool write_ = true;
+};
+
 /** Heap blocks per op over @p ops ops of @p loop (after warm-up). */
+template <typename Loop>
 double
-blocksPerOp(QueueDepthOne& loop, std::uint32_t ops)
+blocksPerOp(Loop& loop, std::uint32_t ops)
 {
     std::uint64_t before = gAllocations;
     EXPECT_TRUE(loop.run(ops));
@@ -188,6 +254,30 @@ TEST(AllocFree, CachedHitsAllocateLittle)
         << "an op missed the cache";
     // One block more per op crosses the bound.
     EXPECT_LT(per_op, 2.0);
+    EXPECT_EQ(sys.eq().sboOverflows(), 0u);
+}
+
+TEST(AllocFree, DetailedCopiesAllocateLittle)
+{
+    // Line-by-line copies, as the mixed load and the data-integrity
+    // tests run them: 64 CPU-cache loads or non-temporal stores per
+    // page, each line through the iMC's queues.
+    core::SystemConfig cfg = core::SystemConfig::scaledTest();
+    cfg.channels = 1;
+    cfg.memcpy.bulkMode = false;
+    core::NvdimmcSystem sys(cfg);
+    sys.precondition(0, 256, true);
+
+    ValidatingLoop loop(sys);
+    ASSERT_TRUE(loop.run(16));
+    const std::uint64_t faults = sys.driver().stats().pageFaults.value();
+    double per_op = blocksPerOp(loop, 128);
+    RecordProperty("blocks_per_op", std::to_string(per_op));
+    EXPECT_EQ(sys.driver().stats().pageFaults.value(), faults)
+        << "an op missed the cache";
+    EXPECT_EQ(loop.failures(), 0u);
+    // One block more per line copied, or two per copy, crosses it.
+    EXPECT_LT(per_op, 4.0);
     EXPECT_EQ(sys.eq().sboOverflows(), 0u);
 }
 

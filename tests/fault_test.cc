@@ -401,11 +401,12 @@ TEST(FaultMedia, GcRelocationSurvivesProgramFailure)
     // pages (forcing relocations), then arm a program-fault hook so
     // some failures land on relocations themselves.
     std::vector<std::uint64_t> seeds(1400, 0);
+    const workload::RecordPattern pattern(4096);
     std::vector<std::uint8_t> buf(4096);
     Rng rng(17, 1);
     auto writeLpn = [&](std::uint64_t lpn) {
         seeds[lpn] = rng.next64() | 1;
-        workload::fillRecordPattern(buf.data(), 4096, seeds[lpn]);
+        pattern.fill(buf.data(), seeds[lpn]);
         drive(eq, [&](auto cb) { ftl.writePage(lpn, buf.data(), cb); });
     };
     for (std::uint64_t l = 0; l < seeds.size(); ++l)
@@ -428,8 +429,7 @@ TEST(FaultMedia, GcRelocationSurvivesProgramFailure)
     // Every oracle page must read back intact.
     for (std::uint64_t l = 0; l < seeds.size(); ++l) {
         drive(eq, [&](auto cb) { ftl.readPage(l, buf.data(), cb); });
-        EXPECT_TRUE(
-            workload::checkRecordPattern(buf.data(), 4096, seeds[l]))
+        EXPECT_TRUE(pattern.check(buf.data(), seeds[l]))
             << "lpn " << l << " corrupted across GC relocations";
     }
 }
@@ -483,9 +483,10 @@ TEST(FaultCheckpoint, DeviceRoundTripIsByteExact)
     nvm::ZNand nand(eq, nvm::ZNandParams::tiny());
     ftl::Ftl ftl(eq, nand, tinyFtlConfig());
     Rng rng(5, 2);
+    const workload::RecordPattern pattern(4096);
     std::vector<std::uint8_t> buf(4096);
     for (int i = 0; i < 600; ++i) {
-        workload::fillRecordPattern(buf.data(), 4096, rng.next64() | 1);
+        pattern.fill(buf.data(), rng.next64() | 1);
         std::uint64_t lpn = rng.below(128);
         drive(eq, [&](auto cb) { ftl.writePage(lpn, buf.data(), cb); });
     }

@@ -42,6 +42,40 @@ struct ImcFixture : public ::testing::Test
         return *imc;
     }
 
+    /** The array's bytes at @p line, bypassing the controller. */
+    std::array<std::uint8_t, 64>
+    arrayLine(Addr line) const
+    {
+        std::array<std::uint8_t, 64> b{};
+        dev.readBurst(map.decompose(line), b.data());
+        return b;
+    }
+
+    /**
+     * Post a write of @p first bytes, then one of @p second bytes, to
+     * @p line, and step events until both write CAS have issued but
+     * neither burst has landed: both stores then live only in the
+     * controller's in-flight bursts.
+     */
+    void
+    issueTwoWritesToOneLine(Imc& m, Addr line, std::uint8_t first,
+                            std::uint8_t second)
+    {
+        const std::array<std::uint8_t, 64> before = arrayLine(line);
+        const std::uint64_t cas_before = dev.stats().writes.value();
+        std::array<std::uint8_t, 64> a{}, b{};
+        a.fill(first);
+        b.fill(second);
+        ASSERT_TRUE(m.writeLine(line, a.data(), nullptr));
+        ASSERT_TRUE(m.writeLine(line, b.data(), nullptr));
+        while (dev.stats().writes.value() < cas_before + 2 &&
+               eq.runOne()) {
+        }
+        ASSERT_EQ(dev.stats().writes.value(), cas_before + 2);
+        ASSERT_EQ(m.wpqDepth(), 0u);
+        ASSERT_EQ(arrayLine(line), before) << "a burst already landed";
+    }
+
     EventQueue eq;
     dram::AddressMap map;
     dram::DramDevice dev;
@@ -660,6 +694,40 @@ TEST_F(ImcFixture, SelfRefreshRoundTripKeepsServing)
     EXPECT_EQ(dev.stats().violations.value(), 0u);
 }
 
+TEST_F(ImcFixture, AdrFlushCommitsInFlightBurstsInIssueOrder)
+{
+    Imc& m = makeImc();
+    const Addr line = 0x5000;
+    ASSERT_NO_FATAL_FAILURE(issueTwoWritesToOneLine(m, line, 0x11, 0x22));
+
+    EXPECT_EQ(m.adrFlushWpq(), 2u);
+    std::array<std::uint8_t, 64> second{};
+    second.fill(0x22);
+    EXPECT_EQ(arrayLine(line), second) << "the newer store must land last";
+
+    // The bursts' own landing events find nothing left to commit.
+    eq.runFor(5 * kUs);
+    EXPECT_EQ(arrayLine(line), second);
+    EXPECT_EQ(dev.stats().writes.value(), 2u);
+    EXPECT_EQ(m.adrFlushWpq(), 0u);
+}
+
+TEST_F(ImcFixture, DropWpqLosesInFlightBursts)
+{
+    Imc& m = makeImc();
+    const Addr line = 0x5000;
+    std::array<std::uint8_t, 64> old{};
+    old.fill(0x0a);
+    ASSERT_TRUE(m.writeLine(line, old.data(), nullptr));
+    eq.runFor(5 * kUs);
+    ASSERT_EQ(arrayLine(line), old);
+    ASSERT_NO_FATAL_FAILURE(issueTwoWritesToOneLine(m, line, 0x11, 0x22));
+
+    EXPECT_EQ(m.dropWpq(), 2u);
+    eq.runFor(5 * kUs);
+    EXPECT_EQ(arrayLine(line), old) << "a dropped burst still landed";
+}
+
 TEST(SchedulerUnit, FrFcfsPrefersRowHits)
 {
     dram::AddressMap map(16 * kMiB);
@@ -669,17 +737,11 @@ TEST(SchedulerUnit, FrFcfsPrefersRowHits)
     // Open row 5 of bank 0.
     shadow.onActivate(0, 0, 5, 0);
 
-    std::deque<MemRequest> rq;
-    MemRequest miss;
-    miss.kind = MemRequest::Kind::Read;
-    miss.coord = {0, 0, 9, 0}; // Row miss.
-    rq.push_back(miss);
-    MemRequest hit;
-    hit.kind = MemRequest::Kind::Read;
-    hit.coord = {0, 0, 5, 3}; // Row hit.
-    rq.push_back(hit);
+    RequestQueue rq(4);
+    rq.push(MemRequest::Kind::Read, 0, {0, 0, 9, 0}, 0); // Row miss.
+    rq.push(MemRequest::Kind::Read, 0, {0, 0, 5, 3}, 0); // Row hit.
 
-    std::deque<MemRequest> wq;
+    RequestQueue wq(4);
     SchedDecision d = pickNext(rq, wq, false, shadow, map);
     EXPECT_EQ(d.action, SchedDecision::Action::Read);
     EXPECT_EQ(d.queueIndex, 1u);
@@ -691,14 +753,10 @@ TEST(SchedulerUnit, OldestFirstWithoutRowHits)
     dram::Ddr4Timing t = dram::Ddr4Timing::ddr4_1600();
     TimingShadow shadow(map, t);
 
-    std::deque<MemRequest> rq;
-    for (std::uint32_t r = 0; r < 3; ++r) {
-        MemRequest req;
-        req.kind = MemRequest::Kind::Read;
-        req.coord = {0, 0, r + 1, 0};
-        rq.push_back(req);
-    }
-    std::deque<MemRequest> wq;
+    RequestQueue rq(4);
+    for (std::uint32_t r = 0; r < 3; ++r)
+        rq.push(MemRequest::Kind::Read, 0, {0, 0, r + 1, 0}, 0);
+    RequestQueue wq(4);
     SchedDecision d = pickNext(rq, wq, false, shadow, map);
     EXPECT_EQ(d.queueIndex, 0u);
     EXPECT_EQ(d.action, SchedDecision::Action::Activate);
@@ -710,23 +768,18 @@ TEST(SchedulerUnit, WritesWaitUnlessDrainingOrNoReads)
     dram::Ddr4Timing t = dram::Ddr4Timing::ddr4_1600();
     TimingShadow shadow(map, t);
 
-    std::deque<MemRequest> rq;
-    MemRequest rd;
-    rd.kind = MemRequest::Kind::Read;
-    rd.coord = {0, 0, 1, 0};
-    rq.push_back(rd);
+    RequestQueue rq(4);
+    rq.push(MemRequest::Kind::Read, 0, {0, 0, 1, 0}, 0);
 
-    std::deque<MemRequest> wq;
-    MemRequest wr;
-    wr.kind = MemRequest::Kind::Write;
-    wr.coord = {1, 0, 2, 0};
-    wq.push_back(wr);
+    RequestQueue wq(4);
+    const dram::DramCoord wr{1, 0, 2, 0};
+    wq.push(MemRequest::Kind::Write, 0, wr, 0);
 
     SchedDecision d = pickNext(rq, wq, false, shadow, map);
     EXPECT_FALSE(d.fromWriteQueue);
 
     // Draining mode with a write row hit prefers the write.
-    shadow.onActivate(map.flatBank(wr.coord), 1, 2, 0);
+    shadow.onActivate(map.flatBank(wr), 1, 2, 0);
     d = pickNext(rq, wq, true, shadow, map);
     EXPECT_TRUE(d.fromWriteQueue);
 

@@ -1,19 +1,22 @@
 /**
  * @file
  * Workload generator tests: FIO job mechanics, SSD rate model, TPC-H
- * specs and cache replay, file copy phases.
+ * specs and cache replay, file copy phases, the record pattern.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/event_queue.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "driver/dram_cache.hh"
 #include "workload/fio.hh"
 #include "workload/filecopy.hh"
+#include "workload/mixedload.hh"
 #include "workload/ssd.hh"
 #include "workload/tpch.hh"
 
@@ -341,6 +344,63 @@ TEST(FileCopyTest, PhasesSplitAroundCacheCapacity)
     EXPECT_GT(res.cachedPhaseMBps, res.uncachedPhaseMBps * 2);
     EXPECT_GT(res.bandwidth.points().size(), 2u);
     EXPECT_GT(res.elapsed, 0u);
+}
+
+/** The record bytes as one serial xorshift64 walk, the definition. */
+void
+serialRecord(std::uint8_t* buf, std::uint32_t len, std::uint64_t seed)
+{
+    std::uint64_t x = seed * 0x9e3779b97f4a7c15ull + 1;
+    for (std::uint32_t i = 0; i < len; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        buf[i] = static_cast<std::uint8_t>(x);
+    }
+}
+
+TEST(RecordPattern, MatchesSerialReference)
+{
+    std::vector<std::uint64_t> seeds = {0, 1, ~std::uint64_t{0}};
+    Rng rng(97, 5);
+    for (int i = 0; i < 6; ++i)
+        seeds.push_back(rng.next64());
+
+    // Short records, lane boundaries and tails.
+    for (std::uint32_t len : {0u, 1u, 15u, 16u, 17u, 1023u, 1024u, 4095u,
+                              4096u, 4097u, 65536u}) {
+        const RecordPattern pattern(len);
+        // The first and last byte, and the first and last of each lane.
+        std::set<std::uint32_t> probes;
+        if (len > 0)
+            probes = {0, len - 1};
+        const std::uint32_t lane = len / RecordPattern::kLanes;
+        for (std::uint32_t j = 0; lane > 0 && j < RecordPattern::kLanes;
+             ++j) {
+            probes.insert(j * lane);
+            probes.insert((j + 1) * lane - 1);
+        }
+
+        std::vector<std::uint8_t> want(len), got(len);
+        for (std::uint64_t seed : seeds) {
+            serialRecord(want.data(), len, seed);
+            for (std::uint32_t i = 0; i < len; ++i)
+                got[i] = static_cast<std::uint8_t>(~want[i]);
+            pattern.fill(got.data(), seed);
+            ASSERT_EQ(got, want) << "len " << len << " seed " << seed;
+
+            EXPECT_TRUE(pattern.check(want.data(), seed))
+                << "len " << len << " seed " << seed;
+            for (std::uint32_t at : probes) {
+                const auto bit = static_cast<std::uint8_t>(1u << (at % 8));
+                want[at] ^= bit;
+                EXPECT_FALSE(pattern.check(want.data(), seed))
+                    << "len " << len << " seed " << seed
+                    << " flipped byte " << at;
+                want[at] ^= bit;
+            }
+        }
+    }
 }
 
 } // namespace
