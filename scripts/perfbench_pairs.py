@@ -11,7 +11,7 @@ a warm CPU.
     python3 scripts/perfbench_pairs.py PARENT_BIN CHANGE_BIN \\
         --workload uncached_rw_1ch --seed 1 --pairs 10
     python3 scripts/perfbench_pairs.py BIN BIN --workload all \\
-        --pairs 2 --short          # self-check: one binary on both sides
+        --pairs 2 --short --trace  # self-check: one binary on both sides
 
 For ``phase_s`` (the timed load phase) and set-up (``build_s`` plus
 ``precondition_s``) it prints each side's median and quartiles, how many
@@ -19,8 +19,10 @@ pairs the change won (ties count for neither), and the ratio of the
 medians (change / parent). The simulated fields must repeat exactly in
 every process of both sides; the script exits 1 when one differs, so a
 change that claims to be a pure speed-up also proves it simulated the
-same thing. Nothing here reads or writes the perfbench directory: it
-only runs the binaries it is given.
+same thing. With ``--trace`` each side also runs one traced process per
+workload, and their stats dumps, span breakdown and span audit must be
+equal too (and the audit must pass). Nothing here reads or writes the
+perfbench directory: it only runs the binaries it is given.
 """
 
 import argparse
@@ -32,17 +34,23 @@ import sys
 
 WORKLOADS = ("cached_rw_4ch", "uncached_rw_1ch", "mixedload_250u")
 # perfbench result fields that a seed fixes exactly.
-EXACT_FIELDS = ("ops", "events", "lat_p50_ps", "lat_p99_ps", "sim_kiops",
+EXACT_FIELDS = ("ops", "issued", "completed", "window_ps", "phase_ps",
+                "events", "lat_p50_ps", "lat_p99_ps", "sim_kiops",
                 "validation_failures", "hardware_clean")
+# Fields of a traced record's "trace" object that a seed fixes exactly.
+TRACE_FIELDS = ("stats_before", "stats_after", "breakdown",
+                "span_audit_ok")
 # A repetition takes seconds; one that runs this long is hung.
 REP_TIMEOUT_S = 120
 
 
-def run_one(binary, workload, seed, short, cpu):
+def run_one(binary, workload, seed, short, cpu, trace=False):
     """One pinned perfbench process; its JSON record."""
     cmd = [binary, "--workload", workload, "--seed", str(seed)]
     if short:
         cmd.append("--short")
+    if trace:
+        cmd.append("--trace")
     proc = subprocess.run(
         cmd, stdout=subprocess.PIPE, timeout=REP_TIMEOUT_S, check=False,
         preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
@@ -84,6 +92,17 @@ def exact_mismatches(records):
                    if r[f] != ref[f]})
 
 
+def trace_mismatches(parent, change):
+    """TRACE_FIELDS that differ between the sides' traced records, plus
+    a note when a span audit failed."""
+    bad = [f for f in TRACE_FIELDS
+           if parent["trace"][f] != change["trace"][f]]
+    if not (parent["trace"]["span_audit_ok"]
+            and change["trace"]["span_audit_ok"]):
+        bad.append("span audit failed")
+    return bad
+
+
 def compare(args, workload, cpus):
     parent, change = [], []
     for k in range(args.pairs):
@@ -98,10 +117,20 @@ def compare(args, workload, cpus):
           f"short={int(args.short)} cpus={len(cpus)}")
     summarize("phase_s", parent, change)
     summarize("setup_s", parent, change)
-    bad = exact_mismatches(parent + change)
+    traced = []
+    if args.trace:
+        cpu = cpus[args.pairs % len(cpus)]
+        traced = [run_one(b, workload, args.seed, args.short, cpu, True)
+                  for b in (args.parent, args.change)]
+    bad = exact_mismatches(parent + change + traced)
     ref = parent[0]
     print("  exact     " + " ".join(f"{f}={ref[f]}" for f in EXACT_FIELDS)
           + ("  MISMATCH: " + ", ".join(bad) if bad else "  equal"))
+    if traced:
+        tbad = trace_mismatches(*traced)
+        print("  traced    " + " ".join(TRACE_FIELDS)
+              + ("  MISMATCH: " + ", ".join(tbad) if tbad else "  equal"))
+        bad += tbad
     return not bad
 
 
@@ -115,6 +144,9 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--short", action="store_true",
                     help="perfbench's short windows (a smoke run)")
+    ap.add_argument("--trace", action="store_true",
+                    help="also run one traced process per side and "
+                    "workload; its stats and span records must match")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
