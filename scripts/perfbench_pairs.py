@@ -13,11 +13,13 @@ a warm CPU.
     python3 scripts/perfbench_pairs.py BIN BIN --workload all \\
         --pairs 2 --short --trace  # self-check: one binary on both sides
 
-For ``phase_s`` (the timed load phase) and set-up (``build_s`` plus
-``precondition_s``) it prints each side's median and quartiles, how many
-pairs the change won (ties count for neither), and the ratio of the
-medians (change / parent). The simulated fields must repeat exactly in
-every process of both sides; the script exits 1 when one differs, so a
+For ``phase_s`` (the timed load phase), set-up (``build_s`` plus
+``precondition_s``) and peak RSS (``ru_maxrss`` from ``os.wait4``, the
+value ``perfbench/run.py`` reports as ``peak_rss_mb``) it prints each
+side's median and quartiles, how many pairs the change won (lower wins;
+ties count for neither), and the ratio of the medians (change /
+parent). The simulated fields must repeat exactly in every process of
+both sides; the script exits 1 when one differs, so a
 change that claims to be a pure speed-up also proves it simulated the
 same thing. With ``--trace`` each side also runs one traced process per
 workload, and their stats dumps, span breakdown and span audit must be
@@ -31,6 +33,7 @@ import os
 import statistics
 import subprocess
 import sys
+import threading
 
 WORKLOADS = ("cached_rw_4ch", "uncached_rw_1ch", "mixedload_250u")
 # perfbench result fields that a seed fixes exactly.
@@ -51,14 +54,28 @@ def run_one(binary, workload, seed, short, cpu, trace=False):
         cmd.append("--short")
     if trace:
         cmd.append("--trace")
-    proc = subprocess.run(
-        cmd, stdout=subprocess.PIPE, timeout=REP_TIMEOUT_S, check=False,
+    proc = subprocess.Popen(
+        cmd, stdout=subprocess.PIPE,
         preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
-    if proc.returncode != 0:
+    watchdog = threading.Timer(REP_TIMEOUT_S, proc.kill)
+    watchdog.start()
+    try:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+    except BaseException:
+        proc.kill()
+        proc.wait()
+        raise
+    finally:
+        watchdog.cancel()
+        proc.stdout.close()
+    code = proc.returncode = os.waitstatus_to_exitcode(status)
+    if code != 0:
         raise RuntimeError(f"{binary} --workload {workload} exited with "
-                           f"{proc.returncode}")
-    rec = json.loads(proc.stdout.decode().strip().splitlines()[-1])
+                           f"{code}")
+    rec = json.loads(out.decode().strip().splitlines()[-1])
     rec["setup_s"] = rec["build_s"] + rec["precondition_s"]
+    rec["peak_rss_mb"] = usage.ru_maxrss * 1024 / 1e6
     return rec
 
 
@@ -71,7 +88,7 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(name, parent, change):
+def summarize(name, parent, change, unit="s"):
     """Print one metric's medians, quartiles, wins and ratio."""
     p = [r[name] for r in parent]
     c = [r[name] for r in change]
@@ -79,8 +96,8 @@ def summarize(name, parent, change):
     pq = quartiles(p)
     cq = quartiles(c)
     ratio = cq[1] / pq[1] if pq[1] else float("nan")
-    print(f"  {name:10} parent {pq[1]:.6f} s (q1 {pq[0]:.6f}, q3 "
-          f"{pq[2]:.6f})  change {cq[1]:.6f} s (q1 {cq[0]:.6f}, q3 "
+    print(f"  {name:11} parent {pq[1]:.6f} {unit} (q1 {pq[0]:.6f}, q3 "
+          f"{pq[2]:.6f})  change {cq[1]:.6f} {unit} (q1 {cq[0]:.6f}, q3 "
           f"{cq[2]:.6f})  ratio {ratio:.3f}  change lower in "
           f"{wins}/{len(p)} pairs")
 
@@ -117,6 +134,7 @@ def compare(args, workload, cpus):
           f"short={int(args.short)} cpus={len(cpus)}")
     summarize("phase_s", parent, change)
     summarize("setup_s", parent, change)
+    summarize("peak_rss_mb", parent, change, "MB")
     traced = []
     if args.trace:
         cpu = cpus[args.pairs % len(cpus)]
@@ -124,11 +142,11 @@ def compare(args, workload, cpus):
                   for b in (args.parent, args.change)]
     bad = exact_mismatches(parent + change + traced)
     ref = parent[0]
-    print("  exact     " + " ".join(f"{f}={ref[f]}" for f in EXACT_FIELDS)
+    print("  exact      " + " ".join(f"{f}={ref[f]}" for f in EXACT_FIELDS)
           + ("  MISMATCH: " + ", ".join(bad) if bad else "  equal"))
     if traced:
         tbad = trace_mismatches(*traced)
-        print("  traced    " + " ".join(TRACE_FIELDS)
+        print("  traced     " + " ".join(TRACE_FIELDS)
               + ("  MISMATCH: " + ", ".join(tbad) if tbad else "  equal"))
         bad += tbad
     return not bad
@@ -158,8 +176,7 @@ def main():
     names = WORKLOADS if args.workload == "all" else (args.workload,)
     try:
         ok = all([compare(args, w, cpus) for w in names])
-    except (RuntimeError, subprocess.TimeoutExpired, ValueError,
-            KeyError) as e:
+    except (RuntimeError, ValueError, KeyError) as e:
         print(f"perfbench_pairs: {e}", file=sys.stderr)
         return 1
     if not ok:

@@ -14,7 +14,8 @@ DramDevice::DramDevice(const AddressMap& map, const Ddr4Timing& timing,
       timing_(timing),
       storeData_(store_data),
       panicOnViolation_(panic_on_violation),
-      banks_(map.totalBanks())
+      banks_(map.totalBanks()),
+      rows_(map.rowBytes())
 {
 }
 
@@ -244,11 +245,7 @@ DramDevice::writeBurst(const DramCoord& coord, const std::uint8_t* data64)
 {
     if (!storeData_)
         return;
-    auto key = rowKey(coord.bankGroup, coord.bank, coord.row);
-    auto& row = rowStore_[key];
-    if (row.empty())
-        row.assign(map_.rowBytes(), 0);
-    std::memcpy(row.data() +
+    std::memcpy(rows_.touch(rowIndex(coord)) +
                 std::size_t{coord.col} * AddressMap::kBurstBytes,
                 data64, AddressMap::kBurstBytes);
 }
@@ -256,19 +253,14 @@ DramDevice::writeBurst(const DramCoord& coord, const std::uint8_t* data64)
 void
 DramDevice::readBurst(const DramCoord& coord, std::uint8_t* data64) const
 {
-    if (!storeData_) {
-        std::memset(data64, 0, AddressMap::kBurstBytes);
-        return;
-    }
-    auto key = rowKey(coord.bankGroup, coord.bank, coord.row);
-    auto it = rowStore_.find(key);
-    if (it == rowStore_.end()) {
+    const std::uint8_t* row = storeData_ ? rows_.leaf(rowIndex(coord))
+                                         : nullptr;
+    if (!row) {
         std::memset(data64, 0, AddressMap::kBurstBytes);
         return;
     }
     std::memcpy(data64,
-                it->second.data() +
-                std::size_t{coord.col} * AddressMap::kBurstBytes,
+                row + std::size_t{coord.col} * AddressMap::kBurstBytes,
                 AddressMap::kBurstBytes);
 }
 

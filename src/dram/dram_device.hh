@@ -18,9 +18,9 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/sparse_store.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dram/address_map.hh"
@@ -132,7 +132,7 @@ class DramDevice
     /** Bytes of backing storage currently allocated (for tests). */
     std::uint64_t allocatedBytes() const
     {
-        return rowStore_.size() * map_.rowBytes();
+        return rows_.allocatedBytes();
     }
 
   private:
@@ -141,11 +141,10 @@ class DramDevice
                           bool auto_precharge);
     bool checkGlobal(const Ddr4Command& cmd, Tick now);
 
-    std::uint64_t rowKey(std::uint8_t bg, std::uint8_t ba,
-                         std::uint32_t row) const
+    /** Leaf of @p c's row in rows_: rows in address order. */
+    std::uint64_t rowIndex(const DramCoord& c) const
     {
-        return (std::uint64_t{bg} << 56) | (std::uint64_t{ba} << 48) |
-               row;
+        return std::uint64_t{c.row} * map_.totalBanks() + map_.flatBank(c);
     }
 
     AddressMap map_;
@@ -167,7 +166,8 @@ class DramDevice
     std::uint8_t lastCasBg_ = 0;
     std::deque<Tick> actWindow_; ///< Last ACT ticks for tFAW.
 
-    std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> rowStore_;
+    /** Row contents, one leaf per row written. */
+    SparseStore<std::uint8_t> rows_;
 
     DramStats stats_;
     std::vector<DramViolation> violations_;

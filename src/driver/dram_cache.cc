@@ -1,5 +1,7 @@
 #include "driver/dram_cache.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace nvdimmc::driver
@@ -10,14 +12,10 @@ DramCache::DramCache(std::uint32_t slot_count, std::uint64_t page_count,
     : slotCount_(slot_count),
       pageCount_(page_count),
       policy_(std::move(policy)),
-      slots_(slot_count),
-      pins_(slot_count, 0)
+      slots_(slot_count)
 {
     NVDC_ASSERT(slot_count > 0, "empty DRAM cache");
     policy_->reset(slot_count);
-    // Address space only: untouched entries cost no memory, and the
-    // directory then grows in place instead of copying itself.
-    pageToSlot_.reserve(page_count);
 }
 
 std::optional<std::uint32_t>
@@ -67,8 +65,7 @@ DramCache::pickVictim()
     const std::uint32_t budget = stableCount_;
     for (std::uint32_t attempts = 0; attempts < budget; ++attempts) {
         std::uint32_t v = policy_->pickVictim();
-        if (slots_[v].state == CacheSlot::State::Stable &&
-            pins_[v] == 0) {
+        if (slots_[v].state == CacheSlot::State::Stable && !pinned(v)) {
             chosen = v;
             break;
         }
@@ -92,7 +89,7 @@ DramCache::pickCleanVictim()
     for (std::uint32_t attempts = 0; attempts < budget; ++attempts) {
         std::uint32_t v = policy_->pickVictim();
         if (slots_[v].state == CacheSlot::State::Stable &&
-            pins_[v] == 0 && !slots_[v].dirty) {
+            !pinned(v) && !slots_[v].dirty) {
             chosen = v;
             break;
         }
@@ -108,8 +105,17 @@ DramCache::pickCleanVictim()
 void
 DramCache::unpin(std::uint32_t slot)
 {
-    NVDC_ASSERT(pins_[slot] > 0, "unpin underflow");
-    --pins_[slot];
+    auto it = std::find(pinnedSlots_.begin(), pinnedSlots_.end(), slot);
+    NVDC_ASSERT(it != pinnedSlots_.end(), "unpin underflow");
+    *it = pinnedSlots_.back();
+    pinnedSlots_.pop_back();
+}
+
+bool
+DramCache::pinned(std::uint32_t slot) const
+{
+    return std::find(pinnedSlots_.begin(), pinnedSlots_.end(), slot) !=
+           pinnedSlots_.end();
 }
 
 CacheSlot
@@ -126,7 +132,7 @@ DramCache::beginEvict(std::uint32_t s)
     policy_->onEvict(s);
     NVDC_ASSERT(stableCount_ > 0, "stable count underflow");
     --stableCount_;
-    pageToSlot_[slot.page] = kNoSlot;
+    pageToSlot_.at(slot.page) = 0;
     slot.state = CacheSlot::State::Busy;
     return prior;
 }
@@ -161,11 +167,10 @@ DramCache::finishFill(std::uint32_t s)
     CacheSlot& slot = slots_[s];
     NVDC_ASSERT(slot.state == CacheSlot::State::Busy,
                 "finishing fill of a non-busy slot");
-    if (slot.page >= pageToSlot_.size())
-        pageToSlot_.resize(slot.page + 1, kNoSlot);
-    NVDC_ASSERT(pageToSlot_[slot.page] == kNoSlot, "page ", slot.page,
-                " is already cached in slot ", pageToSlot_[slot.page]);
-    pageToSlot_[slot.page] = s;
+    std::uint32_t& entry = pageToSlot_.at(slot.page);
+    NVDC_ASSERT(entry == 0, "page ", slot.page,
+                " is already cached in slot ", entry - 1);
+    entry = s + 1;
     slot.state = CacheSlot::State::Stable;
     ++stableCount_;
     stats_.installs.inc();

@@ -8,10 +8,9 @@
  *
  * The page -> slot directory is also the DAX page table (paper Fig 6):
  * a PTE is valid exactly while its page sits in a Stable slot, so the
- * directory holds an entry for a page only then. It is dense, one
- * entry per page index up to the highest page held, so pages come
- * from a range bounded at construction: the driver keys each module's
- * cache by module-local page.
+ * directory holds an entry for a page only then. It is indexed by page
+ * in sparse leaves, over a range bounded at construction: the driver
+ * keys each module's cache by module-local page.
  */
 
 #ifndef NVDIMMC_DRIVER_DRAM_CACHE_HH
@@ -22,6 +21,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/sparse_store.hh"
 #include "common/stats.hh"
 #include "driver/replacement_policy.hh"
 
@@ -64,9 +64,8 @@ class DramCache
 {
   public:
     /** @p page_count bounds the pages the cache may be given. The
-     *  directory reserves address space for that many entries up
-     *  front, so growing never copies it; only entries up to the
-     *  highest page held are ever written. */
+     *  directory holds leaves only for the pages that have been held,
+     *  not for the whole range. */
     DramCache(std::uint32_t slot_count, std::uint64_t page_count,
               std::unique_ptr<ReplacementPolicy> policy);
 
@@ -90,9 +89,10 @@ class DramCache
     std::optional<std::uint32_t>
     peek(std::uint64_t page) const
     {
-        if (page >= pageToSlot_.size() || pageToSlot_[page] == kNoSlot)
+        std::uint32_t e = pageToSlot_.get(page);
+        if (e == 0)
             return std::nullopt;
-        return pageToSlot_[page];
+        return e - 1;
     }
 
     /** Take a free slot and bind it to @p page (state Busy until the
@@ -125,7 +125,7 @@ class DramCache
     void rebind(std::uint32_t slot, std::uint64_t page);
 
     /** Fill finished: slot becomes Stable (hit-able) and enters the
-     *  directory, which grows to hold its page if needed. */
+     *  directory. */
     void finishFill(std::uint32_t slot);
 
     void markDirty(std::uint32_t slot);
@@ -136,11 +136,17 @@ class DramCache
      * chosen as a victim (the kernel analogue is that eviction's TLB
      * shootdown waits for accesses through existing mappings).
      */
-    void pin(std::uint32_t slot) { ++pins_[slot]; }
+    void pin(std::uint32_t slot) { pinnedSlots_.push_back(slot); }
+    /** Release one pin of @p slot; panics if it holds none. */
     void unpin(std::uint32_t slot);
-    bool pinned(std::uint32_t slot) const { return pins_[slot] != 0; }
+    bool pinned(std::uint32_t slot) const;
 
     const CacheSlot& slot(std::uint32_t s) const { return slots_[s]; }
+    /** Bytes of directory leaves currently allocated (for tests). */
+    std::uint64_t directoryBytes() const
+    {
+        return pageToSlot_.allocatedBytes();
+    }
     const DramCacheStats& stats() const { return stats_; }
     const ReplacementPolicy& policy() const { return *policy_; }
 
@@ -150,25 +156,24 @@ class DramCache
                        const std::string& prefix) const;
 
   private:
-    /** Directory entry of a page that no Stable slot holds. */
-    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-
     std::uint32_t slotCount_;
     std::uint64_t pageCount_;
     std::unique_ptr<ReplacementPolicy> policy_;
     std::vector<CacheSlot> slots_;
-    /** Pin count per slot, apart from slots_ on purpose: a read hit
-     *  pins its slot without touching the 16-byte slot array. */
-    std::vector<std::uint32_t> pins_;
+    /** One entry per pin, a multiset of slots: it is as long as the
+     *  accesses in flight (a few hundred at most), so a hit pins
+     *  without touching any per-slot array. */
+    std::vector<std::uint32_t> pinnedSlots_;
     /** Number of Stable slots (== entries the policy knows about). */
     std::uint32_t stableCount_ = 0;
     /** Slots [nextFresh_, slotCount_) have never been allocated. */
     std::uint32_t nextFresh_ = 0;
     /** Slots finishEvict freed, most recent last. */
     std::vector<std::uint32_t> freed_;
-    /** Entry p: the Stable slot holding page p, or kNoSlot. Grown on
-     *  demand to the highest page held; lookups never grow it. */
-    std::vector<std::uint32_t> pageToSlot_;
+    /** Entry p: the Stable slot holding page p, plus one, or 0 where
+     *  none does, so a fresh leaf needs no fill. Lookups never make a
+     *  leaf. */
+    SparseStore<std::uint32_t> pageToSlot_{kTableLeafLen};
     DramCacheStats stats_;
 };
 

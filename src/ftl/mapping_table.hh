@@ -9,10 +9,10 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
+#include "common/sparse_store.hh"
 
 namespace nvdimmc::ftl
 {
@@ -23,24 +23,22 @@ constexpr std::uint64_t kUnmapped = ~std::uint64_t{0};
 /**
  * L2P / P2L mapping at 4 KB page granularity.
  *
- * The L2P keeps one 32-bit entry per lpn, up to the highest lpn
- * mapped: building the table writes none of it, and a run pays only
- * for the range it has mapped.
+ * The L2P keeps one 32-bit entry per lpn in sparse leaves: building
+ * the table writes none of it, and a run pays for the leaves holding
+ * the lpns it has mapped, not for the range up to the highest one.
  */
 class MappingTable
 {
   public:
     /** @p logical_pages bounds the lpns mapped and @p physical_pages
-     *  the ppns they map to. The L2P reserves the logical range as
-     *  address space only, so it grows in place. */
+     *  the ppns they map to. */
     MappingTable(std::uint64_t logical_pages,
                  std::uint64_t physical_pages)
         : logicalPages_(logical_pages), physicalPages_(physical_pages)
     {
-        NVDC_ASSERT(physical_pages <= kNone, "a 32-bit L2P entry "
-                    "cannot name every one of ", physical_pages,
+        NVDC_ASSERT(physical_pages <= ~std::uint32_t{0}, "a 32-bit L2P "
+                    "entry cannot name every one of ", physical_pages,
                     " physical pages");
-        l2p_.reserve(logical_pages);
     }
 
     std::uint64_t logicalPages() const { return logicalPages_; }
@@ -49,9 +47,8 @@ class MappingTable
     std::uint64_t
     lookup(std::uint64_t lpn) const
     {
-        if (lpn >= l2p_.size() || l2p_[lpn] == kNone)
-            return kUnmapped;
-        return l2p_[lpn];
+        std::uint32_t e = l2p_.get(lpn);
+        return e == 0 ? kUnmapped : e - 1;
     }
 
     /**
@@ -68,9 +65,7 @@ class MappingTable
                     " is outside the ", physicalPages_,
                     " physical pages");
         std::uint64_t old = lookup(lpn);
-        if (lpn >= l2p_.size())
-            l2p_.resize(lpn + 1, kNone);
-        l2p_[lpn] = static_cast<std::uint32_t>(ppn);
+        l2p_.at(lpn) = static_cast<std::uint32_t>(ppn + 1);
         if (old != kUnmapped)
             p2l_.erase(old);
         p2l_[ppn] = lpn;
@@ -88,9 +83,12 @@ class MappingTable
     /** Number of live mappings. */
     std::uint64_t mappedCount() const { return p2l_.size(); }
 
+    /** Bytes of L2P leaves currently allocated (for tests). */
+    std::uint64_t l2pBytes() const { return l2p_.allocatedBytes(); }
+
     /** @name Checkpointing (fault campaigns). The stream holds one
-     *  u64 per logical page, kUnmapped where none is mapped, however
-     *  far the L2P has grown. The reverse map is rebuilt on load. */
+     *  u64 per logical page, kUnmapped where none is mapped, whichever
+     *  leaves the L2P holds. The reverse map is rebuilt on load. */
     /** @{ */
     void
     saveState(ByteWriter& w) const
@@ -121,22 +119,18 @@ class MappingTable
                       " to ppn ", ppn, ", past the ", physicalPages_,
                       " physical pages");
             }
-            l2p_.resize(lpn + 1, kNone);
-            l2p_[lpn] = static_cast<std::uint32_t>(ppn);
+            l2p_.at(lpn) = static_cast<std::uint32_t>(ppn + 1);
             p2l_[ppn] = lpn;
         }
     }
     /** @} */
 
   private:
-    /** L2P entry of an lpn that maps nowhere. */
-    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-
     std::uint64_t logicalPages_;
     std::uint64_t physicalPages_;
-    /** Entry lpn: its physical page, or kNone. Grown on demand to
-     *  the highest lpn mapped; lookups never grow it. */
-    std::vector<std::uint32_t> l2p_;
+    /** Entry lpn: its physical page + 1, or 0 where it maps nowhere,
+     *  so a fresh leaf needs no fill. Lookups never make a leaf. */
+    SparseStore<std::uint32_t> l2p_{kTableLeafLen};
     std::unordered_map<std::uint64_t, std::uint64_t> p2l_;
 };
 

@@ -1,7 +1,6 @@
 #include "nvm/nvm_media.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.hh"
 
@@ -19,37 +18,14 @@ NvmMedia::storeBytes(Addr addr, std::uint32_t len,
                      const std::uint8_t* data)
 {
     NVDC_ASSERT(addr + len <= capacity_, "media write out of range");
-    std::uint32_t done = 0;
-    while (done < len) {
-        Addr a = addr + done;
-        std::uint64_t idx = a / kChunk;
-        std::uint32_t off = static_cast<std::uint32_t>(a % kChunk);
-        std::uint32_t n = std::min(len - done, kChunk - off);
-        auto& chunk = chunks_[idx];
-        if (chunk.empty())
-            chunk.assign(kChunk, 0);
-        std::memcpy(chunk.data() + off, data + done, n);
-        done += n;
-    }
+    chunks_.write(addr, data, len);
 }
 
 void
 NvmMedia::loadBytes(Addr addr, std::uint32_t len, std::uint8_t* buf) const
 {
     NVDC_ASSERT(addr + len <= capacity_, "media read out of range");
-    std::uint32_t done = 0;
-    while (done < len) {
-        Addr a = addr + done;
-        std::uint64_t idx = a / kChunk;
-        std::uint32_t off = static_cast<std::uint32_t>(a % kChunk);
-        std::uint32_t n = std::min(len - done, kChunk - off);
-        auto it = chunks_.find(idx);
-        if (it == chunks_.end())
-            std::memset(buf + done, 0, n);
-        else
-            std::memcpy(buf + done, it->second.data() + off, n);
-        done += n;
-    }
+    chunks_.read(addr, buf, len);
 }
 
 void

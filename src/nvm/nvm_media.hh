@@ -17,11 +17,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "common/event_queue.hh"
 #include "common/span.hh"
+#include "common/sparse_store.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -89,8 +88,8 @@ class NvmMedia
 
     std::string name_;
     std::uint64_t capacity_;
-    std::unordered_map<std::uint64_t,
-                       std::vector<std::uint8_t>> chunks_;
+    /** Contents in kChunk leaves, indexed by media address. */
+    SparseStore<std::uint8_t> chunks_{kChunk};
 };
 
 /**

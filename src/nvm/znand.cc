@@ -47,7 +47,8 @@ ZNand::ZNand(EventQueue& eq, const ZNandParams& p)
     : eq_(eq),
       params_(p),
       dies_(std::size_t{p.channels} * p.diesPerChannel),
-      channelBusyUntil_(p.channels, 0)
+      channelBusyUntil_(p.channels, 0),
+      pageData_(p.pageBytes)
 {
 }
 
@@ -150,11 +151,10 @@ ZNand::readPage(std::uint64_t page_no, std::uint8_t* buf, Callback done,
     stats_.readLatency.record(finish - eq_.now());
 
     if (buf) {
-        auto it = pageData_.find(page_no);
-        if (it == pageData_.end())
-            std::memset(buf, 0xff, params_.pageBytes); // Erased state.
+        if (const std::uint8_t* page = pageData_.leaf(page_no))
+            std::memcpy(buf, page, params_.pageBytes);
         else
-            std::memcpy(buf, it->second.data(), params_.pageBytes);
+            std::memset(buf, 0xff, params_.pageBytes); // Erased state.
     }
     eq_.schedule(finish, std::move(done));
 }
@@ -221,10 +221,8 @@ ZNand::programPage(std::uint64_t page_no, const std::uint8_t* data,
     die.busyUntil = finish;
     stats_.programLatency.record(finish - eq_.now());
 
-    if (data) {
-        auto& store = pageData_[page_no];
-        store.assign(data, data + params_.pageBytes);
-    }
+    if (data)
+        std::memcpy(pageData_.touch(page_no), data, params_.pageBytes);
     eq_.schedule(finish, std::move(done));
 }
 
@@ -243,7 +241,7 @@ ZNand::eraseBlock(std::uint64_t block_no, Callback done)
     std::uint64_t first_page =
         block_no * std::uint64_t{params_.pagesPerBlock};
     for (std::uint32_t i = 0; i < params_.pagesPerBlock; ++i)
-        pageData_.erase(first_page + i);
+        pageData_.drop(first_page + i);
 
     DieState& die = dieOf(first_page);
     Tick finish = std::max(eq_.now(), die.busyUntil) + params_.tBERS;
@@ -350,12 +348,11 @@ ZNand::saveState(ByteWriter& w) const
             w.u8(st.programmed[i] ? 1 : 0);
     }
 
-    auto page_keys = sortedKeys(pageData_);
-    w.u64(page_keys.size());
-    for (std::uint64_t p : page_keys) {
+    w.u64(pageData_.leafCount());
+    pageData_.forEachLeaf([&](std::uint64_t p, const std::uint8_t* page) {
         w.u64(p);
-        w.bytes(pageData_.at(p).data(), params_.pageBytes);
-    }
+        w.bytes(page, params_.pageBytes);
+    });
 
     auto bad_keys = sortedKeys(badBlocks_);
     w.u64(bad_keys.size());
@@ -388,9 +385,11 @@ ZNand::loadState(ByteReader& r)
     std::uint64_t npages = r.u64();
     for (std::uint64_t i = 0; i < npages; ++i) {
         std::uint64_t p = r.u64();
-        auto& store = pageData_[p];
-        store.resize(params_.pageBytes);
-        r.bytes(store.data(), params_.pageBytes);
+        if (p >= params_.totalPages()) {
+            fatal("ZNand checkpoint holds page ", p, ", past the ",
+                  params_.totalPages(), " pages of the device");
+        }
+        r.bytes(pageData_.touch(p), params_.pageBytes);
     }
 
     badBlocks_.clear();

@@ -25,6 +25,7 @@
 #include "common/event_queue.hh"
 #include "common/serialize.hh"
 #include "common/span.hh"
+#include "common/sparse_store.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "nvm/nvm_media.hh"
@@ -214,8 +215,9 @@ class ZNand
     std::vector<DieState> dies_;
     std::vector<Tick> channelBusyUntil_;
     std::unordered_map<std::uint64_t, BlockState> blocks_;
-    std::unordered_map<std::uint64_t,
-                       std::vector<std::uint8_t>> pageData_;
+    /** Contents of each page programmed with data, one leaf per page;
+     *  a page with no leaf reads erased (all 0xFF). */
+    SparseStore<std::uint8_t> pageData_;
     std::unordered_set<std::uint64_t> badBlocks_;
     std::unordered_set<std::uint64_t> failNextProgram_;
     std::function<bool(std::uint64_t)> programFaultHook_;

@@ -22,6 +22,9 @@
 #include <vector>
 
 #include "core/system.hh"
+#include "dram/dram_device.hh"
+#include "driver/dram_cache.hh"
+#include "ftl/mapping_table.hh"
 #include "workload/mixedload.hh"
 
 namespace
@@ -279,6 +282,35 @@ TEST(AllocFree, DetailedCopiesAllocateLittle)
     // One block more per line copied, or two per copy, crosses it.
     EXPECT_LT(per_op, 4.0);
     EXPECT_EQ(sys.eq().sboOverflows(), 0u);
+}
+
+TEST(AllocFree, LookupsOfUnheldPagesAllocateNothing)
+{
+    // The PTE walk, the FTL's lookup and a DRAM read of a row never
+    // written read zero from sparse leaves without making one.
+    driver::DramCache cache(4, 983040,
+                            driver::ReplacementPolicy::create("lrc"));
+    cache.finishFill(cache.allocate(5));
+    ftl::MappingTable l2p(983040, 1u << 20);
+    l2p.map(5, 7);
+    dram::AddressMap map(std::uint64_t{1} << 30);
+    dram::DramDevice dev(map, dram::Ddr4Timing::ddr4_2400());
+    std::uint8_t burst[64] = {1};
+    dev.writeBurst(map.decompose(0), burst);
+
+    std::uint64_t before = gAllocations;
+    std::uint64_t found = 0;
+    for (std::uint64_t page = 0; page < 983040; page += 997) {
+        found += cache.peek(page).has_value();
+        found += l2p.lookup(page) != ftl::kUnmapped;
+        dev.readBurst(map.decompose(page * 1024 % map.capacity()), burst);
+        found += burst[0];
+    }
+    EXPECT_EQ(gAllocations - before, 0u);
+    EXPECT_EQ(found, 1u) << "page 0's row holds the one byte written";
+    EXPECT_EQ(cache.directoryBytes(), kTableLeafLen * 4);
+    EXPECT_EQ(l2p.l2pBytes(), kTableLeafLen * 4);
+    EXPECT_EQ(dev.allocatedBytes(), map.rowBytes());
 }
 
 } // namespace

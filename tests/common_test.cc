@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/sim_mutex.hh"
+#include "common/sparse_store.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
@@ -394,6 +397,184 @@ TEST(Rng, ZipfSkewsLow)
             ++low;
     }
     EXPECT_NEAR(static_cast<double>(low) / n, 0.1, 0.02);
+}
+
+TEST(SparseStore, UnwrittenLeavesReadZeroAndMakeNothing)
+{
+    SparseStore<std::uint8_t> store(4096);
+    EXPECT_EQ(store.leaf(0), nullptr);
+    EXPECT_EQ(store.leaf(std::uint64_t{1} << 40), nullptr);
+    EXPECT_EQ(store.get(12345), 0u);
+    EXPECT_EQ(store.get(std::uint64_t{1} << 50), 0u);
+    std::vector<std::uint8_t> buf(10000, 0xee);
+    store.read(4000, buf.data(), buf.size());
+    for (std::uint8_t b : buf)
+        ASSERT_EQ(b, 0u);
+    EXPECT_EQ(store.leafCount(), 0u);
+    int visited = 0;
+    store.forEachLeaf([&](std::uint64_t, const std::uint8_t*) {
+        ++visited;
+    });
+    EXPECT_EQ(visited, 0);
+
+    // A fresh leaf is all zero, however it is made.
+    const std::uint8_t* l = store.touch(7);
+    EXPECT_EQ(store.leaf(7), l);
+    for (std::size_t i = 0; i < store.leafLen(); ++i)
+        ASSERT_EQ(l[i], 0u);
+    EXPECT_EQ(store.leafCount(), 1u);
+    EXPECT_THROW(SparseStore<std::uint8_t>(12), PanicError);
+}
+
+TEST(SparseStore, WritesAcrossALeafBoundary)
+{
+    SparseStore<std::uint8_t> store(16);
+    std::vector<std::uint8_t> data(20);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i + 1);
+    store.write(10, data.data(), data.size());
+    EXPECT_EQ(store.leafCount(), 2u) << "bytes 10..29 span leaves 0, 1";
+    EXPECT_EQ(store.leaf(2), nullptr);
+
+    std::vector<std::uint8_t> back(40, 0xee);
+    store.read(0, back.data(), back.size());
+    for (std::size_t i = 0; i < back.size(); ++i) {
+        std::uint8_t want = (i >= 10 && i < 30)
+                                ? static_cast<std::uint8_t>(i - 9)
+                                : 0;
+        EXPECT_EQ(back[i], want) << "byte " << i;
+    }
+
+    SparseStore<std::uint32_t> table(kTableLeafLen);
+    table.at(kTableLeafLen - 1) = 5;
+    table.at(kTableLeafLen) = 6;
+    EXPECT_EQ(table.leafCount(), 2u);
+    EXPECT_EQ(table.get(kTableLeafLen - 1), 5u);
+    EXPECT_EQ(table.get(kTableLeafLen), 6u);
+    EXPECT_EQ(table.get(kTableLeafLen + 1), 0u);
+}
+
+TEST(SparseStore, DroppedLeafReadsZeroWhenTouchedAgain)
+{
+    SparseStore<std::uint8_t> store(64);
+    std::vector<std::uint8_t> ones(64, 1);
+    store.write(3 * 64, ones.data(), ones.size());
+    store.write(5 * 64, ones.data(), ones.size());
+    ASSERT_EQ(store.leafCount(), 2u);
+
+    store.drop(3);
+    EXPECT_EQ(store.leaf(3), nullptr);
+    EXPECT_EQ(store.get(3 * 64), 0u);
+    EXPECT_EQ(store.leafCount(), 1u);
+    store.drop(3); // Absent: nothing happens.
+    store.drop(std::uint64_t{1} << 40);
+    EXPECT_EQ(store.leafCount(), 1u);
+    EXPECT_EQ(store.get(5 * 64 + 63), 1u) << "other leaves keep data";
+
+    // The dropped leaf's memory comes back for the next leaf made, and
+    // reads zero there.
+    const std::uint8_t* again = store.touch(3);
+    for (std::size_t i = 0; i < 64; ++i)
+        ASSERT_EQ(again[i], 0u) << "byte " << i;
+    const std::uint8_t* other = store.touch(9);
+    for (std::size_t i = 0; i < 64; ++i)
+        ASSERT_EQ(other[i], 0u) << "byte " << i;
+    EXPECT_EQ(store.leafCount(), 3u);
+
+    store.clear();
+    EXPECT_EQ(store.leafCount(), 0u);
+    EXPECT_EQ(store.leaf(5), nullptr);
+    EXPECT_EQ(store.touch(5)[0], 0u);
+}
+
+TEST(SparseStore, IteratesLeavesInIndexOrder)
+{
+    SparseStore<std::uint32_t> store(4);
+    // Across index tables (512 leaves each) and out of order.
+    const std::vector<std::uint64_t> made = {700, 3, 100000, 511, 512, 0,
+                                             1u << 20};
+    for (std::uint64_t n : made)
+        store.touch(n)[1] = static_cast<std::uint32_t>(n + 1);
+    store.drop(512);
+
+    std::vector<std::uint64_t> seen;
+    store.forEachLeaf([&](std::uint64_t n, const std::uint32_t* l) {
+        EXPECT_EQ(l[1], n + 1) << "leaf " << n;
+        seen.push_back(n);
+    });
+    const std::vector<std::uint64_t> want = {0, 3, 511, 700, 100000,
+                                             1u << 20};
+    EXPECT_EQ(seen, want);
+    EXPECT_EQ(store.leafCount(), want.size());
+}
+
+TEST(SparseStore, MatchesAMapReference)
+{
+    // Random touches, writes, reads and drops against a std::map of
+    // the non-zero elements and a set of the leaves held.
+    constexpr std::size_t kLeaf = 8;
+    SparseStore<std::uint32_t> store(kLeaf);
+    std::map<std::uint64_t, std::uint32_t> ref;
+    std::set<std::uint64_t> leaves;
+    auto refGet = [&](std::uint64_t i) {
+        auto it = ref.find(i);
+        return it == ref.end() ? 0u : it->second;
+    };
+    Rng rng(2024);
+    for (int step = 0; step < 20000; ++step) {
+        // Mostly a dense range, sometimes far above it.
+        std::uint64_t i = rng.below(8) == 0
+                              ? rng.below(std::uint64_t{1} << 32)
+                              : rng.below(4096);
+        switch (rng.below(5)) {
+          case 0: { // One element.
+            std::uint32_t v = rng.next();
+            store.at(i) = v;
+            ref[i] = v;
+            leaves.insert(i / kLeaf);
+            break;
+          }
+          case 1: { // A run of up to three leaves.
+            std::vector<std::uint32_t> run(1 + rng.below(3 * kLeaf));
+            for (std::uint32_t& v : run)
+                v = rng.next();
+            store.write(i, run.data(), run.size());
+            for (std::size_t k = 0; k < run.size(); ++k) {
+                ref[i + k] = run[k];
+                leaves.insert((i + k) / kLeaf);
+            }
+            break;
+          }
+          case 2: { // Drop the leaf holding i.
+            store.drop(i / kLeaf);
+            std::uint64_t first = i / kLeaf * kLeaf;
+            ref.erase(ref.lower_bound(first), ref.lower_bound(first + kLeaf));
+            leaves.erase(i / kLeaf);
+            break;
+          }
+          case 3: { // A run read.
+            std::vector<std::uint32_t> got(1 + rng.below(3 * kLeaf), 7);
+            store.read(i, got.data(), got.size());
+            for (std::size_t k = 0; k < got.size(); ++k)
+                ASSERT_EQ(got[k], refGet(i + k)) << "step " << step;
+            break;
+          }
+          default:
+            ASSERT_EQ(store.get(i), refGet(i)) << "step " << step;
+            ASSERT_EQ(store.leaf(i / kLeaf) != nullptr,
+                      leaves.count(i / kLeaf) != 0)
+                << "step " << step;
+        }
+        ASSERT_EQ(store.leafCount(), leaves.size()) << "step " << step;
+    }
+    auto next = leaves.begin();
+    store.forEachLeaf([&](std::uint64_t n, const std::uint32_t* l) {
+        ASSERT_NE(next, leaves.end());
+        EXPECT_EQ(n, *next++);
+        for (std::size_t k = 0; k < kLeaf; ++k)
+            EXPECT_EQ(l[k], refGet(n * kLeaf + k)) << "leaf " << n;
+    });
+    EXPECT_EQ(next, leaves.end());
 }
 
 TEST(Config, ParseAndTypedGet)

@@ -230,13 +230,13 @@ TEST(DramCacheTest, FreedSlotsAreReusedBeforeFreshOnes)
     EXPECT_THROW(cache.unpin(2), PanicError);
 }
 
-TEST(DramCacheTest, DenseDirectoryEdges)
+TEST(DramCacheTest, SparseDirectoryEdges)
 {
     // Pages [0, high] are the cache's to serve; none is held yet.
     const std::uint64_t high = std::uint64_t{1} << 20;
     DramCache cache(2, high + 1, ReplacementPolicy::create("lrc"));
-    // A page far above any page held misses without growing the
-    // dense directory to reach it.
+    // A page far above any page held misses without making a
+    // directory leaf to reach it.
     const std::uint64_t far = std::uint64_t{1} << 40;
     EXPECT_FALSE(cache.lookup(far).has_value());
     EXPECT_EQ(cache.stats().misses.value(), 1u);
@@ -244,6 +244,7 @@ TEST(DramCacheTest, DenseDirectoryEdges)
     EXPECT_EQ(cache.stats().misses.value(), 1u) << "peek counts nothing";
     EXPECT_THROW(cache.allocate(high + 1), PanicError);
     EXPECT_EQ(cache.usedSlots(), 0u);
+    EXPECT_EQ(cache.directoryBytes(), 0u);
 
     std::uint32_t s = cache.allocate(3);
     cache.finishFill(s);
@@ -266,6 +267,65 @@ TEST(DramCacheTest, DenseDirectoryEdges)
     EXPECT_FALSE(cache.lookup(high).has_value());
     EXPECT_FALSE(cache.peek(high).has_value());
     EXPECT_EQ(cache.stats().misses.value(), 3u);
+}
+
+TEST(DramCacheTest, DirectoryHoldsLeavesOnlyForPagesHeld)
+{
+    // Filling the first and the last page of a module's range holds
+    // two small directory leaves, not the range between them.
+    const std::uint64_t pages = 983040;
+    DramCache cache(4, pages, ReplacementPolicy::create("lrc"));
+    EXPECT_FALSE(cache.peek(pages - 1).has_value());
+    EXPECT_EQ(cache.directoryBytes(), 0u) << "lookups make no leaf";
+    std::uint32_t first = cache.allocate(0);
+    std::uint32_t last = cache.allocate(pages - 1);
+    EXPECT_EQ(cache.directoryBytes(), 0u) << "busy slots are not PTEs";
+    cache.finishFill(first);
+    cache.finishFill(last);
+    const std::uint64_t leaf_bytes = kTableLeafLen * sizeof(std::uint32_t);
+    EXPECT_EQ(cache.directoryBytes(), 2 * leaf_bytes);
+    EXPECT_EQ(cache.peek(0), first);
+    EXPECT_EQ(cache.peek(pages - 1), last);
+    EXPECT_FALSE(cache.peek(1).has_value());
+}
+
+TEST(DramCacheTest, ManyConcurrentPinsNeverYieldAPinnedVictim)
+{
+    // More accesses in flight than any bench reaches: 300 pins over
+    // four slots. No victim is ever pinned, and each unpin releases
+    // exactly one pin.
+    DramCache cache(8, 64, ReplacementPolicy::create("lrc"));
+    for (std::uint64_t p = 0; p < 8; ++p)
+        cache.finishFill(cache.allocate(p));
+    const std::uint32_t pinned_slots[] = {0, 1, 2, 5};
+    std::vector<std::uint32_t> held(8, 0);
+    for (std::uint32_t k = 0; k < 300; ++k) {
+        std::uint32_t s = pinned_slots[k % 4];
+        cache.pin(s);
+        ++held[s];
+    }
+    auto check = [&](const char* when) {
+        for (std::uint32_t s = 0; s < 8; ++s)
+            ASSERT_EQ(cache.pinned(s), held[s] != 0) << when << " slot " << s;
+        std::uint32_t v = cache.pickVictim();
+        EXPECT_EQ(held[v], 0u) << when << ": victim " << v << " is pinned";
+        auto clean = cache.pickCleanVictim();
+        ASSERT_TRUE(clean.has_value());
+        EXPECT_EQ(held[*clean], 0u) << when << ": clean victim " << *clean;
+    };
+    check("all pinned");
+    // Release slot by slot, so each slot is seen with 1 pin left and
+    // with none.
+    for (std::uint32_t s : pinned_slots) {
+        while (held[s] > 0) {
+            cache.unpin(s);
+            --held[s];
+            if (held[s] <= 1)
+                check("releasing");
+        }
+        EXPECT_THROW(cache.unpin(s), PanicError) << "slot " << s;
+    }
+    check("none pinned");
 }
 
 // --- NvdcDriver on a full system ---

@@ -357,6 +357,27 @@ TEST(MappingTableUnit, RejectsOutOfRange)
     EXPECT_THROW(fresh.loadState(r), FatalError);
 }
 
+TEST(MappingTableUnit, HoldsLeavesOnlyWhereMapped)
+{
+    // A module's worth of logical pages: mapping the first and the last
+    // lpn holds two small leaves, not the range between them.
+    const std::uint64_t lpns = 983040;
+    MappingTable mt(lpns, std::uint64_t{1} << 20);
+    EXPECT_EQ(mt.l2pBytes(), 0u);
+    EXPECT_EQ(mt.lookup(lpns - 1), kUnmapped);
+    EXPECT_EQ(mt.l2pBytes(), 0u) << "lookups make no leaf";
+    mt.map(0, 10);
+    mt.map(lpns - 1, 11);
+    const std::uint64_t leaf_bytes = kTableLeafLen * sizeof(std::uint32_t);
+    EXPECT_EQ(mt.l2pBytes(), 2 * leaf_bytes);
+    EXPECT_EQ(mt.lookup(0), 10u);
+    EXPECT_EQ(mt.lookup(lpns - 1), 11u);
+    EXPECT_EQ(mt.lookup(1), kUnmapped);
+    // Remapping inside a held leaf makes none.
+    mt.map(1, 12);
+    EXPECT_EQ(mt.l2pBytes(), 2 * leaf_bytes);
+}
+
 TEST(MappingTableUnit, CheckpointStreamIsOneEntryPerLogicalPage)
 {
     // Fault-campaign checkpoints hold the L2P as one u64 per logical

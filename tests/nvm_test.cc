@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "common/logging.hh"
+#include "common/serialize.hh"
 #include "nvm/delay_media.hh"
 #include "nvm/nvm_media.hh"
 #include "nvm/pram.hh"
@@ -164,6 +166,93 @@ TEST_F(ZNandFixture, EraseResetsBlockAndCountsWear)
     nand.programPage(0, nullptr, [] {});
     eq.runAll();
     EXPECT_EQ(nand.stats().disciplineViolations.value(), 0u);
+}
+
+TEST_F(ZNandFixture, EraseForgetsPageData)
+{
+    const auto& p = nand.params();
+    std::vector<std::uint8_t> w(4096, 0x5a), r(4096, 0);
+    nand.programPage(p.pagesPerBlock, w.data(), [] {}); // Block 1.
+    eq.runAll();
+    nand.eraseBlock(1, [] {});
+    eq.runAll();
+    // Programmed without data after the erase: the page reads erased,
+    // not the bytes it held before.
+    nand.programPage(p.pagesPerBlock, nullptr, [] {});
+    nand.readPage(p.pagesPerBlock, r.data(), [] {});
+    eq.runAll();
+    EXPECT_EQ(r[0], 0xff);
+    EXPECT_EQ(r[4095], 0xff);
+}
+
+TEST_F(ZNandFixture, CheckpointHoldsProgrammedPagesInOrder)
+{
+    // Pages programmed with data, out of page order across blocks,
+    // one block erased again: the stream lists the pages that still
+    // hold data, ascending, and restores them.
+    const auto& p = nand.params();
+    const std::uint64_t b5 = 5 * std::uint64_t{p.pagesPerBlock};
+    const std::uint64_t b2 = 2 * std::uint64_t{p.pagesPerBlock};
+    const std::uint64_t b3 = 3 * std::uint64_t{p.pagesPerBlock};
+    for (std::uint64_t page : {b5, b2, b5 + 1, b3, b2 + 1}) {
+        std::vector<std::uint8_t> w(4096, static_cast<std::uint8_t>(page));
+        nand.programPage(page, w.data(), [] {});
+    }
+    nand.programPage(b5 + 2, nullptr, [] {}); // Timing only: no data.
+    eq.runAll();
+    nand.eraseBlock(3, [] {});
+    eq.runAll();
+
+    ByteWriter w;
+    nand.saveState(w);
+    ByteReader r(w.data());
+    r.expectTag(0x314e445a); // "ZDN1"
+    EXPECT_EQ(r.u64(), p.totalPages());
+    std::uint64_t nblocks = r.u64();
+    for (std::uint64_t i = 0; i < nblocks; ++i) {
+        r.u64();
+        r.u32();
+        r.u32();
+        for (std::uint32_t pg = 0; pg < p.pagesPerBlock; ++pg)
+            r.u8();
+    }
+    const std::vector<std::uint64_t> want = {b2, b2 + 1, b5, b5 + 1};
+    ASSERT_EQ(r.u64(), want.size());
+    std::vector<std::uint8_t> page(p.pageBytes);
+    for (std::uint64_t expect : want) {
+        EXPECT_EQ(r.u64(), expect);
+        r.bytes(page.data(), page.size());
+        EXPECT_EQ(page[0], static_cast<std::uint8_t>(expect));
+        EXPECT_EQ(page[4095], static_cast<std::uint8_t>(expect));
+    }
+
+    EventQueue eq2;
+    ZNand restored(eq2, p);
+    ByteReader all(w.data());
+    restored.loadState(all);
+    EXPECT_EQ(all.remaining(), 0u);
+    for (std::uint64_t pg : {b2 + 1, b3, b5 + 2}) {
+        std::vector<std::uint8_t> got(4096, 0);
+        restored.readPage(pg, got.data(), [] {});
+        eq2.runAll();
+        EXPECT_EQ(got[0], pg == b2 + 1 ? static_cast<std::uint8_t>(pg)
+                                       : std::uint8_t{0xff})
+            << "page " << pg;
+    }
+
+    // A stream naming a page past the device is refused.
+    ByteWriter bad;
+    bad.tag(0x314e445a);
+    bad.u64(p.totalPages());
+    bad.u64(0); // No blocks.
+    bad.u64(1);
+    bad.u64(p.totalPages());
+    std::vector<std::uint8_t> zeros(p.pageBytes, 0);
+    bad.bytes(zeros.data(), zeros.size());
+    bad.u64(0); // No bad blocks.
+    ZNand fresh(eq2, p);
+    ByteReader rb(bad.data());
+    EXPECT_THROW(fresh.loadState(rb), FatalError);
 }
 
 TEST_F(ZNandFixture, BadBlockMarking)
