@@ -4,18 +4,16 @@
  * common/event_queue, independent of any device model.
  *
  * Patterns matching how the simulator actually drives the queue, each
- * named by its pending count, delta range and cancel share:
+ * named by its pending count, delta range and share of dead entries:
  *
- *  - chain: 1 pending one-shot, 100-tick deltas, no cancels; each
- *    firing schedules the next (a controller state machine stepping).
- *  - churn4k: 4096 pending one-shots, 100-196-tick deltas, no cancels
- *    (many in-flight ops).
- *  - schedule_cancel: 0-1 pending; each one-shot, 1000+ ticks out, is
- *    cancelled right after it is scheduled (timeout guards,
- *    superseded wakeups).
+ *  - chain: 1 pending one-shot, 100-tick deltas, no dead entries;
+ *    each firing schedules the next (a controller state machine
+ *    stepping).
+ *  - churn4k: 4096 pending one-shots, 100-196-tick deltas, no dead
+ *    entries (many in-flight ops).
  *  - intrusive_periodic: 64 pending owner-embedded events, 50-128-tick
- *    deltas, no cancels (iMC wakeups, controller steps).
- *  - shape_*: four more shapes (dense near, sparse far, cancel-heavy,
+ *    deltas, no dead entries (iMC wakeups, controller steps).
+ *  - shape_*: three more shapes (dense near, sparse far,
  *    reschedule-heavy), described at their definitions.
  *
  * The simulator itself keeps few events pending at a dispatch: 2-5 on
@@ -85,25 +83,6 @@ BM_OneShotChurn4k(benchmark::State& state)
                             state.iterations());
 }
 
-void
-BM_ScheduleCancel(benchmark::State& state)
-{
-    const std::uint64_t kPairs = 1'000'000;
-    for (auto _ : state) {
-        EventQueue eq;
-        std::uint64_t sunk = 0;
-        for (std::uint64_t i = 0; i < kPairs; ++i) {
-            EventId id =
-                eq.schedule(eq.now() + 1000 + i, [&] { ++sunk; });
-            eq.cancel(id);
-        }
-        eq.runAll();
-        benchmark::DoNotOptimize(sunk);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(kPairs) *
-                            state.iterations());
-}
-
 class PeriodicEvent final : public Event
 {
   public:
@@ -157,7 +136,7 @@ BM_IntrusivePeriodic(benchmark::State& state)
 
 /**
  * Dense near-future: 512 pending one-shots, 1-61-tick deltas, no
- * cancels. Many events share a tick, so same-tick order is exercised.
+ * dead entries. Many events share a tick, so same-tick order is exercised.
  */
 void
 BM_ShapeDenseNear(benchmark::State& state)
@@ -185,7 +164,7 @@ BM_ShapeDenseNear(benchmark::State& state)
 
 /**
  * Sparse far-future: 16 pending one-shots, 64K-16M-tick deltas, no
- * cancels; every dispatch jumps simulated time across a long idle
+ * dead entries; every dispatch jumps simulated time across a long idle
  * gap.
  */
 void
@@ -207,38 +186,6 @@ BM_ShapeSparseFar(benchmark::State& state)
             };
             eq.scheduleAfter(65536 + i * 4096, steps[i]);
         }
-        eq.runAll();
-        benchmark::DoNotOptimize(fired);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(kEvents) *
-                            state.iterations());
-}
-
-/**
- * Cancel-heavy: 1 pending one-shot 100 ticks out plus 7 guards 500-506
- * ticks out, all 7 cancelled (7 of 8 scheduled events never fire).
- * Cancels are generation-stamped no-ops; the dead entries are dropped
- * when they surface or when they outnumber the live ones.
- */
-void
-BM_ShapeCancelHeavy(benchmark::State& state)
-{
-    const std::uint64_t kEvents = 1'000'000;
-    for (auto _ : state) {
-        EventQueue eq;
-        std::uint64_t fired = 0;
-        std::uint64_t scheduled = 0;
-        std::function<void()> step = [&] {
-            ++fired;
-            for (int g = 0; g < 7; ++g) {
-                EventId guard = eq.scheduleAfter(
-                    500 + g, [&fired] { fired += 1000; });
-                eq.cancel(guard);
-            }
-            if ((scheduled += 8) < kEvents)
-                eq.scheduleAfter(100, step);
-        };
-        eq.scheduleAfter(100, step);
         eq.runAll();
         benchmark::DoNotOptimize(fired);
     }
@@ -288,11 +235,9 @@ BM_ShapeRescheduleHeavy(benchmark::State& state)
 
 BENCHMARK(BM_OneShotChain)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OneShotChurn4k)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ScheduleCancel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IntrusivePeriodic)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShapeDenseNear)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShapeSparseFar)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ShapeCancelHeavy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShapeRescheduleHeavy)->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -672,11 +672,8 @@ makeFig12Sweep()
                     c.media = core::MediaKind::Delay;
                     c.mediaBytes = 4 * kGiB;
                     c.delayMediaLatency = td;
-                    if (td > 0) {
+                    if (td > 0)
                         c.refresh.tREFI = std::max(td, 1950 * kNs);
-                        c.imc.refresh = c.refresh;
-                        c.nvmc.programmedRefresh = c.refresh;
-                    }
                     // No PoC software FSM on this device.
                     c.nvmc.firmware = nvmc::FirmwareConfig::asic();
                 },
@@ -716,8 +713,6 @@ makeFig13Sweep()
                {.threads = pt.threads,
                 .tweak = [trefi](core::SystemConfig& c) {
                     c.refresh.tREFI = trefi;
-                    c.imc.refresh = c.refresh;
-                    c.nvmc.programmedRefresh = c.refresh;
                 },
                 .paperMBps = pt.paperMBps});
     }

@@ -6,12 +6,12 @@
  *   $ ./examples/nvdimmc_sim \
  *         "pattern=randread,bs=4096,threads=4,cached=0,media=znand"
  *
- * Accepted keys (comma-separated key=value):
+ * Accepted keys (comma-separated key=value; any other key is rejected):
  *   pattern   randread | randwrite | seqread | seqwrite   [randread]
  *   bs        access size in bytes                        [4096]
  *   threads   worker threads                              [1]
  *   cached    1 = footprint inside the DRAM cache         [1]
- *   media     znand | pram | sttmram                      [znand]
+ *   media     znand | sttmram                             [znand]
  *   policy    lrc | lru | clock | random                  [lrc]
  *   trfc_ns   programmed tRFC                             [1250]
  *   trefi_ns  programmed tREFI                            [7800]
@@ -19,7 +19,6 @@
  *   track_dirty / merged / prefetch   0|1                 [0]
  *   asic      1 = ASIC firmware timings                   [0]
  *   run_ms    measurement window (simulated)              [50]
- *   temp_c    DIMM temperature (>85 throttles refresh)    [40]
  *   stats     1 = dump all per-layer statistics           [0]
  */
 
@@ -42,10 +41,7 @@ main(int argc, char** argv)
     core::SystemConfig cfg = core::SystemConfig::scaledBench();
 
     std::string media = overrides.getString("media", "znand");
-    if (media == "pram") {
-        cfg.media = core::MediaKind::Pram;
-        cfg.mediaBytes = 4 * kGiB;
-    } else if (media == "sttmram") {
+    if (media == "sttmram") {
         cfg.media = core::MediaKind::SttMram;
         cfg.mediaBytes = 4 * kGiB;
     } else if (media != "znand") {
@@ -54,8 +50,6 @@ main(int argc, char** argv)
 
     cfg.refresh.tRFC = overrides.getUint("trfc_ns", 1250) * kNs;
     cfg.refresh.tREFI = overrides.getUint("trefi_ns", 7800) * kNs;
-    cfg.imc.refresh = cfg.refresh;
-    cfg.nvmc.programmedRefresh = cfg.refresh;
     cfg.driver.policy = overrides.getString("policy", "lrc");
     cfg.driver.trackDirty = overrides.getBool("track_dirty", false);
     cfg.driver.mergedWbCf = overrides.getBool("merged", false);
@@ -65,10 +59,8 @@ main(int argc, char** argv)
     cfg.driver.cpQueueDepth = static_cast<std::uint32_t>(
         overrides.getUint("cpdepth", 1));
 
-    core::NvdimmcSystem sys(cfg);
-    sys.imc().setTemperature(overrides.getDouble("temp_c", 40.0));
-
     bool cached = overrides.getBool("cached", true);
+    bool dump_stats = overrides.getBool("stats", false);
     workload::FioConfig fio;
     std::string pattern = overrides.getString("pattern", "randread");
     if (pattern == "randread") {
@@ -88,6 +80,9 @@ main(int argc, char** argv)
         static_cast<unsigned>(overrides.getUint("threads", 1));
     fio.rampTime = 2 * kMs;
     fio.runTime = overrides.getUint("run_ms", 50) * kMs;
+    overrides.rejectUnreadKeys();
+
+    core::NvdimmcSystem sys(cfg);
 
     std::uint32_t slots = sys.layout().slotCount();
     if (cached) {
@@ -142,7 +137,7 @@ main(int argc, char** argv)
                         sys.ftl()->stats().gcRuns.value()),
                     sys.ftl()->wearSpread());
     }
-    if (overrides.getBool("stats", false)) {
+    if (dump_stats) {
         std::printf("\n-- full statistics --\n");
         sys.dumpStats(std::cout);
     }

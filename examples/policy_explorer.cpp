@@ -61,7 +61,6 @@ mediaName(core::MediaKind m)
 {
     switch (m) {
       case core::MediaKind::ZNand: return "Z-NAND";
-      case core::MediaKind::Pram: return "PRAM";
       case core::MediaKind::SttMram: return "STT-MRAM";
       case core::MediaKind::Delay: return "delay";
     }
@@ -78,8 +77,7 @@ main()
                 "firmware", "MB/s");
 
     for (core::MediaKind media :
-         {core::MediaKind::ZNand, core::MediaKind::Pram,
-          core::MediaKind::SttMram}) {
+         {core::MediaKind::ZNand, core::MediaKind::SttMram}) {
         for (const char* policy : {"lrc", "lru"}) {
             for (bool asic : {false, true}) {
                 auto fw = asic ? nvmc::FirmwareConfig::asic()

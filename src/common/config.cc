@@ -33,13 +33,7 @@ Config::parse(const std::string& spec)
 void
 Config::set(const std::string& key, const std::string& value)
 {
-    values_[key] = value;
-}
-
-bool
-Config::has(const std::string& key) const
-{
-    return values_.count(key) != 0;
+    values_[key] = Value{value};
 }
 
 std::optional<std::string>
@@ -48,26 +42,14 @@ Config::lookup(const std::string& key) const
     auto it = values_.find(key);
     if (it == values_.end())
         return std::nullopt;
-    return it->second;
+    it->second.read = true;
+    return it->second.text;
 }
 
 std::string
 Config::getString(const std::string& key, const std::string& def) const
 {
     return lookup(key).value_or(def);
-}
-
-std::int64_t
-Config::getInt(const std::string& key, std::int64_t def) const
-{
-    auto v = lookup(key);
-    if (!v)
-        return def;
-    char* end = nullptr;
-    auto parsed = std::strtoll(v->c_str(), &end, 0);
-    if (end == v->c_str() || *end != '\0')
-        fatal("Config: '", key, "=", *v, "' is not an integer");
-    return parsed;
 }
 
 std::uint64_t
@@ -83,19 +65,6 @@ Config::getUint(const std::string& key, std::uint64_t def) const
     return parsed;
 }
 
-double
-Config::getDouble(const std::string& key, double def) const
-{
-    auto v = lookup(key);
-    if (!v)
-        return def;
-    char* end = nullptr;
-    double parsed = std::strtod(v->c_str(), &end);
-    if (end == v->c_str() || *end != '\0')
-        fatal("Config: '", key, "=", *v, "' is not a number");
-    return parsed;
-}
-
 bool
 Config::getBool(const std::string& key, bool def) const
 {
@@ -107,6 +76,18 @@ Config::getBool(const std::string& key, bool def) const
     if (*v == "0" || *v == "false" || *v == "no" || *v == "off")
         return false;
     fatal("Config: '", key, "=", *v, "' is not a boolean");
+}
+
+void
+Config::rejectUnreadKeys() const
+{
+    std::string unread;
+    for (const auto& [key, value] : values_) {
+        if (!value.read)
+            unread += (unread.empty() ? "'" : ", '") + key + "'";
+    }
+    if (!unread.empty())
+        fatal("Config: unknown key(s) ", unread);
 }
 
 } // namespace nvdimmc

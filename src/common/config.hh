@@ -19,7 +19,11 @@
 namespace nvdimmc
 {
 
-/** String-keyed override table with typed accessors. */
+/**
+ * String-keyed override table with typed accessors. Each getter marks
+ * its key as read, so a front end can reject the keys it never reads
+ * (a typo such as "trefi=3900" would otherwise run the default).
+ */
 class Config
 {
   public:
@@ -32,24 +36,25 @@ class Config
     static Config parse(const std::string& spec);
 
     void set(const std::string& key, const std::string& value);
-    bool has(const std::string& key) const;
 
     std::string getString(const std::string& key,
                           const std::string& def) const;
-    std::int64_t getInt(const std::string& key, std::int64_t def) const;
     std::uint64_t getUint(const std::string& key, std::uint64_t def) const;
-    double getDouble(const std::string& key, double def) const;
     bool getBool(const std::string& key, bool def) const;
 
-    const std::map<std::string, std::string>& entries() const
-    {
-        return values_;
-    }
+    /** Throws FatalError naming every key no getter has read. */
+    void rejectUnreadKeys() const;
 
   private:
+    struct Value
+    {
+        std::string text;
+        mutable bool read = false;
+    };
+
     std::optional<std::string> lookup(const std::string& key) const;
 
-    std::map<std::string, std::string> values_;
+    std::map<std::string, Value> values_;
 };
 
 } // namespace nvdimmc

@@ -92,18 +92,6 @@ EventQueue::runAll(std::uint64_t max_events)
 }
 
 void
-EventQueue::cancel(EventId id)
-{
-    CallbackEvent* ce = lookupCallback(id);
-    if (!ce)
-        return;
-    deschedule(*ce);
-    // Release the captured state now rather than when the stale heap
-    // entry surfaces; the slot's generation bump retires the id.
-    recycleCallback(*ce);
-}
-
-void
 EventQueue::growCallbackPool()
 {
     auto slot = static_cast<std::uint32_t>(pool_.size());
@@ -112,23 +100,11 @@ EventQueue::growCallbackPool()
     freeSlots_.push_back(slot);
 }
 
-const EventQueue::CallbackEvent*
-EventQueue::lookupCallback(EventId id) const
-{
-    EventId hi = id >> 32;
-    if (hi == 0 || hi > pool_.size())
-        return nullptr;
-    const CallbackEvent* ce = pool_[hi - 1].get();
-    if (ce->gen_ != static_cast<std::uint32_t>(id) || !ce->scheduled())
-        return nullptr;
-    return ce;
-}
-
 void
 EventQueue::CallbackEvent::process()
 {
     // Recycle even if the callable throws (a panic propagating out of
-    // a test); the stale heap entry is skipped by the generation.
+    // a test).
     struct Recycle
     {
         CallbackEvent& ce;

@@ -22,18 +22,19 @@
  *    allocation for captures up to kCallbackInlineBytes; the pool
  *    itself is recycled, so steady state allocates nothing — an
  *    sboOverflows() counter tracks any capture that spills so a
- *    hot-path regression is visible). The returned EventId is usable
- *    with cancel()/isPending().
+ *    hot-path regression is visible). A one-shot always fires: there
+ *    is no handle to cancel it by, so a component that may need to
+ *    call an action off embeds an intrusive event instead.
  *
  * Pending events live in one binary min-heap of (tick, seq, event)
  * entries. The simulator keeps few events pending at once (a handful
  * on an uncached channel, a few dozen to a few hundred on a loaded
- * one), so a push or pop costs a few comparisons. A cancelled or
- * re-aimed event leaves its old entry behind. The dispatcher pops
- * such dead entries when they reach the top, and schedule() rebuilds
- * the heap from its live entries once dead ones outnumber live ones,
- * so the heap never holds more than twice the peak number of pending
- * events (see DESIGN.md § event kernel).
+ * one), so a push or pop costs a few comparisons. A descheduled or
+ * re-aimed intrusive event leaves its old entry behind. The
+ * dispatcher pops such dead entries when they reach the top, and
+ * schedule() rebuilds the heap from its live entries once dead ones
+ * outnumber live ones, so the heap never holds more than twice the
+ * peak number of pending events (see DESIGN.md § event kernel).
  *
  * Both kinds share one sequence counter, so their relative FIFO order
  * is exact.
@@ -44,11 +45,10 @@
  * reached. In practice events are members of sim components that live
  * for the whole run; the ASan CI job enforces the rule.
  *
- * Semantics of empty()/pending() under lazy deletion: cancelled or
- * descheduled entries never count, even while their stale heap
- * entries are still unpopped. Consequently runUntil() over a
- * fully-cancelled queue fires nothing and still advances now() to the
- * target tick.
+ * Semantics of empty()/pending() under lazy deletion: descheduled
+ * entries never count, even while their stale heap entries are still
+ * unpopped. Consequently runUntil() over a fully-descheduled queue
+ * fires nothing and still advances now() to the target tick.
  */
 
 #ifndef NVDIMMC_COMMON_EVENT_QUEUE_HH
@@ -186,45 +186,31 @@ class EventQueue
     /**
      * Schedule callable @p fn at absolute tick @p when (>= now()).
      * Small captures are stored inline in a pooled event slot.
-     * @return an id usable with cancel().
      */
     template <typename F>
-    EventId
+    void
     schedule(Tick when, F&& fn)
     {
         CallbackEvent& ce = allocCallback();
         emplaceCallable(ce, std::forward<F>(fn));
         schedule(ce, when);
-        return ce.id();
     }
 
     /** Schedule @p fn @p delay ticks from now. */
     template <typename F>
-    EventId
+    void
     scheduleAfter(Tick delay, F&& fn)
     {
-        return schedule(now_ + delay, std::forward<F>(fn));
+        schedule(now_ + delay, std::forward<F>(fn));
     }
 
-    /**
-     * Cancel a pending one-shot. Cancelling an already-fired or
-     * unknown id is a harmless no-op (ids are generation-stamped, so
-     * the id space never aliases a later event).
-     */
-    void cancel(EventId id);
-
     /** @} */
 
-    /** @return true iff @p id is scheduled and not yet fired/cancelled. */
-    bool isPending(EventId id) const { return lookupCallback(id) != nullptr; }
-
-    /** @} */
-
-    /** @return true iff no runnable events remain (cancelled-but-
+    /** @return true iff no runnable events remain (descheduled-but-
      *  unpopped heap entries never count). */
     bool empty() const { return livePending_ == 0; }
 
-    /** Number of pending (non-cancelled) events of either kind. */
+    /** Number of pending (scheduled) events of either kind. */
     std::size_t pending() const { return livePending_; }
 
     /**
@@ -235,7 +221,7 @@ class EventQueue
 
     /**
      * Run every event with tick <= @p when, then advance now() to
-     * @p when even if the queue drained (or was fully cancelled)
+     * @p when even if the queue drained (or was fully descheduled)
      * earlier.
      */
     void runUntil(Tick when);
@@ -259,8 +245,8 @@ class EventQueue
     std::uint64_t sboOverflows() const { return sboOverflows_; }
 
   private:
-    /** Pooled slot for one-shot callbacks: SBO storage plus a
-     *  generation counter that makes EventIds unambiguous. */
+    /** Pooled slot for one-shot callbacks: SBO storage for the
+     *  callable, recycled once it fires. */
     class CallbackEvent final : public Event
     {
       public:
@@ -278,15 +264,8 @@ class EventQueue
         void process() override;
         const char* name() const override { return "one-shot"; }
 
-        EventId
-        id() const
-        {
-            return (static_cast<EventId>(slot_) + 1) << 32 | gen_;
-        }
-
         EventQueue& owner_;
         const std::uint32_t slot_;
-        std::uint32_t gen_ = 1;
         void (*call_)(CallbackEvent&) = nullptr;
         void (*destroy_)(CallbackEvent&) = nullptr;
         void* heapFn_ = nullptr;
@@ -325,7 +304,8 @@ class EventQueue
     }
 
     /** Rebuild the heap from its live entries: O(heap size), paid
-     *  for by the cancels that left more dead entries than live. */
+     *  for by the deschedules that left more dead entries than
+     *  live. */
     void dropDeadEntries();
 
     /**
@@ -354,8 +334,7 @@ class EventQueue
     /** Cold path of allocCallback: add one slot to the pool. */
     void growCallbackPool();
 
-    /** Destroy the stored callable and return the slot to the pool,
-     *  bumping the generation so stale EventIds miss. */
+    /** Destroy the stored callable and return the slot to the pool. */
     void
     recycleCallback(CallbackEvent& ce)
     {
@@ -363,17 +342,7 @@ class EventQueue
             ce.destroy_(ce);
         ce.call_ = nullptr;
         ce.destroy_ = nullptr;
-        ++ce.gen_;
         freeSlots_.push_back(ce.slot_);
-    }
-
-    /** Decode an EventId; null unless it names a still-pending slot. */
-    const CallbackEvent* lookupCallback(EventId id) const;
-    CallbackEvent*
-    lookupCallback(EventId id)
-    {
-        return const_cast<CallbackEvent*>(
-            std::as_const(*this).lookupCallback(id));
     }
 
     template <typename F>

@@ -21,9 +21,6 @@ using Tick = std::uint64_t;
 /** Physical or device address in bytes. */
 using Addr = std::uint64_t;
 
-/** A monotonically increasing event sequence number. */
-using EventId = std::uint64_t;
-
 /** Sentinel for "no tick" / "not scheduled". */
 constexpr Tick kTickNever = ~Tick{0};
 

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "nvm/pram.hh"
 #include "nvm/sttmram.hh"
 
 namespace nvdimmc::core
@@ -35,12 +34,6 @@ Channel::Channel(EventQueue& eq, const SystemConfig& cfg,
         znand_ = std::make_unique<nvm::ZNand>(eq, cfg.znand);
         ftl_ = std::make_unique<ftl::Ftl>(eq, *znand_, cfg.ftl);
         backend_ = ftl_.get();
-        break;
-      case MediaKind::Pram:
-        simpleMedia_ = std::make_unique<nvm::Pram>(eq, cfg.mediaBytes);
-        directBackend_ =
-            std::make_unique<nvm::DirectBackend>(*simpleMedia_);
-        backend_ = directBackend_.get();
         break;
       case MediaKind::SttMram:
         simpleMedia_ =

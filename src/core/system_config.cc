@@ -11,8 +11,6 @@ SystemConfig::deriveScaled(std::uint64_t cacheBytes)
     c.dramTiming = dram::Ddr4Timing::ddr4_1600();
     c.refresh = dram::RefreshRegisters::nvdimmc();
     c.media = MediaKind::ZNand;
-    c.imc.refresh = c.refresh;
-    c.nvmc.programmedRefresh = c.refresh;
     c.nvmc.firmware = nvmc::FirmwareConfig::poc();
     return c;
 }
@@ -27,7 +25,6 @@ SystemConfig::applyCxlBackend()
     // The extended tRFC exists only to widen the DMA windows the CXL
     // device does not need; its internal DRAM refreshes normally.
     refresh = dram::RefreshRegisters::standard();
-    imc.refresh = refresh;
     // Nothing pins a cache slot to one module's DRAM anymore: stripe
     // at the CXL line granule.
     interleaveGranule = cxl.interleaveGranule;
@@ -80,7 +77,6 @@ BaselineConfig::paper()
     BaselineConfig c;
     c.capacityBytes = 128 * kGiB;
     c.refresh = dram::RefreshRegisters::nvdimmc();
-    c.imc.refresh = c.refresh;
     c.memcpy.bulkMode = true;
     return c;
 }
@@ -91,7 +87,6 @@ BaselineConfig::scaledBench()
     BaselineConfig c;
     c.capacityBytes = 8 * kGiB;
     c.refresh = dram::RefreshRegisters::nvdimmc();
-    c.imc.refresh = c.refresh;
     c.memcpy.bulkMode = true;
     return c;
 }

@@ -37,7 +37,6 @@ namespace nvdimmc::core
 enum class MediaKind
 {
     ZNand,   ///< The PoC: Z-NAND behind the FTL.
-    Pram,    ///< PRAM direct backend.
     SttMram, ///< STT-MRAM direct backend.
     Delay,   ///< Programmable-delay media (hypothetical device).
 };
@@ -95,8 +94,11 @@ struct SystemConfig
     ftl::FtlConfig ftl;
     /** @} */
 
+    /** programmedRefresh is derived: each Channel sets it from
+     *  refresh when it builds its NVMC. */
     nvmc::NvmcConfig nvmc;
     driver::NvdcDriverConfig driver;
+    /** imc.refresh is derived: each Channel sets it from refresh. */
     imc::ImcConfig imc;
     cpu::CpuCacheModel::Params cpuCache;
     cpu::MemcpyParams memcpy;
@@ -155,6 +157,7 @@ struct BaselineConfig
     /** Telemetry sampling cadence; same contract as SystemConfig. */
     Tick telemetryIntervalTicks = 0;
     driver::PmemDriverConfig pmem;
+    /** imc.refresh is derived: each channel's iMC takes refresh. */
     imc::ImcConfig imc;
     cpu::CpuCacheModel::Params cpuCache;
     cpu::MemcpyParams memcpy;

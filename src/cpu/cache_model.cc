@@ -2,21 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 
 #include "common/logging.hh"
 
 namespace nvdimmc::cpu
 {
-
-CpuCacheModel::CpuCacheModel(EventQueue& eq, imc::Imc& imc,
-                             const Params& p)
-    : eq_(eq),
-      ownedPort_(std::make_unique<imc::HostPort>(imc)),
-      port_(*ownedPort_),
-      params_(p)
-{
-}
 
 CpuCacheModel::CpuCacheModel(EventQueue& eq, imc::HostPort& port,
                              const Params& p)

@@ -24,7 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <memory_resource>
 #include <unordered_map>
 
@@ -65,10 +64,8 @@ class CpuCacheModel
         Tick flushCost = 30 * kNs;
     };
 
-    /** Single-channel convenience: wraps @p imc in an owned port. */
-    CpuCacheModel(EventQueue& eq, imc::Imc& imc, const Params& p);
-
-    /** Multi-channel: lines route through @p port's interleave map. */
+    /** Lines route through @p port's interleave map; the port must
+     *  outlive the model. */
     CpuCacheModel(EventQueue& eq, imc::HostPort& port, const Params& p);
 
     /** Load one 64 B line (through the cache). */
@@ -141,8 +138,6 @@ class CpuCacheModel
                    const std::array<std::uint8_t, 64>& data, F accepted);
 
     EventQueue& eq_;
-    /** Owned identity port for the single-iMC constructor. */
-    std::unique_ptr<imc::HostPort> ownedPort_;
     imc::HostPort& port_;
     Params params_;
     /** Backs lines_' nodes, so a line that comes and goes (every ack

@@ -5,16 +5,6 @@
 namespace nvdimmc::cpu
 {
 
-MemcpyEngine::MemcpyEngine(EventQueue& eq, imc::Imc& imc,
-                           CpuCacheModel* cache, const Params& p)
-    : eq_(eq),
-      ownedPort_(std::make_unique<imc::HostPort>(imc)),
-      port_(*ownedPort_),
-      cache_(cache),
-      params_(p)
-{
-}
-
 MemcpyEngine::MemcpyEngine(EventQueue& eq, imc::HostPort& port,
                            CpuCacheModel* cache, const Params& p)
     : eq_(eq), port_(port), cache_(cache), params_(p)

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "common/record_pool.hh"
 #include "cpu/cache_model.hh"
@@ -45,11 +44,8 @@ class MemcpyEngine
   public:
     using Params = MemcpyParams;
 
-    /** Single-channel convenience: wraps @p imc in an owned port. */
-    MemcpyEngine(EventQueue& eq, imc::Imc& imc, CpuCacheModel* cache,
-                 const Params& p = Params{});
-
-    /** Multi-channel: lines and bulk slices route through @p port. */
+    /** Lines and bulk slices route through @p port; the port must
+     *  outlive the engine. */
     MemcpyEngine(EventQueue& eq, imc::HostPort& port,
                  CpuCacheModel* cache, const Params& p = Params{});
 
@@ -95,8 +91,6 @@ class MemcpyEngine
     void finish(std::uint32_t i);
 
     EventQueue& eq_;
-    /** Owned identity port for the single-iMC constructor. */
-    std::unique_ptr<imc::HostPort> ownedPort_;
     imc::HostPort& port_;
     CpuCacheModel* cache_;
     Params params_;

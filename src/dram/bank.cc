@@ -104,10 +104,4 @@ Bank::precharge(Tick now)
     everPrecharged_ = true;
 }
 
-Tick
-Bank::readyForActivateAt(const Ddr4Timing& t) const
-{
-    return everPrecharged_ ? preAt_ + t.tRP : 0;
-}
-
 } // namespace nvdimmc::dram

@@ -61,9 +61,6 @@ class Bank
     void precharge(Tick now);
     /** @} */
 
-    /** Earliest tick an ACT may be issued after the most recent PRE. */
-    Tick readyForActivateAt(const Ddr4Timing& t) const;
-
   private:
     State state_ = State::Idle;
     std::uint32_t openRow_ = 0;

@@ -234,12 +234,6 @@ DramDevice::issue(const Ddr4Command& cmd, Tick now)
     return {};
 }
 
-IssueResult
-DramDevice::issueFrame(const CaFrame& frame, Tick now)
-{
-    return issue(decodeFrame(frame), now);
-}
-
 void
 DramDevice::writeBurst(const DramCoord& coord, const std::uint8_t* data64)
 {

@@ -86,9 +86,6 @@ class DramDevice
      */
     IssueResult issue(const Ddr4Command& cmd, Tick now);
 
-    /** Issue from a raw pin image (decodes first). */
-    IssueResult issueFrame(const CaFrame& frame, Tick now);
-
     /** @name Data-path access (64 B bursts). */
     /** @{ */
     void writeBurst(const DramCoord& coord, const std::uint8_t* data64);

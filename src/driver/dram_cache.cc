@@ -37,13 +37,7 @@ DramCache::allocate(std::uint64_t page)
     NVDC_ASSERT(hasFree(), "allocate with no free slot");
     NVDC_ASSERT(page < pageCount_, "page ", page, " is outside the ",
                 pageCount_, " pages this cache serves");
-    std::uint32_t s;
-    if (freed_.empty()) {
-        s = nextFresh_++;
-    } else {
-        s = freed_.back();
-        freed_.pop_back();
-    }
+    std::uint32_t s = nextFresh_++;
     CacheSlot& slot = slots_[s];
     slot.page = page;
     slot.state = CacheSlot::State::Busy;
@@ -138,18 +132,6 @@ DramCache::beginEvict(std::uint32_t s)
 }
 
 void
-DramCache::finishEvict(std::uint32_t s)
-{
-    CacheSlot& slot = slots_[s];
-    NVDC_ASSERT(slot.state == CacheSlot::State::Busy,
-                "finishing eviction of a non-busy slot");
-    slot.state = CacheSlot::State::Free;
-    slot.dirty = false;
-    slot.page = 0;
-    freed_.push_back(s);
-}
-
-void
 DramCache::rebind(std::uint32_t s, std::uint64_t page)
 {
     CacheSlot& slot = slots_[s];
@@ -183,12 +165,6 @@ DramCache::markDirty(std::uint32_t s)
     NVDC_ASSERT(slots_[s].state != CacheSlot::State::Free,
                 "dirtying a free slot");
     slots_[s].dirty = true;
-}
-
-void
-DramCache::markClean(std::uint32_t s)
-{
-    slots_[s].dirty = false;
 }
 
 void

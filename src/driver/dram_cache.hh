@@ -70,14 +70,8 @@ class DramCache
               std::unique_ptr<ReplacementPolicy> policy);
 
     std::uint32_t slotCount() const { return slotCount_; }
-    std::uint32_t usedSlots() const
-    {
-        return nextFresh_ - static_cast<std::uint32_t>(freed_.size());
-    }
-    bool hasFree() const
-    {
-        return !freed_.empty() || nextFresh_ < slotCount_;
-    }
+    std::uint32_t usedSlots() const { return nextFresh_; }
+    bool hasFree() const { return nextFresh_ < slotCount_; }
 
     /**
      * Look up @p page; counts a hit/miss and (on hit) touches the
@@ -95,10 +89,10 @@ class DramCache
         return e - 1;
     }
 
-    /** Take a free slot and bind it to @p page (state Busy until the
-     *  fill completes). @p page must be below the page count. Slots
-     *  freed by finishEvict come first, the most recently freed
-     *  first; then never-used slots, in ascending order. */
+    /** Take a never-used slot, in ascending order, and bind it to
+     *  @p page (state Busy until the fill completes). @p page must be
+     *  below the page count. A slot never goes back to Free: once the
+     *  cache is full, a miss evicts a victim and rebinds it. */
     std::uint32_t allocate(std::uint64_t page);
 
     /** Choose an evictable (Stable) victim via the policy. */
@@ -114,9 +108,6 @@ class DramCache
      *  marks Busy. @return the evicted slot's prior contents. */
     CacheSlot beginEvict(std::uint32_t slot);
 
-    /** Finish an eviction: the slot becomes Free. */
-    void finishEvict(std::uint32_t slot);
-
     /**
      * Rebind a slot mid-eviction to a new page (the evict/fill pair
      * reuses the same slot, as the paper's driver does). Slot stays
@@ -129,7 +120,6 @@ class DramCache
     void finishFill(std::uint32_t slot);
 
     void markDirty(std::uint32_t slot);
-    void markClean(std::uint32_t slot);
 
     /**
      * Pin a slot while an access is in flight: a pinned slot is never
@@ -168,8 +158,6 @@ class DramCache
     std::uint32_t stableCount_ = 0;
     /** Slots [nextFresh_, slotCount_) have never been allocated. */
     std::uint32_t nextFresh_ = 0;
-    /** Slots finishEvict freed, most recent last. */
-    std::vector<std::uint32_t> freed_;
     /** Entry p: the Stable slot holding page p, plus one, or 0 where
      *  none does, so a fresh leaf needs no fill. Lookups never make a
      *  leaf. */

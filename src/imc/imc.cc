@@ -29,7 +29,6 @@ Imc::Imc(EventQueue& eq, bus::MemoryBus& bus, const ImcConfig& cfg)
       readQ_(cfg.readQueueCap),
       wpq_(cfg.wpqCap, cfg.wpqWatermark),
       nextRefreshDue_(cfg.refresh.tREFI + cfg.refreshPhase),
-      baseRefresh_(cfg.refresh),
       wakeEvent_([this] { tick(); }, "imc-wake"),
       trackQueues_(cfg.name + ".queues"),
       trackRefresh_(cfg.name + ".refresh")
@@ -40,42 +39,6 @@ Imc::Imc(EventQueue& eq, bus::MemoryBus& bus, const ImcConfig& cfg)
     // design feeds on the cadence.
     if (cfg_.refreshEnabled)
         wake(nextRefreshDue_);
-}
-
-void
-Imc::programRefresh(const dram::RefreshRegisters& regs)
-{
-    cfg_.refresh = regs;
-    baseRefresh_ = regs;
-    // Re-anchor the next due tick so a shorter tREFI takes effect
-    // within one interval.
-    Tick base = lastRefreshAt_ == kTickNever ? eq_.now() : lastRefreshAt_;
-    nextRefreshDue_ = base + regs.tREFI;
-    wake(eq_.now());
-}
-
-void
-Imc::setTemperature(double celsius)
-{
-    temperatureC_ = celsius;
-    dram::RefreshRegisters regs = baseRefresh_;
-    if (celsius > 85.0)
-        regs.tREFI = baseRefresh_.tREFI / 2;
-    // programRefresh preserves baseRefresh_ via cfg_ only.
-    cfg_.refresh = regs;
-    Tick base = lastRefreshAt_ == kTickNever ? eq_.now()
-                                             : lastRefreshAt_;
-    nextRefreshDue_ = base + regs.tREFI;
-    wake(eq_.now());
-}
-
-void
-Imc::enableIdleSelfRefresh(Tick idle_time)
-{
-    srIdleThreshold_ = idle_time;
-    lastActivityAt_ = eq_.now();
-    if (idle_time > 0)
-        wake(eq_.now() + idle_time);
 }
 
 void
@@ -119,8 +82,6 @@ Imc::readLine(Addr addr, std::uint8_t* buf, Callback done)
     if (readQ_.full())
         return false;
 
-    lastActivityAt_ = eq_.now();
-
     MemRequest& req =
         readQ_.push(MemRequest::Kind::Read, addr,
                     bus_.dram().addressMap().decompose(addr), eq_.now());
@@ -140,8 +101,6 @@ Imc::writeLine(Addr addr, const std::uint8_t* data, Callback done)
                 "unaligned line write");
     if (wpq_.full())
         return false;
-
-    lastActivityAt_ = eq_.now();
 
     MemRequest& req =
         wpq_.push(MemRequest::Kind::Write, addr,
@@ -246,38 +205,6 @@ Imc::tick()
     if (now < nextCmdAt_) {
         wake(nextCmdAt_);
         return;
-    }
-
-    // --- Idle self-refresh management ---
-    if (selfRefresh_) {
-        bool work = !readQ_.empty() || !wpq_.empty();
-        if (!work)
-            return; // Stay asleep; requests will wake us.
-        // Exit self-refresh; commands legal after tXS.
-        bus_.issueCommand(masterId_,
-                          {dram::Ddr4Op::SelfRefreshExit, 0, 0, 0, 0});
-        nextCmdAt_ = now + t.tCK;
-        selfRefresh_ = false;
-        srExitReadyAt_ = now + t.tXS;
-        nextRefreshDue_ = srExitReadyAt_ + cfg_.refresh.tREFI;
-        wake(srExitReadyAt_);
-        return;
-    }
-    if (srExitReadyAt_ != 0 && now < srExitReadyAt_) {
-        wake(srExitReadyAt_);
-        return;
-    }
-    if (srIdleThreshold_ > 0 && readQ_.empty() && wpq_.empty() &&
-        refState_ == RefState::Idle && !shadow_.anyBankOpen()) {
-        if (now >= lastActivityAt_ + srIdleThreshold_) {
-            bus_.issueCommand(
-                masterId_,
-                {dram::Ddr4Op::SelfRefreshEnter, 0, 0, 0, 0});
-            nextCmdAt_ = now + t.tCK;
-            selfRefresh_ = true;
-            return;
-        }
-        wake(lastActivityAt_ + srIdleThreshold_);
     }
 
     // --- Refresh state machine (highest priority) ---

@@ -155,32 +155,6 @@ class Imc
 
     const ImcConfig& config() const { return cfg_; }
 
-    /**
-     * Reprogram the refresh registers at runtime (the paper does this
-     * via BIOS/iMC registers; Fig 12/13 sweep tREFI).
-     */
-    void programRefresh(const dram::RefreshRegisters& regs);
-
-    /**
-     * Thermal throttling (paper §II-B): above 85 C the JEDEC
-     * recommendation halves tREFI to 3.9 us. The NVMC adapts
-     * automatically (it feeds on the observed REF cadence) — more
-     * windows for it, less bandwidth for the host.
-     */
-    void setTemperature(double celsius);
-    double temperature() const { return temperatureC_; }
-
-    /**
-     * Idle self-refresh: after @p idle_time with empty queues the iMC
-     * puts the DRAM into self-refresh (SRE) and wakes it (SRX + tXS)
-     * on the next request. While in self-refresh no REF commands are
-     * driven, so the NVMC is starved — one more reason (beyond the
-     * paper's scope) an NVDIMM-C platform keeps deep power states
-     * off. 0 disables (the default).
-     */
-    void enableIdleSelfRefresh(Tick idle_time);
-    bool inSelfRefresh() const { return selfRefresh_; }
-
     /** Number of WPQ entries currently pending. */
     std::size_t wpqDepth() const { return wpq_.size(); }
     std::size_t readQueueDepth() const { return readQ_.size(); }
@@ -223,7 +197,7 @@ class Imc
 
     EventQueue& eq_;
     bus::MemoryBus& bus_;
-    ImcConfig cfg_;
+    const ImcConfig cfg_;
     int masterId_;
 
     TimingShadow shadow_;
@@ -267,16 +241,6 @@ class Imc
      *  same-tick wake() (request arrival) must not let tick() drive a
      *  second command into a still-busy slot. */
     Tick nextCmdAt_ = 0;
-
-    /** Thermal state: base registers scaled when hot. */
-    dram::RefreshRegisters baseRefresh_;
-    double temperatureC_ = 40.0;
-
-    /** Idle self-refresh state. */
-    Tick srIdleThreshold_ = 0;
-    bool selfRefresh_ = false;
-    Tick lastActivityAt_ = 0;
-    Tick srExitReadyAt_ = 0;
 
     /** Single self-rescheduled wakeup driving tick(); intrusive, so
      *  moving it never allocates. */

@@ -94,9 +94,9 @@ class NvmMedia
 
 /**
  * Byte-addressable media described by a simple latency + bandwidth
- * model with limited internal parallelism, used for the PRAM and
- * STT-MRAM backends the paper positions as the media that make
- * NVDIMM-C balanced (§VII-D).
+ * model with limited internal parallelism, used for the STT-MRAM
+ * backend: the kind of media the paper positions as making NVDIMM-C
+ * balanced (§VII-D).
  */
 class SimpleMedia : public NvmMedia
 {

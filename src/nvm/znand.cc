@@ -79,16 +79,6 @@ ZNand::fromFlatPage(std::uint64_t page_no) const
     return a;
 }
 
-std::uint64_t
-ZNand::flatBlock(const NandAddr& a) const
-{
-    std::uint64_t v = a.channel;
-    v = v * params_.diesPerChannel + a.die;
-    v = v * params_.planesPerDie + a.plane;
-    v = v * params_.blocksPerPlane + a.block;
-    return v;
-}
-
 ZNand::BlockState&
 ZNand::blockState(std::uint64_t block_no)
 {

@@ -111,7 +111,6 @@ class ZNand
     /** @{ */
     std::uint64_t flatPage(const NandAddr& a) const;
     NandAddr fromFlatPage(std::uint64_t page_no) const;
-    std::uint64_t flatBlock(const NandAddr& a) const;
     std::uint64_t flatBlockOfPage(std::uint64_t page_no) const
     {
         return page_no / params_.pagesPerBlock;

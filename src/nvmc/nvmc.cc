@@ -123,10 +123,4 @@ Nvmc::registerStats(StatRegistry& reg, const std::string& prefix) const
     });
 }
 
-void
-Nvmc::forceWindowNow(Tick duration)
-{
-    firmware_->onWindow(eq_.now(), eq_.now() + duration);
-}
-
 } // namespace nvdimmc::nvmc

@@ -83,12 +83,6 @@ class Nvmc
     void registerStats(StatRegistry& reg,
                        const std::string& prefix) const;
 
-    /**
-     * Failure injection for tests: run a DMA window immediately,
-     * outside any refresh.
-     */
-    void forceWindowNow(Tick duration);
-
   private:
     void onRefreshDetected(Tick command_tick);
 

@@ -61,29 +61,6 @@ TEST(EventQueue, SameTickFifoOrder)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(EventQueue, CancelPreventsFiring)
-{
-    EventQueue eq;
-    bool fired = false;
-    EventId id = eq.schedule(10, [&] { fired = true; });
-    eq.cancel(id);
-    eq.runAll();
-    EXPECT_FALSE(fired);
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, CancelAfterFireIsHarmless)
-{
-    EventQueue eq;
-    int fires = 0;
-    EventId id = eq.schedule(10, [&] { ++fires; });
-    eq.schedule(20, [&] { ++fires; });
-    eq.runOne();
-    eq.cancel(id); // Already fired.
-    eq.runAll();
-    EXPECT_EQ(fires, 2);
-}
-
 TEST(EventQueue, RunUntilAdvancesTimeEvenWhenEmpty)
 {
     EventQueue eq;
@@ -119,10 +96,11 @@ TEST(EventQueue, ScheduleAfterUsesCurrentTime)
 TEST(EventQueue, PendingCountsLiveEvents)
 {
     EventQueue eq;
-    EventId a = eq.schedule(10, [] {});
+    EventFunctionWrapper a([] {}, "a");
+    eq.schedule(a, 10);
     eq.schedule(20, [] {});
     EXPECT_EQ(eq.pending(), 2u);
-    eq.cancel(a);
+    eq.deschedule(a);
     EXPECT_EQ(eq.pending(), 1u);
     eq.runAll();
     EXPECT_EQ(eq.pending(), 0u);
@@ -580,12 +558,12 @@ TEST(SparseStore, MatchesAMapReference)
 TEST(Config, ParseAndTypedGet)
 {
     Config c = Config::parse("a=1,b=2.5,c=hello,d=true,e=0x10");
-    EXPECT_EQ(c.getInt("a", 0), 1);
-    EXPECT_DOUBLE_EQ(c.getDouble("b", 0), 2.5);
+    EXPECT_EQ(c.getUint("a", 0), 1u);
+    EXPECT_EQ(c.getString("b", ""), "2.5");
     EXPECT_EQ(c.getString("c", ""), "hello");
     EXPECT_TRUE(c.getBool("d", false));
-    EXPECT_EQ(c.getInt("e", 0), 16);
-    EXPECT_EQ(c.getInt("missing", 99), 99);
+    EXPECT_EQ(c.getUint("e", 0), 16u);
+    EXPECT_EQ(c.getUint("missing", 99), 99u);
 }
 
 TEST(Config, MalformedInputsThrow)
@@ -593,8 +571,24 @@ TEST(Config, MalformedInputsThrow)
     EXPECT_THROW(Config::parse("noequals"), FatalError);
     EXPECT_THROW(Config::parse("=value"), FatalError);
     Config c = Config::parse("a=xyz");
-    EXPECT_THROW(c.getInt("a", 0), FatalError);
+    EXPECT_THROW(c.getUint("a", 0), FatalError);
     EXPECT_THROW(c.getBool("a", false), FatalError);
+}
+
+TEST(Config, RejectsUnreadKeys)
+{
+    Config c = Config::parse("a=1,typo=2");
+    EXPECT_EQ(c.getUint("a", 0), 1u);
+    try {
+        c.rejectUnreadKeys();
+        FAIL() << "an unread key must be rejected";
+    } catch (const FatalError& e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("typo"), std::string::npos) << what;
+        EXPECT_EQ(what.find("'a'"), std::string::npos) << what;
+    }
+    EXPECT_EQ(c.getUint("typo", 0), 2u);
+    EXPECT_NO_THROW(c.rejectUnreadKeys());
 }
 
 TEST(SimMutex, FifoGrantOrder)

@@ -19,7 +19,7 @@
 #include "ftl/ecc.hh"
 #include "ftl/wear_leveler.hh"
 #include "nvm/delay_media.hh"
-#include "nvm/pram.hh"
+#include "nvm/sttmram.hh"
 
 namespace nvdimmc
 {
@@ -148,7 +148,7 @@ TEST(EccTest, ModerateErrorsAreCorrected)
 TEST(MediaPipelining, BackToBackOpsSerialize)
 {
     EventQueue eq;
-    nvm::Pram media(eq, 64 * kMiB);
+    nvm::SttMram media(eq, 64 * kMiB);
     Tick t1 = 0, t2 = 0;
     media.readRange(0, 4096, nullptr, [&] { t1 = eq.now(); });
     media.readRange(8192, 4096, nullptr, [&] { t2 = eq.now(); });
@@ -156,7 +156,10 @@ TEST(MediaPipelining, BackToBackOpsSerialize)
     EXPECT_GT(t2, t1);
     // Second op waits for the first's occupancy, so the gap is at
     // least the transfer time.
-    EXPECT_GE(t2 - t1, usToTicks(4096.0 / 2000.0) - kNs);
+    EXPECT_GE(t2 - t1,
+              usToTicks(4096.0 /
+                        nvm::SttMram::defaultParams().bandwidthMBps) -
+                  kNs);
 }
 
 TEST(DelayMediaWrite, SymmetricDelay)

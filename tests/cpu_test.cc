@@ -15,6 +15,7 @@
 #include "cpu/cache_model.hh"
 #include "cpu/memcpy_engine.hh"
 #include "cpu/thread.hh"
+#include "imc/host_port.hh"
 #include "imc/imc.hh"
 
 namespace nvdimmc::cpu
@@ -29,7 +30,8 @@ struct CpuFixture : public ::testing::Test
           dev(map, dram::Ddr4Timing::ddr4_1600(), true, false),
           bus(eq, dev, false),
           imc(eq, bus, imc::ImcConfig{}),
-          cache(eq, imc, cacheParams())
+          port(imc),
+          cache(eq, port, cacheParams())
     {
     }
 
@@ -52,6 +54,7 @@ struct CpuFixture : public ::testing::Test
     dram::DramDevice dev;
     bus::MemoryBus bus;
     imc::Imc imc;
+    imc::HostPort port;
     CpuCacheModel cache;
 };
 
@@ -167,7 +170,8 @@ TEST_F(CpuFixture, LoadsSurviveReadQueueRejection)
     imc::ImcConfig small;
     small.readQueueCap = 2;
     imc::Imc tiny_imc(eq, bus, small);
-    CpuCacheModel tiny_cache(eq, tiny_imc, cacheParams());
+    imc::HostPort tiny_port(tiny_imc);
+    CpuCacheModel tiny_cache(eq, tiny_port, cacheParams());
 
     int done = 0;
     const int n = 64;
@@ -188,7 +192,8 @@ TEST_F(CpuFixture, ParkedLoadsDeliverTheirOwnLines)
     imc::ImcConfig small;
     small.readQueueCap = 1;
     imc::Imc tiny_imc(eq, bus, small);
-    CpuCacheModel tiny_cache(eq, tiny_imc, cacheParams());
+    imc::HostPort tiny_port(tiny_imc);
+    CpuCacheModel tiny_cache(eq, tiny_port, cacheParams());
 
     const int n = 8;
     for (int i = 0; i < n; ++i) {
@@ -224,7 +229,8 @@ TEST_F(CpuFixture, ParkedLoadCountsOneMiss)
     imc::ImcConfig small;
     small.readQueueCap = 1;
     imc::Imc tiny_imc(eq, bus, small);
-    CpuCacheModel tiny_cache(eq, tiny_imc, cacheParams());
+    imc::HostPort tiny_port(tiny_imc);
+    CpuCacheModel tiny_cache(eq, tiny_port, cacheParams());
 
     ASSERT_TRUE(tiny_imc.readLine(0x1000, nullptr, nullptr));
     bool loaded = false;
@@ -250,8 +256,9 @@ struct ContendedWpq
         : dev(map, dram::Ddr4Timing::ddr4_1600(), true, false),
           bus(eq, dev, false),
           imc(eq, bus, oneEntry()),
-          cache(eq, imc, CpuFixture::cacheParams()),
-          engine(eq, imc, &cache),
+          port(imc),
+          cache(eq, port, CpuFixture::cacheParams()),
+          engine(eq, port, &cache),
           src(4096, 0x3d)
     {
         engine.writeNt(0x10000, 4096, src.data(), [this] { copied = true; });
@@ -274,6 +281,7 @@ struct ContendedWpq
     dram::DramDevice dev;
     bus::MemoryBus bus;
     imc::Imc imc;
+    imc::HostPort port;
     CpuCacheModel cache;
     MemcpyEngine engine;
     std::vector<std::uint8_t> src;
@@ -351,7 +359,7 @@ TEST_F(CpuFixture, MemcpyEngineReadMatchesArray)
         seed.fill(static_cast<std::uint8_t>(i + 1));
         dev.writeBurst(map.decompose(0x8000 + i * 64), seed.data());
     }
-    MemcpyEngine engine(eq, imc, &cache);
+    MemcpyEngine engine(eq, port, &cache);
     std::vector<std::uint8_t> buf(1024, 0);
     bool done = false;
     engine.read(0x8000, 1024, buf.data(), true, [&] { done = true; });
@@ -363,7 +371,7 @@ TEST_F(CpuFixture, MemcpyEngineReadMatchesArray)
 
 TEST_F(CpuFixture, MemcpyEngineWriteLandsInArray)
 {
-    MemcpyEngine engine(eq, imc, &cache);
+    MemcpyEngine engine(eq, port, &cache);
     std::vector<std::uint8_t> src(4096, 0x3d);
     bool done = false;
     engine.writeNt(0x10000, 4096, src.data(), [&] { done = true; });
@@ -380,8 +388,8 @@ TEST_F(CpuFixture, MemcpyReadLatencyScalesWithMlp)
     p1.parallelism = 1;
     MemcpyParams p10;
     p10.parallelism = 10;
-    MemcpyEngine slow(eq, imc, nullptr, p1);
-    MemcpyEngine fast(eq, imc, nullptr, p10);
+    MemcpyEngine slow(eq, port, nullptr, p1);
+    MemcpyEngine fast(eq, port, nullptr, p10);
 
     Tick t_slow = 0, t_fast = 0;
     Tick start = eq.now();
@@ -408,7 +416,7 @@ TEST_F(CpuFixture, NtWritePacingLimitsSingleThreadRate)
 {
     MemcpyParams p;
     p.ntIssueGap = 10 * kNs;
-    MemcpyEngine engine(eq, imc, nullptr, p);
+    MemcpyEngine engine(eq, port, nullptr, p);
     Tick start = eq.now();
     bool done = false;
     engine.writeNt(0, 4096, nullptr, [&] { done = true; });
@@ -431,7 +439,8 @@ TEST_F(CpuFixture, BulkModeAgreesWithDetailedOnThroughput)
         imc::Imc local_imc(local_eq, local_bus, imc::ImcConfig{});
         MemcpyParams p;
         p.bulkMode = bulk;
-        MemcpyEngine engine(local_eq, local_imc, nullptr, p);
+        imc::HostPort local_port(local_imc);
+        MemcpyEngine engine(local_eq, local_port, nullptr, p);
 
         std::uint64_t ops = 0;
         Addr next = 0;

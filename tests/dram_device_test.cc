@@ -323,15 +323,6 @@ TEST(DramDevicePanic, PanicModeAborts)
     EXPECT_THROW(dev.issue({Ddr4Op::Read, 0, 0, 0, 0}, 0), PanicError);
 }
 
-TEST(DramDeviceFrame, IssueFromRawFrame)
-{
-    AddressMap m = smallMap();
-    DramDevice dev(m, timing(), false, false);
-    CaFrame f = encodeCommand({Ddr4Op::Refresh, 0, 0, 0, 0});
-    EXPECT_TRUE(dev.issueFrame(f, 0).ok);
-    EXPECT_EQ(dev.refreshCount(), 1u);
-}
-
 TEST(DramTiming, PresetsAreConsistent)
 {
     for (const Ddr4Timing& t :

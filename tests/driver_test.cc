@@ -155,8 +155,8 @@ TEST(DramCacheTest, AllocateLookupEvictCycle)
     EXPECT_TRUE(prior.dirty);
     EXPECT_EQ(prior.page, 100u);
     EXPECT_FALSE(cache.lookup(100).has_value());
-    cache.finishEvict(s);
-    EXPECT_EQ(cache.usedSlots(), 0u);
+    EXPECT_EQ(cache.usedSlots(), 1u)
+        << "an evicted slot waits for its rebind, it is never freed";
 }
 
 TEST(DramCacheTest, RebindReusesSlotForNewPage)
@@ -191,43 +191,39 @@ TEST(DramCacheTest, HitRateAccounting)
     EXPECT_DOUBLE_EQ(cache.stats().hitRate(), 0.5);
 }
 
-TEST(DramCacheTest, FreedSlotsAreReusedBeforeFreshOnes)
+TEST(DramCacheTest, SlotsAreHandedOutOnceInAscendingOrder)
 {
     // The slot a page lands in is its DRAM address and metadata line,
-    // so allocation order is part of every simulated result: freed
-    // slots come back most recently freed first, then never-used
-    // slots in ascending order.
+    // so allocation order is part of every simulated result: never-used
+    // slots in ascending order. An evicted slot is rebound by the
+    // driver's evict/fill pair and never handed out again.
     DramCache cache(4, 16, ReplacementPolicy::create("lrc"));
     for (std::uint32_t s = 0; s < 3; ++s) {
         EXPECT_EQ(cache.allocate(s), s);
         cache.finishFill(s);
     }
-    for (std::uint32_t s : {1u, 0u}) {
-        cache.beginEvict(s);
-        cache.finishEvict(s);
-    }
-    EXPECT_EQ(cache.usedSlots(), 1u);
+    cache.beginEvict(1);
+    cache.rebind(1, 9);
+    cache.finishFill(1);
+    EXPECT_EQ(cache.usedSlots(), 3u);
     EXPECT_TRUE(cache.hasFree());
-    const std::uint32_t expected[] = {0, 1, 3};
-    for (std::uint32_t i = 0; i < 3; ++i) {
-        std::uint32_t s = cache.allocate(10 + i);
-        EXPECT_EQ(s, expected[i]) << "allocation " << i;
-        cache.finishFill(s);
-        EXPECT_EQ(cache.usedSlots(), 2u + i);
-        EXPECT_EQ(cache.hasFree(), i < 2) << "allocation " << i;
-    }
-    EXPECT_THROW(cache.allocate(13), PanicError);
+    std::uint32_t s = cache.allocate(13);
+    EXPECT_EQ(s, 3u);
+    cache.finishFill(s);
+    EXPECT_EQ(cache.usedSlots(), 4u);
+    EXPECT_FALSE(cache.hasFree());
+    EXPECT_THROW(cache.allocate(14), PanicError);
 
     // Pins nest, and a pinned slot is never the victim. LRC would
-    // pick slot 2, the oldest install.
-    cache.pin(2);
-    cache.pin(2);
-    cache.unpin(2);
-    EXPECT_TRUE(cache.pinned(2));
-    EXPECT_NE(cache.pickVictim(), 2u);
-    cache.unpin(2);
-    EXPECT_FALSE(cache.pinned(2));
-    EXPECT_THROW(cache.unpin(2), PanicError);
+    // pick slot 0, the oldest install.
+    cache.pin(0);
+    cache.pin(0);
+    cache.unpin(0);
+    EXPECT_TRUE(cache.pinned(0));
+    EXPECT_NE(cache.pickVictim(), 0u);
+    cache.unpin(0);
+    EXPECT_FALSE(cache.pinned(0));
+    EXPECT_THROW(cache.unpin(0), PanicError);
 }
 
 TEST(DramCacheTest, SparseDirectoryEdges)

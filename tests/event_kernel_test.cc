@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the intrusive event kernel: same-tick FIFO interleaving
- * of intrusive and one-shot events, in-place cancel/reschedule,
+ * of intrusive and one-shot events, in-place deschedule/reschedule,
  * periodic self-rescheduling, lazy-deletion bookkeeping across heap
  * rebuilds, order against a reference queue, and a regression check
  * that the one-shot (legacy-API shim) path and the intrusive path
@@ -147,46 +147,28 @@ TEST(EventKernel, PeriodicSelfReschedule)
 
 TEST(EventKernel, LazyDeletionNeverCountsCancelled)
 {
-    // pending()/empty() track live events only, even while cancelled
-    // heap records are still unpopped.
+    // pending()/empty() track live events only, even while
+    // descheduled heap records are still unpopped.
     EventQueue eq;
     std::vector<int> trace;
     TraceEvent ev(trace, 0);
+    TraceEvent later(trace, 1);
     eq.schedule(ev, 10);
-    EventId id = eq.schedule(20, [] {});
+    eq.schedule(later, 20);
     EXPECT_EQ(eq.pending(), 2u);
 
     eq.deschedule(ev);
     EXPECT_EQ(eq.pending(), 1u);
-    eq.cancel(id);
+    eq.deschedule(later);
     EXPECT_EQ(eq.pending(), 0u);
     EXPECT_TRUE(eq.empty());
 
-    // runUntil over a fully-cancelled queue fires nothing and still
+    // runUntil over a fully-descheduled queue fires nothing and still
     // lands now() on the target tick.
     eq.runUntil(100);
     EXPECT_EQ(eq.now(), 100u);
     EXPECT_EQ(eq.eventsFired(), 0u);
     EXPECT_TRUE(trace.empty());
-}
-
-TEST(EventKernel, CancelledIdNeverAliasesALaterEvent)
-{
-    // The pooled slot behind a cancelled id is recycled, but the
-    // generation stamp keeps the old id dead forever.
-    EventQueue eq;
-    bool late_fired = false;
-    EventId a = eq.schedule(10, [&] { late_fired = true; });
-    eq.cancel(a);
-    int fires = 0;
-    EventId b = eq.schedule(10, [&] { ++fires; });
-    EXPECT_FALSE(eq.isPending(a));
-    EXPECT_TRUE(eq.isPending(b));
-    eq.cancel(a); // Still a no-op, even though the slot was reused.
-    eq.runAll();
-    EXPECT_EQ(fires, 1);
-    EXPECT_FALSE(late_fired);
-    EXPECT_FALSE(eq.isPending(b));
 }
 
 TEST(EventKernel, LargeCapturesSpillSafely)
@@ -208,8 +190,8 @@ TEST(EventKernel, LargeCapturesSpillSafely)
 
 /**
  * The regression that guards the kernel rebuild: a toy simulation
- * (bursty producer, jittered service times, mid-flight cancels) run
- * once through the one-shot legacy-API shim and once through
+ * (bursty producer, jittered service times, mid-flight deschedules)
+ * run once through the one-shot legacy-API shim and once through
  * intrusive events must produce byte-identical stats.
  */
 std::string
@@ -256,12 +238,16 @@ runToySim(bool intrusive)
     else
         eq.schedule(130, serve_shim);
 
-    // Same-tick contention with the server plus cancel churn.
+    // Same-tick contention with the server plus dead-entry churn:
+    // each dead event is scheduled and descheduled at once.
+    std::vector<std::unique_ptr<EventFunctionWrapper>> dead;
     for (int i = 0; i < 40; ++i) {
         Tick at = 130 * static_cast<Tick>(1 + i % 7);
         eq.schedule(at, [&served] { ++served; });
-        EventId dead = eq.schedule(at, [&served] { served += 1000; });
-        eq.cancel(dead);
+        dead.push_back(std::make_unique<EventFunctionWrapper>(
+            [&served] { served += 1000; }, "dead"));
+        eq.schedule(*dead.back(), at);
+        eq.deschedule(*dead.back());
     }
 
     eq.runAll();
@@ -367,12 +353,13 @@ class ReferenceQueue
 };
 
 /**
- * Differential fuzz: a random stream of schedule / cancel /
- * reschedule / bounded-run operations must dispatch in exactly the
- * order the reference queue produces, with pending() equal to its
- * live count. The delays mix same-tick pileups, near deltas (< 64 and
- * < 4096 ticks), mid deltas (< 262144) and far ones (< 2^30), so
- * ties, interleaving with bounded runs and long idle gaps all occur.
+ * Differential fuzz: a random stream of one-shot and intrusive
+ * schedules, deschedules, reschedules and bounded runs must dispatch
+ * in exactly the order the reference queue produces, with pending()
+ * equal to its live count. The delays mix same-tick pileups, near
+ * deltas (< 64 and < 4096 ticks), mid deltas (< 262144) and far ones
+ * (< 2^30), so ties, interleaving with bounded runs and long idle
+ * gaps all occur.
  */
 TEST(EventKernel, DifferentialFuzzAgainstReferenceOrder)
 {
@@ -389,8 +376,11 @@ TEST(EventKernel, DifferentialFuzzAgainstReferenceOrder)
         ReferenceQueue ref;
         std::vector<int> real_order, ref_order;
 
-        // Cancelable one-shots: (id from the real queue, ref index).
-        std::vector<std::pair<EventId, std::size_t>> shots;
+        // Single-use intrusive shots that a later step may
+        // deschedule: (event, ref index).
+        std::vector<std::pair<std::unique_ptr<EventFunctionWrapper>,
+                              std::size_t>>
+            shots;
         // Intrusive events that get rescheduled in place.
         constexpr int kWrappers = 8;
         std::vector<std::unique_ptr<EventFunctionWrapper>> wrappers;
@@ -426,25 +416,35 @@ TEST(EventKernel, DifferentialFuzzAgainstReferenceOrder)
             switch (rnd() % 16) {
             case 0:
             case 1:
-            case 2:
-            case 3:
-            case 4:
-            case 5: { // One-shot schedule.
+            case 2: { // One-shot schedule.
                 Tick when = ref.now() + rand_delta();
                 int label = next_label++;
-                EventId id = eq.schedule(
-                    when, [&real_order, label] {
+                eq.schedule(when, [&real_order, label] {
+                    real_order.push_back(label);
+                });
+                ref.add(when, label);
+                break;
+            }
+            case 3:
+            case 4:
+            case 5: { // Intrusive shot schedule.
+                Tick when = ref.now() + rand_delta();
+                int label = next_label++;
+                auto ev = std::make_unique<EventFunctionWrapper>(
+                    [&real_order, label] {
                         real_order.push_back(label);
-                    });
-                shots.push_back({id, ref.add(when, label)});
+                    },
+                    "fuzz-shot");
+                eq.schedule(*ev, when);
+                shots.push_back({std::move(ev), ref.add(when, label)});
                 break;
             }
             case 6:
-            case 7: { // Cancel (possibly already fired: no-op).
+            case 7: { // Deschedule (possibly already fired: no-op).
                 if (shots.empty())
                     break;
-                auto& [id, ri] = shots[rnd() % shots.size()];
-                eq.cancel(id);
+                auto& [ev, ri] = shots[rnd() % shots.size()];
+                eq.deschedule(*ev);
                 ref.kill(ri);
                 break;
             }
@@ -482,8 +482,8 @@ TEST(EventKernel, DifferentialFuzzAgainstReferenceOrder)
 
 /**
  * The Imc::wake shape: one intrusive wake-up is pulled earlier again
- * and again while slower intrusive timers and one-shot completions
- * wait, and some completions are cancelled. Every pull leaves a dead
+ * and again while slower intrusive timers and completions wait, and
+ * some completions are called off. Every pull leaves a dead
  * entry behind, so dead entries keep outnumbering live ones and the
  * queue rebuilds its heap about twice per round. Dispatch must still
  * follow the reference order, and pending() must stay exact.
@@ -517,22 +517,35 @@ TEST(EventKernel, PulledEarlierWakeKeepsOrderAcrossHeapRebuilds)
             "timer"));
     }
 
+    // Completions that are called off before they fire: intrusive,
+    // scheduled and descheduled in the same step, so each is free
+    // again for the next round.
+    auto never = [] { ADD_FAILURE() << "a called-off event fired"; };
+    std::array<EventFunctionWrapper, 3> called_off{
+        EventFunctionWrapper(never, "called-off"),
+        EventFunctionWrapper(never, "called-off"),
+        EventFunctionWrapper(never, "called-off")};
+
     int next_label = 1000;
     for (int round = 0; round < 100; ++round) {
         const Tick base = eq.now();
-        // Completions, every third cancelled before it fires.
+        // Completions: one-shots, except every third, which is called
+        // off before it fires.
         for (int k = 0; k < 8; ++k) {
             Tick when = base + 50 + static_cast<Tick>(
                                         (round * 37 + k * 11) % 400);
             int label = next_label++;
-            EventId id = eq.schedule(when, [&real_order, label] {
+            if (k % 3 == 0) {
+                auto& ev = called_off[static_cast<std::size_t>(k / 3)];
+                eq.schedule(ev, when);
+                ref.kill(ref.add(when, label));
+                eq.deschedule(ev);
+                continue;
+            }
+            eq.schedule(when, [&real_order, label] {
                 real_order.push_back(label);
             });
-            std::size_t ri = ref.add(when, label);
-            if (k % 3 == 0) {
-                eq.cancel(id);
-                ref.kill(ri);
-            }
+            ref.add(when, label);
         }
         // One timer re-aimed per round, often after it fired.
         auto t = static_cast<std::size_t>(round % kTimers);

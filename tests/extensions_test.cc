@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the extension features beyond the paper's PoC: sequential
- * prefetch, CP queue depth > 1, thermal refresh throttling on the
- * full system, the zero-fill write-allocate fast path, NVDIMM-F, and
- * the related edge cases (phase wraparound, clean-victim scans).
+ * prefetch, CP queue depth > 1, the zero-fill write-allocate fast
+ * path, NVDIMM-F, and the related edge cases (phase wraparound,
+ * clean-victim scans).
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "bus/memory_bus.hh"
 #include "core/system.hh"
 #include "driver/nvdimmf_driver.hh"
-#include "driver/nvdimmn_driver.hh"
 #include "workload/fio.hh"
 
 namespace nvdimmc
@@ -262,47 +261,6 @@ TEST(Prefetch, RandomAccessesDoNotPrefetch)
     EXPECT_EQ(sys->driver().stats().prefetchesIssued.value(), 0u);
 }
 
-// --- Thermal throttling on the full system ---
-
-TEST(Thermal, HotDimmShiftsBandwidthToTheNvmc)
-{
-    auto measureUncached = [](double temp) {
-        SystemConfig cfg = SystemConfig::scaledBench();
-        NvdimmcSystem sys(cfg);
-        sys.imc().setTemperature(temp);
-        sys.precondition(0, sys.layout().slotCount(), true);
-        sys.driver().markEverWritten(0, sys.backend().pageCount());
-
-        workload::FioConfig fio;
-        fio.pattern = workload::FioConfig::Pattern::RandRead;
-        fio.blockSize = 4096;
-        fio.regionOffset =
-            std::uint64_t{sys.layout().slotCount() + 128} * 4096;
-        fio.regionBytes =
-            sys.driver().capacityBytes() - fio.regionOffset;
-        fio.rampTime = 5 * kMs;
-        fio.runTime = 40 * kMs;
-        workload::FioJob job(
-            sys.eq(),
-            [&sys](Addr off, std::uint32_t len, bool is_write,
-                   std::function<void()> done) {
-                if (is_write)
-                    sys.driver().write(off, len, nullptr,
-                                       std::move(done));
-                else
-                    sys.driver().read(off, len, nullptr,
-                                      std::move(done));
-            },
-            fio);
-        return job.run().mbps;
-    };
-    double cool = measureUncached(40.0);
-    double hot = measureUncached(95.0);
-    // Twice the refresh rate -> roughly twice the NVMC windows ->
-    // materially faster uncached accesses.
-    EXPECT_GT(hot, cool * 1.3);
-}
-
 // --- NVDIMM-F ---
 
 struct NvdimmFFixture : public ::testing::Test
@@ -373,116 +331,6 @@ TEST_F(NvdimmFFixture, EveryAccessPaysTheNand)
 TEST_F(NvdimmFFixture, RejectsSubBlockAccess)
 {
     EXPECT_THROW(drv.read(64, 64, nullptr, [] {}), PanicError);
-}
-
-// --- NVDIMM-N ---
-
-struct NvdimmNFixture : public ::testing::Test
-{
-    NvdimmNFixture()
-        : map(4 * kMiB),
-          dram(map, dram::Ddr4Timing::ddr4_1600(), true, false),
-          bus(eq, dram, false),
-          imc(eq, bus, imc::ImcConfig{}),
-          cache(eq, imc, cpu::CpuCacheModel::Params{}),
-          engine(eq, imc, &cache),
-          nand(eq, nvm::ZNandParams::tiny())
-    {
-    }
-
-    driver::NvdimmNDriver
-    make(std::uint64_t energy_pages = 0)
-    {
-        driver::NvdimmNConfig cfg;
-        cfg.backupEnergyPages = energy_pages;
-        return driver::NvdimmNDriver(eq, engine, dram, nand, cfg);
-    }
-
-    void
-    drive(std::function<void(std::function<void()>)> op)
-    {
-        bool done = false;
-        op([&] { done = true; });
-        while (!done && eq.runOne()) {
-        }
-        ASSERT_TRUE(done);
-    }
-
-    EventQueue eq;
-    dram::AddressMap map;
-    dram::DramDevice dram;
-    bus::MemoryBus bus;
-    imc::Imc imc;
-    cpu::CpuCacheModel cache;
-    cpu::MemcpyEngine engine;
-    nvm::ZNand nand;
-};
-
-TEST_F(NvdimmNFixture, RunsAtDramSpeed)
-{
-    auto drv = make();
-    Tick start = eq.now();
-    drive([&](std::function<void()> cb) {
-        drv.write(0, 4096, nullptr, std::move(cb));
-    });
-    eq.runFor(50 * kUs); // Drain the WPQ.
-    Tick w = eq.now() - start;
-    EXPECT_LT(w, 60 * kUs);
-    EXPECT_EQ(nand.stats().pageReads.value(), 0u)
-        << "runtime accesses never touch the NAND";
-}
-
-TEST_F(NvdimmNFixture, BackupAndRestoreRoundTrip)
-{
-    auto drv = make();
-    std::vector<std::uint8_t> w(4096, 0x8a);
-    drive([&](std::function<void()> cb) {
-        drv.write(3 * 4096, 4096, w.data(), std::move(cb));
-    });
-    eq.runFor(100 * kUs); // WPQ drain into the array.
-
-    std::uint64_t saved = drv.powerFailBackup();
-    EXPECT_EQ(saved, drv.capacityBytes() / 4096);
-
-    // Simulate a fresh boot: blank DRAM, restore from NAND.
-    dram::DramDevice fresh(map, dram::Ddr4Timing::ddr4_1600(), true,
-                           false);
-    bus::MemoryBus fresh_bus(eq, fresh, false);
-    imc::Imc fresh_imc(eq, fresh_bus, imc::ImcConfig{});
-    cpu::CpuCacheModel fresh_cache(eq, fresh_imc,
-                                   cpu::CpuCacheModel::Params{});
-    cpu::MemcpyEngine fresh_engine(eq, fresh_imc, &fresh_cache);
-    driver::NvdimmNConfig cfg;
-    driver::NvdimmNDriver reborn(eq, fresh_engine, fresh, nand, cfg);
-    EXPECT_GT(reborn.restore(), 0u);
-
-    std::vector<std::uint8_t> r(4096, 0);
-    bool done = false;
-    reborn.read(3 * 4096, 4096, r.data(), [&] { done = true; });
-    while (!done && eq.runOne()) {
-    }
-    EXPECT_EQ(r[0], 0x8a);
-    EXPECT_EQ(r[4095], 0x8a);
-}
-
-TEST_F(NvdimmNFixture, SupercapBudgetLimitsBackup)
-{
-    auto drv = make(/*energy_pages=*/16);
-    std::uint64_t saved = drv.powerFailBackup();
-    EXPECT_EQ(saved, 16u);
-    EXPECT_GT(drv.stats().pagesLostToEnergy.value(), 0u);
-}
-
-TEST_F(NvdimmNFixture, NandMustCoverTheDram)
-{
-    // A 64 MiB DRAM cannot be backed by the tiny 8 MiB NAND.
-    dram::AddressMap big_map(64 * kMiB);
-    dram::DramDevice big(big_map, dram::Ddr4Timing::ddr4_1600(), false,
-                         false);
-    driver::NvdimmNConfig cfg;
-    EXPECT_THROW(
-        driver::NvdimmNDriver(eq, engine, big, nand, cfg),
-        FatalError);
 }
 
 // --- Clean-victim scan (prefetch support) ---

@@ -2,8 +2,8 @@
  * @file
  * Fault-injection engine tests: power-fail campaigns (determinism +
  * integrity), the dirty-miss power-fail window, media-fault and ageing
- * campaigns, device checkpoint/restore, NVDIMM-N energy budgets, and
- * regression pins for the latent bugs the injector flushed out.
+ * campaigns, device checkpoint/restore, and regression pins for the
+ * latent bugs the injector flushed out.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "cpu/cache_model.hh"
 #include "cpu/memcpy_engine.hh"
 #include "dram/channel_interleave.hh"
-#include "driver/nvdimmn_driver.hh"
 #include "fault/campaign.hh"
 #include "fault/checkpoint.hh"
 #include "fault/fault.hh"
@@ -235,117 +234,6 @@ TEST(FaultPowerFail, DumpUsesModuleLocalNandPages)
     sys.channel(1).backend().readPage(3, wrong.data(), [] {});
     EXPECT_EQ(std::count(wrong.begin(), wrong.end(), 0x9c), 0)
         << "flat page number leaked into the module-local dump";
-}
-
-// --- NVDIMM-N super-cap energy budgets (satellite) ---
-
-struct FaultNvdimmN : public ::testing::Test
-{
-    FaultNvdimmN()
-        : map(4 * kMiB),
-          dram(map, dram::Ddr4Timing::ddr4_1600(), true, false),
-          bus(eq, dram, false),
-          imc(eq, bus, imc::ImcConfig{}),
-          cache(eq, imc, cpu::CpuCacheModel::Params{}),
-          engine(eq, imc, &cache),
-          nand(eq, nvm::ZNandParams::tiny())
-    {
-    }
-
-    driver::NvdimmNDriver
-    make(driver::NvdimmNConfig cfg = {})
-    {
-        return driver::NvdimmNDriver(eq, engine, dram, nand, cfg);
-    }
-
-    void
-    write(driver::NvdimmNDriver& drv, Addr addr,
-          const std::vector<std::uint8_t>& buf)
-    {
-        bool done = false;
-        drv.write(addr, static_cast<std::uint32_t>(buf.size()),
-                  buf.data(), [&] { done = true; });
-        while (!done && eq.runOne()) {
-        }
-        eq.runFor(100 * kUs);
-    }
-
-    EventQueue eq;
-    dram::AddressMap map;
-    dram::DramDevice dram;
-    bus::MemoryBus bus;
-    imc::Imc imc;
-    cpu::CpuCacheModel cache;
-    cpu::MemcpyEngine engine;
-    nvm::ZNand nand;
-};
-
-TEST_F(FaultNvdimmN, ZeroBudgetMeansSaveEverything)
-{
-    auto drv = make();
-    std::uint64_t pages = drv.capacityBytes() / 4096;
-    EXPECT_EQ(drv.powerFailBackup(), pages);
-    EXPECT_EQ(drv.stats().pagesLostToEnergy.value(), 0u);
-    EXPECT_EQ(drv.stats().pagesTruncated.value(), 0u);
-}
-
-TEST_F(FaultNvdimmN, SubPageByteBudgetWritesTornPage)
-{
-    driver::NvdimmNConfig cfg;
-    cfg.backupEnergyBytes = 2 * 4096 + 100; // 2 pages + a torn third.
-    auto drv = make(cfg);
-    std::vector<std::uint8_t> buf(4096, 0x5d);
-    write(drv, 2 * 4096, buf); // page 2 is the torn one
-
-    std::uint64_t pages = drv.capacityBytes() / 4096;
-    std::uint64_t saved = drv.powerFailBackup();
-    EXPECT_EQ(saved, 2u);
-    EXPECT_EQ(drv.stats().pagesTruncated.value(), 1u);
-    // Accounting identity: every page is saved or lost; the torn page
-    // counts as lost (its tail is gone) AND truncated.
-    EXPECT_EQ(drv.stats().pagesBackedUp.value() +
-                  drv.stats().pagesLostToEnergy.value(),
-              pages);
-
-    // The torn page: 100 valid bytes then erased 0xFF tail. (The
-    // media model copies bytes at call time — post-mortem idiom.)
-    std::vector<std::uint8_t> r(4096, 0);
-    nand.readPage(2, r.data(), [] {});
-    EXPECT_EQ(r[0], 0x5d);
-    EXPECT_EQ(r[99], 0x5d);
-    EXPECT_EQ(r[100], 0xff);
-    EXPECT_EQ(r[4095], 0xff);
-}
-
-TEST_F(FaultNvdimmN, BudgetSmallerThanOnePageSavesNothingWhole)
-{
-    driver::NvdimmNConfig cfg;
-    cfg.backupEnergyBytes = 512;
-    auto drv = make(cfg);
-    std::uint64_t pages = drv.capacityBytes() / 4096;
-    EXPECT_EQ(drv.powerFailBackup(), 0u);
-    EXPECT_EQ(drv.stats().pagesTruncated.value(), 1u);
-    EXPECT_EQ(drv.stats().pagesLostToEnergy.value(), pages);
-}
-
-TEST_F(FaultNvdimmN, RepeatedBackupReprogramsCleanly)
-{
-    // A second power cut after a completed backup must not program
-    // already-programmed pages (a NAND discipline violation); the
-    // driver erases the backup region first.
-    auto drv = make();
-    std::vector<std::uint8_t> buf(4096, 0x21);
-    write(drv, 0, buf);
-    std::uint64_t pages = drv.capacityBytes() / 4096;
-    EXPECT_EQ(drv.powerFailBackup(), pages);
-
-    std::vector<std::uint8_t> buf2(4096, 0x43);
-    write(drv, 0, buf2);
-    EXPECT_EQ(drv.powerFailBackup(), pages);
-
-    std::vector<std::uint8_t> r(4096, 0);
-    nand.readPage(0, r.data(), [] {});
-    EXPECT_EQ(r[0], 0x43) << "second backup must persist fresh bytes";
 }
 
 // --- Media faults: retirement, relocation, ECC outcomes ---

@@ -191,23 +191,6 @@ TEST_F(ImcFixture, ProgrammedTrfcBlocksHost)
     EXPECT_GE(finish, m.blockedUntil());
 }
 
-TEST_F(ImcFixture, ReprogrammingRefreshTakesEffect)
-{
-    ImcConfig cfg;
-    Imc& m = makeImc(cfg);
-    eq.runFor(3 * cfg.refresh.tREFI + kUs);
-    std::uint64_t before = dev.refreshCount();
-    dram::RefreshRegisters fast;
-    fast.tRFC = 1250 * kNs;
-    fast.tREFI = 1950 * kNs; // tREFI4.
-    m.programRefresh(fast);
-    eq.runFor(4 * 7800 * kNs);
-    std::uint64_t delta = dev.refreshCount() - before;
-    // 31.2 us at one refresh per 1.95 us ~= 16.
-    EXPECT_GE(delta, 13u);
-    EXPECT_LE(delta, 18u);
-}
-
 TEST_F(ImcFixture, QueueBackpressure)
 {
     ImcConfig cfg;
@@ -622,76 +605,6 @@ TEST_F(ImcFixture, BulkThroughputDropsWithFasterRefresh)
     EXPECT_NEAR(trefi2 / normal, (1.0 - 1.25 / 3.9) / avail_norm, 0.1);
     EXPECT_NEAR(trefi4 / normal, (1.0 - 1.25 / 1.95) / avail_norm,
                 0.12);
-}
-
-TEST_F(ImcFixture, ThermalThrottlingHalvesTrefi)
-{
-    // Paper §II-B: above 85 C the refresh interval drops to 3.9 us.
-    ImcConfig cfg;
-    cfg.refresh = dram::RefreshRegisters::nvdimmc();
-    Imc& m = makeImc(cfg);
-    eq.runFor(10 * cfg.refresh.tREFI);
-    std::uint64_t cool = dev.refreshCount();
-
-    m.setTemperature(95.0);
-    eq.runFor(10 * cfg.refresh.tREFI);
-    std::uint64_t hot = dev.refreshCount() - cool;
-    EXPECT_GE(hot, 2 * cool - 4) << "hot cadence must ~double";
-
-    // Cooling down restores the base rate.
-    m.setTemperature(40.0);
-    eq.runFor(10 * cfg.refresh.tREFI);
-    std::uint64_t cooled = dev.refreshCount() - cool - hot;
-    EXPECT_LE(cooled, cool + 3);
-}
-
-TEST_F(ImcFixture, IdleSelfRefreshEntryAndExit)
-{
-    ImcConfig cfg;
-    Imc& m = makeImc(cfg);
-    m.enableIdleSelfRefresh(50 * kUs);
-
-    eq.runFor(200 * kUs);
-    EXPECT_TRUE(m.inSelfRefresh());
-    EXPECT_TRUE(dev.inSelfRefresh());
-    std::uint64_t refs_asleep = dev.refreshCount();
-
-    // While asleep, no REF commands are driven (the DRAM refreshes
-    // itself internally) — the NVMC would be starved.
-    eq.runFor(100 * kUs);
-    EXPECT_EQ(dev.refreshCount(), refs_asleep);
-
-    // A request wakes the DRAM (SRX + tXS) and completes.
-    bool done = false;
-    Tick start = eq.now();
-    Tick finish = 0;
-    ASSERT_TRUE(m.readLine(0x1000, nullptr, [&] {
-        done = true;
-        finish = eq.now();
-    }));
-    eq.runFor(10 * kUs);
-    ASSERT_TRUE(done);
-    EXPECT_FALSE(m.inSelfRefresh());
-    EXPECT_GE(finish - start, dev.timing().tXS);
-    EXPECT_EQ(dev.stats().violations.value(), 0u);
-}
-
-TEST_F(ImcFixture, SelfRefreshRoundTripKeepsServing)
-{
-    ImcConfig cfg;
-    Imc& m = makeImc(cfg);
-    m.enableIdleSelfRefresh(30 * kUs);
-    // Several sleep/wake cycles with requests in between.
-    for (int round = 0; round < 4; ++round) {
-        eq.runFor(150 * kUs);
-        EXPECT_TRUE(m.inSelfRefresh()) << "round " << round;
-        bool done = false;
-        m.readLine(static_cast<Addr>(round) * 8192, nullptr,
-                   [&] { done = true; });
-        eq.runFor(10 * kUs);
-        EXPECT_TRUE(done) << "round " << round;
-    }
-    EXPECT_EQ(dev.stats().violations.value(), 0u);
 }
 
 TEST_F(ImcFixture, AdrFlushCommitsInFlightBurstsInIssueOrder)

@@ -167,35 +167,6 @@ TEST(Integration, DisablingTheGateCausesViolations)
         << "driving during the device's real tRFC must be caught";
 }
 
-TEST(Integration, ForcedWindowCollidesWithHost)
-{
-    auto sys = makeSystem();
-    // Keep the host busy streaming.
-    bool stop = false;
-    std::function<void()> hammer = [&] {
-        if (stop)
-            return;
-        sys->imc().readLine(0, nullptr, hammer);
-    };
-    hammer();
-    sys->eq().runFor(10 * kUs);
-    // Queue NVMC work, then force a window outside any refresh.
-    auto fresh_buf = std::make_shared<std::vector<std::uint8_t>>(4096);
-    nvmc::DmaRequest req;
-    req.addr = sys->layout().slotAddr(0);
-    req.bytes = 4096;
-    req.isWrite = true;
-    req.buffer = fresh_buf;
-    sys->nvmc()->dma().enqueue(std::move(req));
-    sys->nvmc()->forceWindowNow(2 * kUs);
-    sys->eq().runFor(10 * kUs);
-    stop = true;
-    sys->eq().runFor(5 * kUs);
-    EXPECT_GT(sys->bus().conflictCount() +
-                  sys->dramDevice().stats().violations.value(),
-              0u);
-}
-
 TEST(Integration, FalsePositiveDetectorIsDangerous)
 {
     // Paper §VII-A: a detector that fires on non-REF commands makes

@@ -14,7 +14,6 @@
 #include "common/serialize.hh"
 #include "nvm/delay_media.hh"
 #include "nvm/nvm_media.hh"
-#include "nvm/pram.hh"
 #include "nvm/sttmram.hh"
 #include "nvm/znand.hh"
 
@@ -286,7 +285,7 @@ TEST(SimpleMediaTest, LatencyAndBandwidthModel)
 TEST(SimpleMediaTest, DataRoundTrip)
 {
     EventQueue eq;
-    Pram m(eq, 64 * kMiB);
+    SttMram m(eq, 64 * kMiB);
     std::vector<std::uint8_t> w(8192, 0x42), r(8192, 0);
     m.writeRange(4096, 8192, w.data(), [] {});
     eq.runAll();
@@ -303,15 +302,6 @@ TEST(SimpleMediaTest, UnwrittenReadsZero)
     m.readRange(0, 4096, r.data(), [] {});
     eq.runAll();
     EXPECT_EQ(r[0], 0);
-}
-
-TEST(SimpleMediaTest, PresetLatenciesOrdered)
-{
-    // STT-MRAM must be much faster than PRAM (paper §III-A).
-    EXPECT_LT(SttMram::defaultParams().readLatency,
-              Pram::defaultParams().readLatency);
-    EXPECT_LT(SttMram::defaultParams().writeLatency,
-              Pram::defaultParams().writeLatency);
 }
 
 TEST(DelayMediaTest, ProgrammableDelay)
@@ -363,7 +353,7 @@ TEST(RawZNandBackendTest, WrapsWithoutTranslation)
 TEST(MediaStatsTest, CountsOps)
 {
     EventQueue eq;
-    Pram m(eq, 64 * kMiB);
+    SttMram m(eq, 64 * kMiB);
     m.readRange(0, 4096, nullptr, [] {});
     m.writeRange(0, 4096, nullptr, [] {});
     eq.runAll();
