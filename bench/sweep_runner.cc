@@ -891,9 +891,10 @@ runNvdimmFPoint(FioConfig::Pattern pattern)
     dram::DramDevice ch_dev(map, dram::Ddr4Timing::ddr4_1600(), false,
                             false);
     bus::MemoryBus bus(eq, ch_dev, false);
-    imc::ImcConfig icfg;
-    icfg.refresh = dram::RefreshRegisters::standard();
-    imc::Imc imc(eq, bus, icfg);
+    imc::Imc imc(eq, bus, imc::ImcConfig{},
+                 dram::RefreshSchedule::make(
+                     dram::RefreshRegisters::standard(),
+                     ch_dev.timing().tRFC, 0));
 
     driver::NvdimmFDriver drv(eq, *ftl, imc, driver::NvdimmFConfig{});
 

@@ -20,6 +20,12 @@
  *   asic      1 = ASIC firmware timings                   [0]
  *   run_ms    measurement window (simulated)              [50]
  *   stats     1 = dump all per-layer statistics           [0]
+ *
+ * Exits 1 with a "fatal:" message naming the key or field when the
+ * config is unusable: a malformed or unknown key, or refresh
+ * registers the iMC and the NVMC cannot both honour (trfc_ns below
+ * the DRAM's own 350 ns, or leaving no window after it; trfc_ns not
+ * below trefi_ns).
  */
 
 #include <cstdio>
@@ -27,13 +33,17 @@
 #include <string>
 
 #include "common/config.hh"
+#include "common/logging.hh"
 #include "core/system.hh"
 #include "workload/fio.hh"
 
 using namespace nvdimmc;
 
+namespace
+{
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     Config overrides =
         argc > 1 ? Config::parse(argv[1]) : Config{};
@@ -142,4 +152,17 @@ main(int argc, char** argv)
         sys.dumpStats(std::cout);
     }
     return sys.hardwareClean() ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const FatalError& e) {
+        std::cerr << "nvdimmc_sim: " << e.what() << "\n";
+        return 1;
+    }
 }

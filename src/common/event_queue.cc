@@ -103,14 +103,9 @@ EventQueue::growCallbackPool()
 void
 EventQueue::CallbackEvent::process()
 {
-    // Recycle even if the callable throws (a panic propagating out of
-    // a test).
-    struct Recycle
-    {
-        CallbackEvent& ce;
-        ~Recycle() { ce.owner_.recycleCallback(ce); }
-    } guard{*this};
-    call_(*this);
+    // fireNextBound() calls a one-shot's callable directly; the
+    // override exists only because Event::process is pure virtual.
+    panic("one-shot event dispatched through process()");
 }
 
 } // namespace nvdimmc

@@ -17,17 +17,16 @@ Channel::Channel(EventQueue& eq, const SystemConfig& cfg,
     bus_ = std::make_unique<bus::MemoryBus>(eq, *dram_,
                                             cfg.strictHardware);
 
+    // Stagger the refresh clocks so the per-channel tRFC blackouts
+    // (and DMA windows) spread evenly over the tREFI period.
+    const auto refresh = dram::RefreshSchedule::make(
+        cfg.refresh, dram_->timing().tRFC,
+        index * (cfg.refresh.tREFI / count));
+
     imc::ImcConfig imc_cfg = cfg.imc;
-    imc_cfg.refresh = cfg.refresh;
-    if (count > 1) {
+    if (count > 1)
         imc_cfg.name = "ch" + std::to_string(index) + ".imc";
-        // Stagger the refresh clocks so the per-channel tRFC blackouts
-        // (and DMA windows) spread evenly over the tREFI period.
-        if (cfg.staggerRefresh)
-            imc_cfg.refreshPhase =
-                index * (cfg.refresh.tREFI / count);
-    }
-    imc_ = std::make_unique<imc::Imc>(eq, *bus_, imc_cfg);
+    imc_ = std::make_unique<imc::Imc>(eq, *bus_, imc_cfg, refresh);
 
     switch (cfg.media) {
       case MediaKind::ZNand:
@@ -55,10 +54,8 @@ Channel::Channel(EventQueue& eq, const SystemConfig& cfg,
         cfg.dramCacheBytes, cfg.driver.cpQueueDepth);
 
     if (cfg.nvmcEnabled) {
-        nvmc::NvmcConfig nvmc_cfg = cfg.nvmc;
-        nvmc_cfg.programmedRefresh = cfg.refresh;
         nvmc_ = std::make_unique<nvmc::Nvmc>(eq, *bus_, *backend_,
-                                             *layout_, nvmc_cfg);
+                                             *layout_, cfg.nvmc, refresh);
     }
 }
 

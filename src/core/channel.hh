@@ -11,12 +11,13 @@
  * memcpy engine, nvdc driver) route each access to its owning channel
  * through an imc::HostPort.
  *
- * Refresh staggering: with N channels and staggerRefresh on, channel i
- * starts its tREFI clock with a phase offset of i * tREFI / N, so the
- * per-channel tRFC blackouts (and the DMA windows the NVMCs steal from
- * them) never line up across the whole system. Channel 0 — and any
- * single-channel system — keeps phase 0, leaving the legacy timeline
- * untouched.
+ * Refresh staggering: each channel builds one dram::RefreshSchedule
+ * from SystemConfig::refresh, and its iMC and NVMC both run it.
+ * Channel i of N starts its tREFI clock with a phase offset of
+ * i * tREFI / N, so the per-channel tRFC blackouts (and the DMA
+ * windows the NVMCs steal from them) never line up across the whole
+ * system. Channel 0 — and any single-channel system — keeps phase 0,
+ * leaving the legacy timeline untouched.
  */
 
 #ifndef NVDIMMC_CORE_CHANNEL_HH

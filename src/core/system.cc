@@ -490,11 +490,14 @@ BaselineSystem::BaselineSystem(const BaselineConfig& cfg) : cfg_(cfg)
             eq_, *drams_.back(), false));
 
         imc::ImcConfig imc_cfg = cfg.imc;
-        imc_cfg.refresh = cfg.refresh;
         if (cfg_.channels > 1)
             imc_cfg.name = "ch" + std::to_string(i) + ".imc";
+        // No NVMC windows to spread: every channel refreshes at
+        // phase 0.
         imcs_.push_back(std::make_unique<imc::Imc>(
-            eq_, *buses_.back(), imc_cfg));
+            eq_, *buses_.back(), imc_cfg,
+            dram::RefreshSchedule::make(
+                cfg.refresh, drams_.back()->timing().tRFC, 0)));
     }
 
     std::vector<imc::Imc*> imcs;

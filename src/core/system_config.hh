@@ -55,9 +55,6 @@ struct SystemConfig
     /** @{ */
     std::uint32_t channels = 1;
     std::uint32_t interleaveGranule = 4096;
-    /** Offset channel i's tREFI clock by i * tREFI / N so refresh
-     *  blackouts (and the DMA windows inside them) stagger. */
-    bool staggerRefresh = true;
     /** @} */
 
     /** Simulation threads. The serial event kernel is the only
@@ -68,6 +65,10 @@ struct SystemConfig
     /** @{ */
     std::uint64_t dramCacheBytes = 16 * kGiB;
     dram::Ddr4Timing dramTiming = dram::Ddr4Timing::ddr4_1600();
+    /** The host's programmed refresh registers. Each channel derives
+     *  its dram::RefreshSchedule from them (channel i of N at phase
+     *  i * tREFI / N); its iMC and NVMC read refresh timing from that
+     *  schedule alone. */
     dram::RefreshRegisters refresh = dram::RefreshRegisters::nvdimmc();
     /** @} */
 
@@ -94,11 +95,8 @@ struct SystemConfig
     ftl::FtlConfig ftl;
     /** @} */
 
-    /** programmedRefresh is derived: each Channel sets it from
-     *  refresh when it builds its NVMC. */
     nvmc::NvmcConfig nvmc;
     driver::NvdcDriverConfig driver;
-    /** imc.refresh is derived: each Channel sets it from refresh. */
     imc::ImcConfig imc;
     cpu::CpuCacheModel::Params cpuCache;
     cpu::MemcpyParams memcpy;
@@ -134,10 +132,9 @@ struct SystemConfig
     /**
      * Shared derivation every preset builds on: a @p cacheBytes DRAM
      * cache in front of Z-NAND with the paper's timing ratios
-     * (DDR4-1600, programmed tRFC 1250 ns vs tREFI 7.8 us) mirrored
-     * into the iMC and the NVMC. Presets only adjust capacities and
-     * workload knobs on top — never the ratios that drive the paper's
-     * results.
+     * (DDR4-1600, programmed tRFC 1250 ns vs tREFI 7.8 us). Presets
+     * only adjust capacities and workload knobs on top — never the
+     * ratios that drive the paper's results.
      */
     static SystemConfig deriveScaled(std::uint64_t cacheBytes);
 };
@@ -151,13 +148,13 @@ struct BaselineConfig
     std::uint32_t interleaveGranule = 4096;
     std::uint64_t capacityBytes = 128 * kGiB;
     dram::Ddr4Timing dramTiming = dram::Ddr4Timing::ddr4_1600();
-    /** Table I: the baseline RDIMM also ran with tRFC = 1250 ns. */
+    /** Table I: the baseline RDIMM also ran with tRFC = 1250 ns.
+     *  Every channel's iMC runs it at phase 0. */
     dram::RefreshRegisters refresh = dram::RefreshRegisters::nvdimmc();
 
     /** Telemetry sampling cadence; same contract as SystemConfig. */
     Tick telemetryIntervalTicks = 0;
     driver::PmemDriverConfig pmem;
-    /** imc.refresh is derived: each channel's iMC takes refresh. */
     imc::ImcConfig imc;
     cpu::CpuCacheModel::Params cpuCache;
     cpu::MemcpyParams memcpy;

@@ -29,13 +29,6 @@ toString(Ddr4Op op)
     return "?";
 }
 
-bool
-isRefreshFamily(Ddr4Op op)
-{
-    return op == Ddr4Op::Refresh || op == Ddr4Op::SelfRefreshEnter ||
-           op == Ddr4Op::SelfRefreshExit;
-}
-
 std::string
 Ddr4Command::describe() const
 {

@@ -41,9 +41,6 @@ enum class Ddr4Op : std::uint8_t
 /** Printable name for diagnostics. */
 const char* toString(Ddr4Op op);
 
-/** @return true for REF/SRE/SRX (any refresh-family encoding). */
-bool isRefreshFamily(Ddr4Op op);
-
 /** A logical command as a controller thinks of it. */
 struct Ddr4Command
 {

@@ -24,7 +24,6 @@ Ddr4Timing::ddr4_1600()
     t.tCCD_L = 6250;
     t.tFAW = 35000;
     t.tRFC = 350000;
-    t.tREFI = 7800000;
     t.tXS = t.tRFC + 10000;
     return t;
 }
@@ -50,7 +49,6 @@ Ddr4Timing::ddr4_2400()
     t.tCCD_L = 5000;
     t.tFAW = 30000;
     t.tRFC = 350000;
-    t.tREFI = 7800000;
     t.tXS = t.tRFC + 10000;
     return t;
 }

@@ -3,9 +3,11 @@
  * DDR4 timing parameter sets.
  *
  * All values are in ticks (picoseconds). Presets follow JEDEC DDR4
- * speed bins; tRFC/tREFI are *programmable* (mirroring the Skylake iMC
- * registers the paper uses to stretch tRFC to 1250 ns and to double or
- * quadruple the refresh rate).
+ * speed bins. Ddr4Timing::tRFC is the device's own refresh time; the
+ * host's *programmable* tRFC/tREFI (the Skylake iMC registers the
+ * paper uses to stretch tRFC to 1250 ns and to double or quadruple
+ * the refresh rate) are RefreshRegisters, which each channel turns
+ * into one dram::RefreshSchedule.
  */
 
 #ifndef NVDIMMC_DRAM_TIMING_HH
@@ -47,7 +49,6 @@ struct Ddr4Timing
     /** @name Refresh. */
     /** @{ */
     Tick tRFC = 350000;   ///< Refresh cycle time (8 Gb device: 350 ns).
-    Tick tREFI = 7800000; ///< Average refresh interval (7.8 us).
     Tick tXS = 360000;    ///< SRX -> valid command.
     /** @} */
 

@@ -20,15 +20,17 @@ constexpr std::size_t kInflightWritesReserved = 8;
 
 } // namespace
 
-Imc::Imc(EventQueue& eq, bus::MemoryBus& bus, const ImcConfig& cfg)
+Imc::Imc(EventQueue& eq, bus::MemoryBus& bus, const ImcConfig& cfg,
+         const dram::RefreshSchedule& refresh)
     : eq_(eq),
       bus_(bus),
       cfg_(cfg),
+      refresh_(refresh),
       masterId_(bus.registerMaster("host-imc")),
       shadow_(bus.dram().addressMap(), bus.dram().timing()),
       readQ_(cfg.readQueueCap),
       wpq_(cfg.wpqCap, cfg.wpqWatermark),
-      nextRefreshDue_(cfg.refresh.tREFI + cfg.refreshPhase),
+      nextRefreshDue_(refresh.firstRefreshDue()),
       wakeEvent_([this] { tick(); }, "imc-wake"),
       trackQueues_(cfg.name + ".queues"),
       trackRefresh_(cfg.name + ".refresh")
@@ -37,8 +39,7 @@ Imc::Imc(EventQueue& eq, bus::MemoryBus& bus, const ImcConfig& cfg)
     inflightWrites_.reserve(kInflightWritesReserved);
     // Refresh must run even while the host is idle: the NVDIMM-C
     // design feeds on the cadence.
-    if (cfg_.refreshEnabled)
-        wake(nextRefreshDue_);
+    wake(nextRefreshDue_);
 }
 
 void
@@ -215,8 +216,7 @@ Imc::tick()
         }
         refState_ = RefState::Idle;
     }
-    if (cfg_.refreshEnabled && refState_ == RefState::Idle &&
-        now >= nextRefreshDue_) {
+    if (refState_ == RefState::Idle && now >= nextRefreshDue_) {
         refState_ = shadow_.anyBankOpen() ? RefState::WaitPrea
                                           : RefState::WaitRef;
     }
@@ -245,18 +245,18 @@ Imc::tick()
         shadow_.onRefresh(now);
         nextCmdAt_ = now + t.tCK;
         stats_.refreshesIssued.inc();
-        stats_.refreshBlockedTicks.inc(cfg_.refresh.tRFC);
+        stats_.refreshBlockedTicks.inc(refresh_.tRFC());
         lastRefreshAt_ = now;
         // Block for the PROGRAMMED tRFC; the device only needs its
         // real tRFC, the rest is the NVMC's window.
-        blockedUntil_ = now + cfg_.refresh.tRFC;
+        blockedUntil_ = now + refresh_.tRFC();
         if (trace::enabled()) {
             trace::instant(trackRefresh_.c_str(), "REF", now);
             trace::duration(trackRefresh_.c_str(),
                             "blocked(programmed tRFC)",
                             now, blockedUntil_);
         }
-        nextRefreshDue_ += cfg_.refresh.tREFI;
+        nextRefreshDue_ += refresh_.tREFI();
         refState_ = RefState::Blocked;
         wake(blockedUntil_);
         return;
@@ -272,8 +272,7 @@ Imc::tick()
     if (d.action == SchedDecision::Action::None) {
         // Sleep until a new request arrives — but keep the refresh
         // cadence armed regardless.
-        if (cfg_.refreshEnabled)
-            wake(nextRefreshDue_);
+        wake(nextRefreshDue_);
         return;
     }
 
@@ -344,20 +343,17 @@ Imc::tick()
 Tick
 Imc::refreshWalk(Tick start, Tick busy) const
 {
-    if (!cfg_.refreshEnabled)
-        return start + busy;
-
     Tick cursor = start;
     // Currently inside a refresh blackout?
     if (refState_ == RefState::Blocked && cursor < blockedUntil_)
         cursor = blockedUntil_;
 
-    // Future blackouts start (approximately) at each due tick.
+    // Future blackouts start (approximately) at each due tick. The
+    // schedule keeps tRFC below tREFI, so each lap leaves a gap.
     Tick next_ref = nextRefreshDue_;
     if (next_ref <= cursor) {
         Tick behind = cursor - next_ref;
-        next_ref += (behind / cfg_.refresh.tREFI + 1) *
-                    cfg_.refresh.tREFI;
+        next_ref += (behind / refresh_.tREFI() + 1) * refresh_.tREFI();
     }
     Tick remaining = busy;
     for (;;) {
@@ -365,8 +361,8 @@ Imc::refreshWalk(Tick start, Tick busy) const
         if (remaining <= gap)
             return cursor + remaining;
         remaining -= gap;
-        cursor = next_ref + cfg_.refresh.tRFC;
-        next_ref += cfg_.refresh.tREFI;
+        cursor = next_ref + refresh_.tRFC();
+        next_ref += refresh_.tREFI();
     }
 }
 

@@ -24,6 +24,7 @@
 #include "bus/memory_bus.hh"
 #include "common/event_queue.hh"
 #include "common/stats.hh"
+#include "dram/refresh_schedule.hh"
 #include "imc/request.hh"
 #include "imc/scheduler.hh"
 #include "imc/wpq.hh"
@@ -31,10 +32,10 @@
 namespace nvdimmc::imc
 {
 
-/** iMC configuration knobs. */
+/** iMC configuration knobs; refresh timing is the RefreshSchedule the
+ *  Imc is built with. */
 struct ImcConfig
 {
-    dram::RefreshRegisters refresh = dram::RefreshRegisters::standard();
     std::size_t readQueueCap = 64;
     std::size_t wpqCap = 64;
     std::size_t wpqWatermark = 32;
@@ -43,7 +44,6 @@ struct ImcConfig
      *  the NVMC read stale slot data). */
     Tick wpqMaxAge = 1 * kUs;
     std::size_t schedWindow = 16;
-    bool refreshEnabled = true;
     /** Latency of a WPQ store-to-load forward. */
     Tick forwardLatency = 20 * kNs;
     /**
@@ -73,16 +73,6 @@ struct ImcConfig
     Tick bulkOpOverhead = 40 * kNs;
     /** @} */
 
-    /**
-     * Offset added to the first refresh due tick. In a multi-channel
-     * topology each channel gets a different phase (ch * tREFI / N) so
-     * the programmed-tRFC blackouts — and hence the NVMC DMA windows —
-     * stagger across channels instead of stalling the whole host at
-     * once (refresh-access parallelism). 0 for channel 0 and for
-     * single-channel systems, so their refresh timeline is unchanged.
-     */
-    Tick refreshPhase = 0;
-
     /** Stat/trace identity of this controller ("imc", "ch1.imc", ...);
      *  names the Perfetto tracks so channels get separate rows. */
     std::string name = "imc";
@@ -108,7 +98,11 @@ struct ImcStats
 class Imc
 {
   public:
-    Imc(EventQueue& eq, bus::MemoryBus& bus, const ImcConfig& cfg);
+    /** Refresh follows @p refresh: the first REF at its
+     *  firstRefreshDue(), then one every tREFI, each followed by a
+     *  programmed-tRFC blackout. */
+    Imc(EventQueue& eq, bus::MemoryBus& bus, const ImcConfig& cfg,
+        const dram::RefreshSchedule& refresh);
 
     /**
      * Enqueue a 64 B line read. @p buf (nullable) receives the data.
@@ -154,6 +148,7 @@ class Imc
     /** @} */
 
     const ImcConfig& config() const { return cfg_; }
+    const dram::RefreshSchedule& refresh() const { return refresh_; }
 
     /** Number of WPQ entries currently pending. */
     std::size_t wpqDepth() const { return wpq_.size(); }
@@ -198,6 +193,9 @@ class Imc
     EventQueue& eq_;
     bus::MemoryBus& bus_;
     const ImcConfig cfg_;
+    /** A copy of the channel's immutable schedule, so tick() reads
+     *  it as cheaply as a config field. */
+    const dram::RefreshSchedule refresh_;
     int masterId_;
 
     TimingShadow shadow_;

@@ -79,9 +79,6 @@ class DmaEngine
     void runWindow(Tick win_start, Tick win_end,
                    std::function<void()> on_window_done);
 
-    std::uint32_t bytesPerWindow() const { return bytesPerWindow_; }
-    void setBytesPerWindow(std::uint32_t b) { bytesPerWindow_ = b; }
-
     const DmaStats& stats() const { return dmaStats_; }
 
   private:
@@ -95,7 +92,7 @@ class DmaEngine
 
     EventQueue& eq_;
     NvmcDdr4Controller& ctrl_;
-    std::uint32_t bytesPerWindow_;
+    const std::uint32_t bytesPerWindow_;
 
     std::deque<DmaRequest> queue_;
     /** Kicks the first transfer once the granted window opens. */

@@ -8,14 +8,15 @@ namespace nvdimmc::nvmc
 
 Nvmc::Nvmc(EventQueue& eq, bus::MemoryBus& bus,
            nvm::PageBackend& backend, const ReservedLayout& layout,
-           const NvmcConfig& cfg)
-    : eq_(eq), bus_(bus), layout_(layout), cfg_(cfg)
+           const NvmcConfig& cfg, const dram::RefreshSchedule& refresh)
+    : eq_(eq), bus_(bus), layout_(layout), cfg_(cfg), refresh_(refresh)
 {
-    const auto& t = bus.dram().timing();
-    if (cfg_.programmedRefresh.tRFC <= t.tRFC + cfg_.windowGuard) {
-        warn("Nvmc: programmed tRFC (", cfg_.programmedRefresh.tRFC,
-             " ps) leaves no usable window beyond the device tRFC (",
-             t.tRFC, " ps); the NVMC will starve");
+    if (!refresh_.hasWindow()) {
+        fatal("Nvmc: refresh.tRFC = ", ticksToNs(refresh_.tRFC()),
+              " ns leaves no DMA window after the DRAM device's tRFC "
+              "of ", ticksToNs(refresh_.deviceTrfc()), " ns and the ",
+              ticksToNs(dram::RefreshSchedule::kWindowGuard),
+              " ns guard; the NVMC would starve");
     }
 
     ctrl_ = std::make_unique<NvmcDdr4Controller>(eq, bus);
@@ -24,33 +25,27 @@ Nvmc::Nvmc(EventQueue& eq, bus::MemoryBus& bus,
                                            bus.dram(), layout,
                                            cfg.firmware);
 
-    RefreshDetector::Params dp = cfg.detector;
-    dp.tCK = t.tCK;
     detector_ = std::make_unique<RefreshDetector>(
-        eq, dp, [this](Tick cmd_tick) { onRefreshDetected(cmd_tick); });
+        eq, bus.dram().timing().tCK, cfg.detector,
+        [this](Tick cmd_tick) { onRefreshDetected(cmd_tick); });
     bus.addSnooper(detector_.get());
 }
 
 void
 Nvmc::onRefreshDetected(Tick command_tick)
 {
-    const auto& t = bus_.dram().timing();
-
     Tick ws, we;
     if (cfg_.gateDisabled) {
         // Failure injection: drive immediately after detection, and
         // don't even tell the controller's shadow a refresh is in
         // progress — the buggy NVMC believes the DRAM is free.
         ws = eq_.now();
-        we = command_tick + cfg_.programmedRefresh.tRFC;
+        we = command_tick + refresh_.tRFC();
     } else {
         ctrl_->noteRefresh(command_tick);
-        ws = command_tick + t.tRFC;
-        we = command_tick + cfg_.programmedRefresh.tRFC -
-             cfg_.windowGuard;
+        ws = command_tick + refresh_.windowStart();
+        we = command_tick + refresh_.windowEnd();
     }
-    if (we <= ws)
-        return; // No usable window (standard tRFC programming).
 
     ++windowsGranted_;
     windowTicksGranted_ += we - ws;

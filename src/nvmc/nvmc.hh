@@ -8,7 +8,8 @@
  * i.e. the NVMC waits out the DRAM's real refresh (350 ns) and then
  * owns the channel until just before the host's programmed tRFC
  * (1250 ns) expires, leaving a guard band for its closing PRE
- * (paper Fig 2b).
+ * (paper Fig 2b). Both offsets come from the channel's
+ * dram::RefreshSchedule, the one the host iMC runs.
  */
 
 #ifndef NVDIMMC_NVMC_NVMC_HH
@@ -18,7 +19,7 @@
 
 #include "bus/memory_bus.hh"
 #include "common/event_queue.hh"
-#include "dram/timing.hh"
+#include "dram/refresh_schedule.hh"
 #include "nvm/nvm_media.hh"
 #include "nvmc/cp_protocol.hh"
 #include "nvmc/ddr4_controller.hh"
@@ -36,12 +37,6 @@ struct NvmcConfig
     FirmwareConfig firmware;
     /** Data budget per window (PoC 4 KB; ASIC ablation 8 KB). */
     std::uint32_t bytesPerWindow = 4096;
-    /** Time reserved at the window tail for the closing PRE. */
-    Tick windowGuard = 30 * kNs;
-    /** The BIOS-programmed refresh registers the firmware was told
-     *  about; MUST match the host iMC programming. */
-    dram::RefreshRegisters programmedRefresh =
-        dram::RefreshRegisters::nvdimmc();
     /**
      * Failure injection: ignore the wait-for-device-tRFC rule and
      * start driving the bus right at detection (conflicts with the
@@ -55,9 +50,12 @@ struct NvmcConfig
 class Nvmc
 {
   public:
+    /** Windows follow @p refresh, the schedule the channel's iMC
+     *  runs; fatal() if it leaves no window (see
+     *  RefreshSchedule::hasWindow). */
     Nvmc(EventQueue& eq, bus::MemoryBus& bus,
          nvm::PageBackend& backend, const ReservedLayout& layout,
-         const NvmcConfig& cfg);
+         const NvmcConfig& cfg, const dram::RefreshSchedule& refresh);
 
     Firmware& firmware() { return *firmware_; }
     const Firmware& firmware() const { return *firmware_; }
@@ -90,6 +88,7 @@ class Nvmc
     bus::MemoryBus& bus_;
     ReservedLayout layout_;
     NvmcConfig cfg_;
+    const dram::RefreshSchedule refresh_;
 
     std::unique_ptr<NvmcDdr4Controller> ctrl_;
     std::unique_ptr<DmaEngine> dma_;

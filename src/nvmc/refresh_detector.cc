@@ -5,9 +5,10 @@
 namespace nvdimmc::nvmc
 {
 
-RefreshDetector::RefreshDetector(EventQueue& eq, const Params& p,
+RefreshDetector::RefreshDetector(EventQueue& eq, Tick tCK,
+                                 const Params& p,
                                  RefreshCallback on_refresh)
-    : eq_(eq), params_(p), onRefresh_(std::move(on_refresh)),
+    : eq_(eq), tCK_(tCK), params_(p), onRefresh_(std::move(on_refresh)),
       rng_(p.seed)
 {
 }

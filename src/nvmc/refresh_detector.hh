@@ -50,7 +50,6 @@ class RefreshDetector : public bus::CaSnooper
 
     struct Params
     {
-        Tick tCK = 1250;
         /** Probability a genuine REF goes undetected (signal
          *  integrity fault injection). */
         double missRate = 0.0;
@@ -59,7 +58,8 @@ class RefreshDetector : public bus::CaSnooper
         std::uint64_t seed = 42;
     };
 
-    RefreshDetector(EventQueue& eq, const Params& p,
+    /** @p tCK is the bus clock the deserializers sample at. */
+    RefreshDetector(EventQueue& eq, Tick tCK, const Params& p,
                     RefreshCallback on_refresh);
 
     void observeFrame(const dram::CaFrame& frame, Tick now) override;
@@ -67,13 +67,14 @@ class RefreshDetector : public bus::CaSnooper
     /** Detection pipeline latency after the command edge. */
     Tick detectionLatency() const
     {
-        return Deserializer::outputDelay(params_.tCK);
+        return Deserializer::outputDelay(tCK_);
     }
 
     const DetectorStats& stats() const { return stats_; }
 
   private:
     EventQueue& eq_;
+    const Tick tCK_;
     Params params_;
     RefreshCallback onRefresh_;
     Rng rng_;

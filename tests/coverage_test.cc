@@ -193,22 +193,27 @@ struct BulkFixture : public ::testing::Test
 TEST_F(BulkFixture, BulkWriteFollowsStreamRate)
 {
     imc::ImcConfig cfg;
-    cfg.refreshEnabled = false; // Isolate the rate model.
-    imc::Imc m(eq, bus, cfg);
+    // Isolate the rate model: the first REF lands long after the
+    // ~15 us transfer.
+    imc::Imc m(eq, bus, cfg,
+               dram::RefreshSchedule::make({350 * kNs, 1 * kMs},
+                                           dev.timing().tRFC, 0));
     Tick done_at = 0;
     m.bulkTransfer(65536, true, [&] { done_at = eq.now(); });
-    eq.runAll();
+    eq.runFor(100 * kUs);
+    ASSERT_EQ(dev.refreshCount(), 0u);
     double expect_us = 65536.0 / (cfg.streamWriteMBps * 1e6) * 1e6;
     EXPECT_NEAR(ticksToUs(done_at), expect_us + 0.04, 1.0);
 }
 
 TEST_F(BulkFixture, TransferStartingInsideBlackoutWaits)
 {
-    imc::ImcConfig cfg;
-    cfg.refresh = dram::RefreshRegisters::nvdimmc();
-    imc::Imc m(eq, bus, cfg);
+    imc::Imc m(eq, bus, imc::ImcConfig{},
+               dram::RefreshSchedule::make(
+                   dram::RefreshRegisters::nvdimmc(), dev.timing().tRFC,
+                   0));
     // Run until just after a REF fires; the iMC is now blocked.
-    eq.runFor(cfg.refresh.tREFI + 100 * kNs);
+    eq.runFor(m.refresh().tREFI() + 100 * kNs);
     ASSERT_GT(m.blockedUntil(), eq.now());
     Tick blackout_end = m.blockedUntil();
     Tick done_at = 0;

@@ -23,13 +23,21 @@ namespace nvdimmc::cpu
 namespace
 {
 
+/** A lone iMC's schedule: standard registers at phase 0. */
+dram::RefreshSchedule
+loneSchedule(const dram::DramDevice& dev)
+{
+    return dram::RefreshSchedule::make(dram::RefreshRegisters::standard(),
+                                       dev.timing().tRFC, 0);
+}
+
 struct CpuFixture : public ::testing::Test
 {
     CpuFixture()
         : map(16 * kMiB),
           dev(map, dram::Ddr4Timing::ddr4_1600(), true, false),
           bus(eq, dev, false),
-          imc(eq, bus, imc::ImcConfig{}),
+          imc(eq, bus, imc::ImcConfig{}, loneSchedule(dev)),
           port(imc),
           cache(eq, port, cacheParams())
     {
@@ -169,7 +177,7 @@ TEST_F(CpuFixture, LoadsSurviveReadQueueRejection)
     // here once silently killed whole op chains under load).
     imc::ImcConfig small;
     small.readQueueCap = 2;
-    imc::Imc tiny_imc(eq, bus, small);
+    imc::Imc tiny_imc(eq, bus, small, loneSchedule(dev));
     imc::HostPort tiny_port(tiny_imc);
     CpuCacheModel tiny_cache(eq, tiny_port, cacheParams());
 
@@ -191,7 +199,7 @@ TEST_F(CpuFixture, ParkedLoadsDeliverTheirOwnLines)
     // misses; each load must still return its own line's bytes.
     imc::ImcConfig small;
     small.readQueueCap = 1;
-    imc::Imc tiny_imc(eq, bus, small);
+    imc::Imc tiny_imc(eq, bus, small, loneSchedule(dev));
     imc::HostPort tiny_port(tiny_imc);
     CpuCacheModel tiny_cache(eq, tiny_port, cacheParams());
 
@@ -228,7 +236,7 @@ TEST_F(CpuFixture, ParkedLoadCountsOneMiss)
     // on every attempt, because its retry runs load() again.
     imc::ImcConfig small;
     small.readQueueCap = 1;
-    imc::Imc tiny_imc(eq, bus, small);
+    imc::Imc tiny_imc(eq, bus, small, loneSchedule(dev));
     imc::HostPort tiny_port(tiny_imc);
     CpuCacheModel tiny_cache(eq, tiny_port, cacheParams());
 
@@ -255,7 +263,7 @@ struct ContendedWpq
     explicit ContendedWpq(const dram::AddressMap& map)
         : dev(map, dram::Ddr4Timing::ddr4_1600(), true, false),
           bus(eq, dev, false),
-          imc(eq, bus, oneEntry()),
+          imc(eq, bus, oneEntry(), loneSchedule(dev)),
           port(imc),
           cache(eq, port, CpuFixture::cacheParams()),
           engine(eq, port, &cache),
@@ -436,7 +444,8 @@ TEST_F(CpuFixture, BulkModeAgreesWithDetailedOnThroughput)
         dram::DramDevice local_dev(map, dram::Ddr4Timing::ddr4_1600(),
                                    false, false);
         bus::MemoryBus local_bus(local_eq, local_dev, false);
-        imc::Imc local_imc(local_eq, local_bus, imc::ImcConfig{});
+        imc::Imc local_imc(local_eq, local_bus, imc::ImcConfig{},
+                           loneSchedule(local_dev));
         MemcpyParams p;
         p.bulkMode = bulk;
         imc::HostPort local_port(local_imc);

@@ -54,15 +54,6 @@ TEST(Ddr4Command, SreIsNotDecodedAsRefresh)
     EXPECT_NE(decodeFrame(f).op, Ddr4Op::Refresh);
 }
 
-TEST(Ddr4Command, RefreshFamilyClassifier)
-{
-    EXPECT_TRUE(isRefreshFamily(Ddr4Op::Refresh));
-    EXPECT_TRUE(isRefreshFamily(Ddr4Op::SelfRefreshEnter));
-    EXPECT_TRUE(isRefreshFamily(Ddr4Op::SelfRefreshExit));
-    EXPECT_FALSE(isRefreshFamily(Ddr4Op::Read));
-    EXPECT_FALSE(isRefreshFamily(Ddr4Op::PrechargeAll));
-}
-
 TEST(Ddr4Command, DeselectDrivesCsHigh)
 {
     CaFrame f = encodeCommand({Ddr4Op::Deselect, 0, 0, 0, 0});

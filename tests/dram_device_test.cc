@@ -14,6 +14,7 @@
 #include "common/random.hh"
 #include "dram/address_map.hh"
 #include "dram/dram_device.hh"
+#include "dram/refresh_schedule.hh"
 
 namespace nvdimmc::dram
 {
@@ -329,7 +330,6 @@ TEST(DramTiming, PresetsAreConsistent)
          {Ddr4Timing::ddr4_1600(), Ddr4Timing::ddr4_2400()}) {
         EXPECT_EQ(t.tRC, t.tRAS + t.tRP);
         EXPECT_GT(t.tRFC, 0u);
-        EXPECT_GT(t.tREFI, t.tRFC);
         EXPECT_EQ(t.burstTime(), 4 * t.tCK);
         EXPECT_GT(t.readLatency(), t.tCL);
     }
@@ -345,6 +345,56 @@ TEST(RefreshRegisters, PaperProgramming)
     EXPECT_EQ(regs.tREFI, 7800 * kNs);
     auto std_regs = RefreshRegisters::standard();
     EXPECT_EQ(std_regs.tRFC, 350 * kNs);
+}
+
+TEST(RefreshSchedule, DerivesTheNvmcWindowFromTheRegisters)
+{
+    auto s = RefreshSchedule::make(RefreshRegisters::nvdimmc(), 350 * kNs,
+                                   1950 * kNs);
+    EXPECT_EQ(s.tREFI(), 7800 * kNs);
+    EXPECT_EQ(s.tRFC(), 1250 * kNs);
+    EXPECT_EQ(s.deviceTrfc(), 350 * kNs);
+    EXPECT_EQ(s.phase(), 1950 * kNs);
+    EXPECT_EQ(s.firstRefreshDue(), 9750 * kNs);
+    EXPECT_EQ(s.windowStart(), 350 * kNs);
+    EXPECT_EQ(s.windowEnd(), 1250 * kNs - RefreshSchedule::kWindowGuard);
+    EXPECT_TRUE(s.hasWindow());
+    // Standard registers suit a host with no NVMC, and leave no window.
+    EXPECT_FALSE(RefreshSchedule::make(RefreshRegisters::standard(),
+                                       350 * kNs, 0)
+                     .hasWindow());
+}
+
+/** What RefreshSchedule::make(@p regs) on a 350 ns device throws, or
+ *  "" if it builds. */
+std::string
+scheduleRejection(RefreshRegisters regs)
+{
+    try {
+        RefreshSchedule::make(regs, 350 * kNs, 0);
+    } catch (const FatalError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(RefreshSchedule, RejectsTrfcBelowTheDevice)
+{
+    std::string what = scheduleRejection({300 * kNs, 7800 * kNs});
+    EXPECT_NE(what.find("refresh.tRFC"), std::string::npos) << what;
+    EXPECT_NE(what.find("device's tRFC"), std::string::npos) << what;
+}
+
+TEST(RefreshSchedule, RejectsTrfcNotBelowTrefi)
+{
+    for (RefreshRegisters regs : {RefreshRegisters{7800 * kNs, 7800 * kNs},
+                                  RefreshRegisters{9000 * kNs, 7800 * kNs},
+                                  RefreshRegisters{1250 * kNs, 100 * kNs}}) {
+        std::string what = scheduleRejection(regs);
+        EXPECT_NE(what.find("refresh.tREFI"), std::string::npos)
+            << regs.tRFC << "/" << regs.tREFI << ": " << what;
+    }
+    EXPECT_EQ(scheduleRejection({1250 * kNs, 1950 * kNs}), "");
 }
 
 } // namespace

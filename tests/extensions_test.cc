@@ -271,7 +271,10 @@ struct NvdimmFFixture : public ::testing::Test
           map(64 * kMiB),
           dev(map, dram::Ddr4Timing::ddr4_1600(), false, false),
           bus(eq, dev, false),
-          imc(eq, bus, imc::ImcConfig{}),
+          imc(eq, bus, imc::ImcConfig{},
+              dram::RefreshSchedule::make(
+                  dram::RefreshRegisters::standard(),
+                  dev.timing().tRFC, 0)),
           drv(eq, ftl, imc, driver::NvdimmFConfig{})
     {
     }

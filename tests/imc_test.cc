@@ -26,6 +26,14 @@ namespace
 
 using dram::Ddr4Op;
 
+/** A lone iMC's schedule: @p regs on @p dev at phase 0. */
+dram::RefreshSchedule
+loneSchedule(const dram::DramDevice& dev,
+             dram::RefreshRegisters regs = dram::RefreshRegisters::standard())
+{
+    return dram::RefreshSchedule::make(regs, dev.timing().tRFC, 0);
+}
+
 struct ImcFixture : public ::testing::Test
 {
     ImcFixture()
@@ -36,9 +44,10 @@ struct ImcFixture : public ::testing::Test
     }
 
     Imc&
-    makeImc(ImcConfig cfg = {})
+    makeImc(ImcConfig cfg = {},
+            dram::RefreshRegisters regs = dram::RefreshRegisters::standard())
     {
-        imc = std::make_unique<Imc>(eq, bus, cfg);
+        imc = std::make_unique<Imc>(eq, bus, cfg, loneSchedule(dev, regs));
         return *imc;
     }
 
@@ -146,11 +155,8 @@ TEST_F(ImcFixture, ReadLatencyIsRealistic)
 
 TEST_F(ImcFixture, RefreshCadenceFollowsTrefi)
 {
-    ImcConfig cfg;
-    cfg.refresh = dram::RefreshRegisters::nvdimmc();
-    Imc& m = makeImc(cfg);
-    (void)m;
-    eq.runFor(10 * cfg.refresh.tREFI + kUs);
+    Imc& m = makeImc({}, dram::RefreshRegisters::nvdimmc());
+    eq.runFor(10 * m.refresh().tREFI() + kUs);
     // ~10 refreshes in 10 tREFI.
     EXPECT_GE(dev.refreshCount(), 9u);
     EXPECT_LE(dev.refreshCount(), 11u);
@@ -158,12 +164,11 @@ TEST_F(ImcFixture, RefreshCadenceFollowsTrefi)
 
 TEST_F(ImcFixture, RefreshIssuesPreaWhenBanksOpen)
 {
-    ImcConfig cfg;
-    Imc& m = makeImc(cfg);
+    Imc& m = makeImc();
     // Generate some open-bank traffic right before the refresh due.
     for (int i = 0; i < 8; ++i)
         m.readLine(static_cast<Addr>(i) * 8192 * 16, nullptr, nullptr);
-    eq.runFor(cfg.refresh.tREFI + kUs);
+    eq.runFor(m.refresh().tREFI() + kUs);
     EXPECT_GE(dev.stats().prechargeAlls.value(), 1u);
     EXPECT_GE(dev.refreshCount(), 1u);
     EXPECT_EQ(dev.stats().violations.value(), 0u);
@@ -171,10 +176,8 @@ TEST_F(ImcFixture, RefreshIssuesPreaWhenBanksOpen)
 
 TEST_F(ImcFixture, ProgrammedTrfcBlocksHost)
 {
-    ImcConfig cfg;
-    cfg.refresh = dram::RefreshRegisters::nvdimmc(); // 1250 ns.
-    Imc& m = makeImc(cfg);
-    eq.runFor(cfg.refresh.tREFI + 10 * kNs);
+    Imc& m = makeImc({}, dram::RefreshRegisters::nvdimmc()); // 1250 ns.
+    eq.runFor(m.refresh().tREFI() + 10 * kNs);
     ASSERT_GE(dev.refreshCount(), 1u);
     Tick ref_at = m.lastRefreshAt();
     EXPECT_EQ(m.blockedUntil(), ref_at + 1250 * kNs);
@@ -430,9 +433,9 @@ TEST(HostPortSpace, FreesOnOneChannelNeverWakeAnother)
     cfg.readQueueCap = 1;
     cfg.wpqCap = 1;
     cfg.wpqWatermark = 1;
-    Imc imc0(eq, bus0, cfg);
+    Imc imc0(eq, bus0, cfg, loneSchedule(dev0));
     cfg.name = "ch1.imc";
-    Imc imc1(eq, bus1, cfg);
+    Imc imc1(eq, bus1, cfg, loneSchedule(dev1));
     HostPort port({&imc0, &imc1},
                   dram::ChannelInterleave(
                       2, dram::ChannelInterleave::kPageGranule));
@@ -553,8 +556,7 @@ TEST_F(ImcFixture, ThroughputSaturatesNearChannelPeak)
 TEST_F(ImcFixture, BulkTransferRatesAndRefreshStalls)
 {
     ImcConfig cfg;
-    cfg.refresh = dram::RefreshRegisters::nvdimmc();
-    Imc& m = makeImc(cfg);
+    Imc& m = makeImc(cfg, dram::RefreshRegisters::nvdimmc());
 
     // Single 4 KB bulk read takes about 4096B / streamRead rate.
     bool done = false;
@@ -577,10 +579,8 @@ TEST_F(ImcFixture, BulkThroughputDropsWithFasterRefresh)
         dram::DramDevice local_dev(map, dram::Ddr4Timing::ddr4_1600(),
                                    false, false);
         bus::MemoryBus local_bus(local_eq, local_dev, false);
-        ImcConfig cfg;
-        cfg.refresh.tRFC = 1250 * kNs;
-        cfg.refresh.tREFI = trefi;
-        Imc local(local_eq, local_bus, cfg);
+        Imc local(local_eq, local_bus, ImcConfig{},
+                  loneSchedule(local_dev, {1250 * kNs, trefi}));
         std::uint64_t ops = 0;
         std::function<void()> next = [&] {
             ++ops;
@@ -605,6 +605,25 @@ TEST_F(ImcFixture, BulkThroughputDropsWithFasterRefresh)
     EXPECT_NEAR(trefi2 / normal, (1.0 - 1.25 / 3.9) / avail_norm, 0.1);
     EXPECT_NEAR(trefi4 / normal, (1.0 - 1.25 / 1.95) / avail_norm,
                 0.12);
+}
+
+TEST_F(ImcFixture, BulkReadWaitsOutBlackoutsUpToTheTrefiLimit)
+{
+    // At tRFC = 7000 of 7800 ns the channel is free 800 ns a lap, so
+    // a 64 KB read (16.4 us of streaming) started as a blackout ends
+    // spans 20 laps. Past tREFI the walk's gap would wrap and the
+    // read end within two laps; the schedule rejects that programming.
+    Imc& m = makeImc({}, {7000 * kNs, 7800 * kNs});
+    const Tick trefi = m.refresh().tREFI();
+    eq.runFor(trefi + 10 * kNs);
+    ASSERT_EQ(dev.refreshCount(), 1u);
+    eq.runUntil(m.blockedUntil());
+    const Tick start = eq.now();
+    Tick done_at = 0;
+    m.bulkTransfer(65536, false, [&] { done_at = eq.now(); });
+    eq.runFor(300 * kUs);
+    EXPECT_GT(done_at - start, 20 * trefi);
+    EXPECT_LT(done_at - start, 21 * trefi);
 }
 
 TEST_F(ImcFixture, AdrFlushCommitsInFlightBurstsInIssueOrder)

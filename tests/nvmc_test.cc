@@ -60,11 +60,10 @@ struct DetectorFixture : public ::testing::Test
     makeDetector(double miss = 0.0, double false_rate = 0.0)
     {
         RefreshDetector::Params p;
-        p.tCK = 1250;
         p.missRate = miss;
         p.falseRate = false_rate;
         det = std::make_unique<RefreshDetector>(
-            eq, p, [this](Tick t) { detections.push_back(t); });
+            eq, 1250, p, [this](Tick t) { detections.push_back(t); });
     }
 
     void

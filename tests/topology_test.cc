@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "core/system.hh"
 #include "dram/channel_interleave.hh"
 #include "workload/fio.hh"
@@ -186,8 +187,12 @@ TEST(Refresh, PhasesStaggerAcrossChannels)
     const Tick trefi = sys.config().refresh.tREFI;
     const Tick trfc = sys.config().refresh.tRFC;
     std::vector<Tick> phases;
-    for (std::uint32_t i = 0; i < n; ++i)
-        phases.push_back(sys.channel(i).imc().config().refreshPhase);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const dram::RefreshSchedule& r = sys.channel(i).imc().refresh();
+        EXPECT_EQ(r.tREFI(), trefi);
+        EXPECT_EQ(r.tRFC(), trfc);
+        phases.push_back(r.phase());
+    }
 
     EXPECT_EQ(phases[0], 0u) << "channel 0 must keep the legacy clock";
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -209,8 +214,65 @@ TEST(Refresh, PhasesStaggerAcrossChannels)
 TEST(Refresh, SingleChannelKeepsZeroPhase)
 {
     core::NvdimmcSystem sys(core::SystemConfig::scaledTest());
-    EXPECT_EQ(sys.channel(0).imc().config().refreshPhase, 0u);
+    EXPECT_EQ(sys.channel(0).imc().refresh().phase(), 0u);
     EXPECT_EQ(sys.channel(0).imc().config().name, "imc");
+}
+
+TEST(Refresh, BaselineKeepsZeroPhaseOnEveryChannel)
+{
+    // Plain DRAM has no NVMC windows to spread out;
+    // backends/pmem/fig8/cached_4ch depends on this timeline.
+    core::BaselineConfig cfg = core::BaselineConfig::scaledBench();
+    cfg.channels = 4;
+    cfg.capacityBytes = 64 * kMiB;
+    core::BaselineSystem sys(cfg);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        EXPECT_EQ(sys.imc(i).refresh().phase(), 0u) << "channel " << i;
+}
+
+/** The FatalError message NvdimmcSystem's constructor throws for
+ *  @p cfg, or "" if it builds. */
+std::string
+constructionError(const core::SystemConfig& cfg)
+{
+    try {
+        core::NvdimmcSystem sys(cfg);
+    } catch (const FatalError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Refresh, PaperCxlAndFig13ProgrammingsBuild)
+{
+    core::SystemConfig poc = core::SystemConfig::scaledTest();
+    EXPECT_EQ(constructionError(poc), "");
+    core::SystemConfig cxl = core::SystemConfig::scaledTest();
+    cxl.applyCxlBackend(); // Standard registers, no NVMC.
+    EXPECT_EQ(constructionError(cxl), "");
+    core::SystemConfig fig13 = core::SystemConfig::scaledTest();
+    fig13.refresh.tREFI = 1950 * kNs;
+    EXPECT_EQ(constructionError(fig13), "");
+}
+
+TEST(Refresh, TrfcEqualToTrefiIsRejectedAtConstruction)
+{
+    // The iMC would block from each REF straight into the next, and
+    // the run would never end.
+    core::SystemConfig cfg = core::SystemConfig::scaledTest();
+    cfg.refresh.tRFC = cfg.refresh.tREFI;
+    std::string what = constructionError(cfg);
+    EXPECT_NE(what.find("refresh.tREFI"), std::string::npos) << what;
+}
+
+TEST(Refresh, NvmcRejectsAScheduleWithoutAWindow)
+{
+    // tRFC at the device's own 350 ns: the guard leaves nothing.
+    core::SystemConfig cfg = core::SystemConfig::scaledTest();
+    cfg.refresh = dram::RefreshRegisters::standard();
+    std::string what = constructionError(cfg);
+    EXPECT_NE(what.find("refresh.tRFC"), std::string::npos) << what;
+    EXPECT_NE(what.find("no DMA window"), std::string::npos) << what;
 }
 
 /** Run a small FIO pass on an N-channel system; return stats JSON. */
