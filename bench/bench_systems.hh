@@ -66,42 +66,56 @@ armSpanAuditor(const core::SystemConfig& cfg,
                            ((op_bytes + 4095) / 4096));
 }
 
-/** Device access function over an NVDIMM-C system (timing-only). */
-inline workload::AccessFn
-nvdcAccess(core::NvdimmcSystem& sys)
+/** Device access function over @p drv, the nvdc or the pmem driver
+ *  (timing-only). */
+template <typename Driver>
+workload::AccessFn
+driverAccess(Driver& drv)
 {
-    return [&sys](Addr off, std::uint32_t len, bool is_write,
+    return [&drv](Addr off, std::uint32_t len, bool is_write,
                   std::function<void()> done) {
         if (is_write)
-            sys.driver().write(off, len, nullptr, std::move(done));
+            drv.write(off, len, nullptr, std::move(done));
         else
-            sys.driver().read(off, len, nullptr, std::move(done));
+            drv.read(off, len, nullptr, std::move(done));
     };
 }
 
-/** Device access function over the baseline pmem system. */
-inline workload::AccessFn
-pmemAccess(core::BaselineSystem& sys)
+/** Byte-moving access over @p drv for the validating workloads. */
+template <typename Driver>
+workload::DataDevice
+driverData(Driver& drv)
 {
-    return [&sys](Addr off, std::uint32_t len, bool is_write,
-                  std::function<void()> done) {
-        if (is_write)
-            sys.driver().write(off, len, nullptr, std::move(done));
-        else
-            sys.driver().read(off, len, nullptr, std::move(done));
+    workload::DataDevice dev;
+    dev.capacityBytes = drv.capacityBytes();
+    dev.read = [&drv](Addr off, std::uint32_t len, std::uint8_t* buf,
+                      std::function<void()> done) {
+        drv.read(off, len, buf, std::move(done));
     };
+    dev.write = [&drv](Addr off, std::uint32_t len,
+                       const std::uint8_t* bytes,
+                       std::function<void()> done) {
+        drv.write(off, len, bytes, std::move(done));
+    };
+    return dev;
 }
 
 /**
- * The config factory every hybrid-device build goes through: scaled
- * bench preset, then the point's tweak (channel count, backend via
- * cfg.applyCxlBackend(), ablation knobs), and the span auditor armed
- * for the resulting refresh cadence.
+ * The config factory every device build goes through: the scaled
+ * bench preset of @p kind (SystemConfig::scaledPmem for the baseline,
+ * scaledBench with cfg.applyCxlBackend() for the CXL hybrid), then the
+ * point's tweak (channel count, ablation knobs), and the span auditor
+ * armed for the resulting refresh cadence.
  */
 inline core::SystemConfig
-benchSystemConfig(std::function<void(core::SystemConfig&)> tweak = {})
+benchSystemConfig(std::function<void(core::SystemConfig&)> tweak = {},
+                  backend::BackendKind kind = backend::BackendKind::Nvdimmc)
 {
-    core::SystemConfig cfg = core::SystemConfig::scaledBench();
+    core::SystemConfig cfg = kind == backend::BackendKind::Pmem
+                                 ? core::SystemConfig::scaledPmem()
+                                 : core::SystemConfig::scaledBench();
+    if (kind == backend::BackendKind::CxlHybrid)
+        cfg.applyCxlBackend();
     if (tweak)
         tweak(cfg);
     armSpanAuditor(cfg);
@@ -109,86 +123,50 @@ benchSystemConfig(std::function<void(core::SystemConfig&)> tweak = {})
 }
 
 /**
- * One device under test, whichever backend fronts it: the hybrid
- * transports build an NvdimmcSystem, the pmem backend builds the
- * BaselineSystem, and a point talks to either through the same
- * handful of calls. This is what lets one point helper run the same
- * load against all three backends for the head-to-head.
+ * One device under test, whichever backend fronts it: one
+ * NvdimmcSystem, which a point talks to through the same handful of
+ * calls. The pmem baseline only changes which driver the access
+ * functions call and which region a load targets. This is what lets
+ * one point helper run the same load against all three backends for
+ * the head-to-head.
  */
 struct BenchDevice
 {
-    std::unique_ptr<core::NvdimmcSystem> nvdc;
-    std::unique_ptr<core::BaselineSystem> pmem;
+    std::unique_ptr<core::NvdimmcSystem> sys;
 
-    EventQueue& eq() { return nvdc ? nvdc->eq() : pmem->eq(); }
-
-    backend::BackendKind kind() const
+    bool pmem() const
     {
-        return nvdc ? nvdc->config().backendKind
-                    : backend::BackendKind::Pmem;
+        return sys->config().backendKind == backend::BackendKind::Pmem;
     }
+
+    EventQueue& eq() { return sys->eq(); }
 
     workload::AccessFn access()
     {
-        return nvdc ? nvdcAccess(*nvdc) : pmemAccess(*pmem);
+        return pmem() ? driverAccess(sys->pmemDriver())
+                      : driverAccess(sys->driver());
     }
 
     /** Byte-moving access for the validating workloads (the
-     *  closures hold the system, not this wrapper, so the device may
+     *  closures hold the driver, not this wrapper, so the device may
      *  move after the call). */
     workload::DataDevice data()
     {
-        workload::DataDevice dev;
-        core::NvdimmcSystem* n = nvdc.get();
-        core::BaselineSystem* p = pmem.get();
-        dev.capacityBytes = n ? n->driver().capacityBytes()
-                              : p->driver().capacityBytes();
-        dev.read = [n, p](Addr off, std::uint32_t len, std::uint8_t* buf,
-                          std::function<void()> done) {
-            if (n)
-                n->driver().read(off, len, buf, std::move(done));
-            else
-                p->driver().read(off, len, buf, std::move(done));
-        };
-        dev.write = [n, p](Addr off, std::uint32_t len,
-                           const std::uint8_t* bytes,
-                           std::function<void()> done) {
-            if (n)
-                n->driver().write(off, len, bytes, std::move(done));
-            else
-                p->driver().write(off, len, bytes, std::move(done));
-        };
-        return dev;
-    }
-
-    bool hardwareClean() const
-    {
-        return nvdc ? nvdc->hardwareClean() : true;
-    }
-
-    void dumpStatsJson(std::ostream& os) const
-    {
-        nvdc ? nvdc->dumpStatsJson(os) : pmem->dumpStatsJson(os);
-    }
-
-    /** The active system's telemetry collector (null when telemetry
-     *  was off at construction). */
-    telemetry::Collector* telemetryCollector()
-    {
-        return nvdc ? nvdc->telemetryCollector()
-                    : pmem->telemetryCollector();
+        return pmem() ? driverData(sys->pmemDriver())
+                      : driverData(sys->driver());
     }
 
     /** Region an all-hit load should target: the cache minus the 64
-     *  slots per channel makeDevice() leaves free. */
+     *  slots per channel makeDevice() leaves free. The pmem baseline
+     *  serves its low 2 GiB. */
     std::pair<Addr, std::uint64_t> cachedRegion()
     {
-        if (nvdc)
-            return {0, std::uint64_t{nvdc->totalSlotCount() -
-                                     64 * nvdc->channelCount()} *
-                           4096};
-        return {0, std::min<std::uint64_t>(
-                       pmem->driver().capacityBytes(), 2 * kGiB)};
+        if (pmem())
+            return {0, std::min<std::uint64_t>(
+                           sys->pmemDriver().capacityBytes(), 2 * kGiB)};
+        return {0, std::uint64_t{sys->totalSlotCount() -
+                                 64 * sys->channelCount()} *
+                       4096};
     }
 
     /** Region an all-miss load should target: everything above the
@@ -196,12 +174,12 @@ struct BenchDevice
      *  miss; it serves the cached region either way. */
     std::pair<Addr, std::uint64_t> missRegion()
     {
-        if (!nvdc)
+        if (pmem())
             return cachedRegion();
-        Addr base = std::uint64_t{nvdc->totalSlotCount() +
-                                  128 * nvdc->channelCount()} *
+        Addr base = std::uint64_t{sys->totalSlotCount() +
+                                  128 * sys->channelCount()} *
                     4096;
-        return {base, nvdc->driver().capacityBytes() - base};
+        return {base, sys->driver().capacityBytes() - base};
     }
 };
 
@@ -213,7 +191,8 @@ struct BenchDevice
  * dirty pages from a low region on a device whose blocks all hold
  * data, as the paper's FIO-preconditioned device does, so every access
  * above it pays a writeback plus a real NAND cachefill (the
- * NVDC-Uncached series).
+ * NVDC-Uncached series). The pmem baseline has no cache to
+ * precondition.
  */
 inline BenchDevice
 makeDevice(backend::BackendKind kind, bool uncached,
@@ -221,21 +200,16 @@ makeDevice(backend::BackendKind kind, bool uncached,
            std::function<void(core::SystemConfig&)> tweak = {})
 {
     BenchDevice dev;
-    if (kind == backend::BackendKind::Pmem) {
-        core::BaselineConfig cfg = core::BaselineConfig::scaledBench();
-        cfg.channels = channels;
-        dev.pmem = std::make_unique<core::BaselineSystem>(cfg);
-        return dev;
-    }
-    dev.nvdc = std::make_unique<core::NvdimmcSystem>(
-        benchSystemConfig([&](core::SystemConfig& c) {
+    dev.sys = std::make_unique<core::NvdimmcSystem>(benchSystemConfig(
+        [&](core::SystemConfig& c) {
             c.channels = channels;
-            if (kind == backend::BackendKind::CxlHybrid)
-                c.applyCxlBackend();
             if (tweak)
                 tweak(c);
-        }));
-    core::NvdimmcSystem& sys = *dev.nvdc;
+        },
+        kind));
+    if (dev.pmem())
+        return dev;
+    core::NvdimmcSystem& sys = *dev.sys;
     if (uncached) {
         sys.precondition(0, sys.totalSlotCount(), true);
         sys.driver().markEverWritten(

@@ -215,8 +215,8 @@ fioPoint(const FioSpec& spec, BenchDevice dev)
     if (spec.paperKiops > 0)
         out.metrics.emplace_back("paper_KIOPS", spec.paperKiops);
     if (spec.systemStats)
-        appendSystemStats(out, *dev.nvdc);
-    if (!dev.hardwareClean())
+        appendSystemStats(out, *dev.sys);
+    if (!dev.sys->hardwareClean())
         out.error = "bus conflict detected";
     out.device = keep(std::move(dev));
     return out;
@@ -256,13 +256,12 @@ runBackendTpchPoint(BackendKind kind, int qid)
     run_cfg.maxAccesses = 6000;
     run_cfg.parallelism = 4;
 
-    core::BaselineSystem base(core::BaselineConfig::scaledBench());
+    core::NvdimmcSystem base(core::SystemConfig::scaledPmem());
     Tick t_base = workload::runTpchQuery(
-        base.eq(), pmemAccess(base), spec, run_cfg);
+        base.eq(), driverAccess(base.pmemDriver()), spec, run_cfg);
 
     BenchDevice dev = makeDevice(kind, /*uncached=*/true);
-    if (dev.nvdc)
-        armSpanAuditor(dev.nvdc->config(), spec.accessBytes);
+    armSpanAuditor(dev.sys->config(), spec.accessBytes);
     Tick t_dev = workload::runTpchQuery(dev.eq(), dev.access(), spec,
                                         run_cfg);
 
@@ -282,19 +281,12 @@ BenchDevice
 makeMixedloadDevice(BackendKind kind, std::uint32_t channels)
 {
     BenchDevice dev;
-    if (kind == BackendKind::Pmem) {
-        core::BaselineConfig cfg = core::BaselineConfig::scaledBench();
-        cfg.memcpy.bulkMode = false;
-        dev.pmem = std::make_unique<core::BaselineSystem>(cfg);
-        return dev;
-    }
-    dev.nvdc = std::make_unique<core::NvdimmcSystem>(
-        benchSystemConfig([=](core::SystemConfig& c) {
+    dev.sys = std::make_unique<core::NvdimmcSystem>(benchSystemConfig(
+        [=](core::SystemConfig& c) {
             c.channels = channels;
             c.memcpy.bulkMode = false;
-            if (kind == BackendKind::CxlHybrid)
-                c.applyCxlBackend();
-        }));
+        },
+        kind));
     return dev;
 }
 
@@ -332,7 +324,7 @@ runBackendMixedloadPoint(BackendKind kind, unsigned users)
     if (res.validationFailures != 0)
         out.error = "mixedload validation failures on " +
                     std::string(backend::toString(kind));
-    else if (!dev.hardwareClean())
+    else if (!dev.sys->hardwareClean())
         out.error = "bus conflict detected";
     out.device = keep(std::move(dev));
     return out;
@@ -354,7 +346,7 @@ runAgingPoint(unsigned false_permille)
     cfg.memcpy.bulkMode = false; // Real data for validation.
     cfg.nvmc.detector.falseRate = false_permille / 1000.0;
     BenchDevice dev;
-    dev.nvdc = std::make_unique<core::NvdimmcSystem>(cfg);
+    dev.sys = std::make_unique<core::NvdimmcSystem>(cfg);
 
     workload::StreamConfig sc;
     sc.elements = perfect ? 65536 : 16384; // 512 KB / 128 KB arrays.
@@ -362,7 +354,7 @@ runAgingPoint(unsigned false_permille)
     workload::StreamResult res =
         workload::runStream(dev.eq(), dev.data(), sc);
 
-    core::NvdimmcSystem& sys = *dev.nvdc;
+    core::NvdimmcSystem& sys = *dev.sys;
     const auto conflicts = static_cast<double>(sys.bus().conflictCount());
     const auto violations = static_cast<double>(
         sys.dramDevice().stats().violations.value());
@@ -416,8 +408,8 @@ PointResult
 runFileCopyPoint()
 {
     BenchDevice dev;
-    dev.nvdc = std::make_unique<core::NvdimmcSystem>(benchSystemConfig());
-    core::NvdimmcSystem& sys = *dev.nvdc;
+    dev.sys = std::make_unique<core::NvdimmcSystem>(benchSystemConfig());
+    core::NvdimmcSystem& sys = *dev.sys;
     workload::Ssd ssd(sys.eq(), workload::Ssd::Params{});
 
     workload::FileCopyConfig cfg;
@@ -839,8 +831,8 @@ makeAblationSweep()
         core::SystemConfig cfg = core::SystemConfig::scaledBench();
         cfg.driver.trackDirty = true;
         BenchDevice dev;
-        dev.nvdc = std::make_unique<core::NvdimmcSystem>(cfg);
-        dev.nvdc->precondition(0, dev.nvdc->layout().slotCount(), false);
+        dev.sys = std::make_unique<core::NvdimmcSystem>(cfg);
+        dev.sys->precondition(0, dev.sys->layout().slotCount(), false);
         return fioPoint({.uncached = true,
                          .rampTime = 5 * kMs,
                          .runTime = 120 * kMs},
@@ -1021,7 +1013,8 @@ PointResult
 finishTelemetryPoint(PointResult run, const char* label)
 {
     const bool audit_ok = span::audit().ok();
-    telemetry::Collector& collector = *run.device->telemetryCollector();
+    telemetry::Collector& collector =
+        *run.device->sys->telemetryCollector();
     std::ostringstream os;
     collector.writeJsonl(os, label);
     const auto intervals = static_cast<double>(collector.records().size());
@@ -1243,24 +1236,6 @@ makeFaultsSweep()
     return sweep;
 }
 
-/** Sum of a phase's sum_ps fields across every op class in a span
- *  breakdown JSON (the phase keys never collide with class names). */
-std::uint64_t
-phaseSumPs(const std::string& json, const char* phase)
-{
-    std::uint64_t total = 0;
-    const std::string needle =
-        std::string("\"") + phase + "\":{\"count\":";
-    for (std::size_t pos = json.find(needle);
-         pos != std::string::npos; pos = json.find(needle, pos + 1)) {
-        std::size_t s = json.find("\"sum_ps\":", pos);
-        if (s == std::string::npos)
-            break;
-        total += std::strtoull(json.c_str() + s + 9, nullptr, 10);
-    }
-    return total;
-}
-
 /**
  * One fig8-style head-to-head point: random 4 KB reads on an
  * @p channels-module machine fronted by @p kind, with the span-layer
@@ -1277,26 +1252,22 @@ runBackendFig8Point(BackendKind kind, std::uint32_t channels,
     span::enable();
     PointResult out = fioPoint(fig8Load(kind, channels, uncached, 4));
     span::AuditResult audit = span::audit();
-    std::ostringstream os;
-    span::writeBreakdownJson(os);
-    const std::string json = os.str();
 
-    auto us = [](std::uint64_t ps) {
+    auto us = [](std::initializer_list<span::Phase> phases) {
+        std::uint64_t ps = 0;
+        for (span::Phase p : phases)
+            ps += span::phaseSumPs(p);
         return static_cast<double>(ps) / 1e6;
     };
+    using span::Phase;
     out.metrics.emplace_back("audit_ok", audit.ok() ? 1.0 : 0.0);
-    out.metrics.emplace_back("window_wait_us",
-                             us(phaseSumPs(json, "window_wait")));
+    out.metrics.emplace_back("window_wait_us", us({Phase::WindowWait}));
     out.metrics.emplace_back(
-        "cp_channel_us", us(phaseSumPs(json, "cp_queue") +
-                            phaseSumPs(json, "cp_write") +
-                            phaseSumPs(json, "cp_ack")));
+        "cp_channel_us", us({Phase::CpQueue, Phase::CpWrite, Phase::CpAck}));
     out.metrics.emplace_back(
-        "link_us", us(phaseSumPs(json, "link_wait") +
-                      phaseSumPs(json, "link_req") +
-                      phaseSumPs(json, "link_resp")));
-    out.metrics.emplace_back("dev_copy_us",
-                             us(phaseSumPs(json, "dev_copy")));
+        "link_us",
+        us({Phase::LinkWait, Phase::LinkReq, Phase::LinkResp}));
+    out.metrics.emplace_back("dev_copy_us", us({Phase::DevCopy}));
     if (!audit.ok())
         out.error = "span audit failed";
     return out;
@@ -1469,17 +1440,17 @@ struct Exports
         if (res.device && !statsPath.empty()) {
             std::ostringstream os;
             os << "{\"bench\":\"" << label << "\",\"backend\":\""
-               << backend::toString(res.device->kind())
+               << backend::toString(res.device->sys->config().backendKind)
                << "\",\"_meta\":{\"schema_version\":"
                << telemetry::kSchemaVersion << "},\"stats\":";
-            res.device->dumpStatsJson(os);
+            res.device->sys->dumpStatsJson(os);
             os << "}\n";
             res.stats = os.str();
         }
         if (res.device && !telemetryPath.empty() &&
-            res.device->telemetryCollector()) {
+            res.device->sys->telemetryCollector()) {
             std::ostringstream os;
-            res.device->telemetryCollector()->writeJsonl(os, label);
+            res.device->sys->telemetryCollector()->writeJsonl(os, label);
             res.telemetry = os.str();
         }
         if (!breakdownPath.empty() && span::openedCount() > 0) {
@@ -1825,6 +1796,8 @@ main(int argc, char** argv)
 {
     try {
         return nvdimmc::bench::sweepMain(argc, argv);
+    } catch (const nvdimmc::FatalError&) {
+        return 1; // fatal() already printed the message.
     } catch (const std::exception& e) {
         std::cerr << "sweep_runner: " << e.what() << "\n";
         return 1;

@@ -1,5 +1,6 @@
 # Runs PROGRAM with the single argument ARGS and passes only if it
-# exits with status 1 and prints a "fatal:" line matching EXPECT.
+# exits with status 1 and prints exactly one "fatal:" line, matching
+# EXPECT.
 #
 #   cmake -DPROGRAM=... -DARGS=... -DEXPECT=<regex> -P expect_fatal.cmake
 execute_process(COMMAND ${PROGRAM} ${ARGS}
@@ -12,4 +13,10 @@ if(NOT status STREQUAL "1")
 endif()
 if(NOT all MATCHES "fatal: [^\n]*${EXPECT}")
     message(FATAL_ERROR "no 'fatal:' line matches '${EXPECT}':\n${all}")
+endif()
+string(REGEX MATCHALL "fatal: " fatal_lines "${all}")
+list(LENGTH fatal_lines fatal_count)
+if(NOT fatal_count EQUAL 1)
+    message(FATAL_ERROR
+            "expected one 'fatal:' line, got ${fatal_count}:\n${all}")
 endif()

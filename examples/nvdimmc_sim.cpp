@@ -161,8 +161,7 @@ main(int argc, char** argv)
 {
     try {
         return run(argc, argv);
-    } catch (const FatalError& e) {
-        std::cerr << "nvdimmc_sim: " << e.what() << "\n";
-        return 1;
+    } catch (const FatalError&) {
+        return 1; // fatal() already printed the message.
     }
 }

@@ -16,11 +16,7 @@ CxlHybridBackend::CxlHybridBackend(EventQueue& eq,
     NVDC_ASSERT(cfg.reqLatency > 0 && cfg.respLatency > 0,
                 "CXL link crossings need positive latency");
     traits_.kind = BackendKind::CxlHybrid;
-    traits_.name = "cxl";
     traits_.interleaveGranule = cfg.interleaveGranule;
-    traits_.usesRefreshWindows = false;
-    traits_.durableOnAck = true;
-    traits_.hasMissTransport = true;
 }
 
 void

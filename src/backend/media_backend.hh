@@ -4,11 +4,11 @@
  *
  * Everything the nvdc driver assumes about the device behind the DRAM
  * cache is captured here: how a miss fill / victim writeback is
- * requested (submit), when the completion callback means the data is
- * durable (BackendTraits::durableOnAck), what interleave granule the
- * host-visible address space uses, and what the device can save on a
- * power failure (powerFailFlush). The driver's fault path composes a
- * TransportOp and hands it to whichever backend the system wired in:
+ * requested (submit), that its completion means the data is durable,
+ * what interleave granule the host-visible address space uses, and
+ * what the device can save on a power failure (powerFailFlush). The
+ * driver's fault path composes a TransportOp and hands it to whichever
+ * backend the system wired in:
  *
  *  - NvdimmcBackend: the paper's CP-page-over-DDR4 protocol — command
  *    line store+clflush, firmware polls inside refresh windows, DMA
@@ -21,9 +21,10 @@
  *    with the same FTL/Z-NAND media stack behind the seam. Fine
  *    (256 B) interleave is allowed because the device-side copy
  *    engine, not host DMA windows, moves slot data.
- *  - PmemBackendTraits: the emulated-pmem baseline — no cache, no
- *    miss transport at all; it participates only so the bench/CLI
- *    layer can treat all three uniformly.
+ *
+ * BackendKind::Pmem, the emulated-pmem baseline, has no cache and so
+ * no transport: NvdimmcSystem builds it with the pmem driver in place
+ * of a MediaBackend and the nvdc driver.
  *
  * Ops carry module-LOCAL nand pages and slot indices, exactly like CP
  * commands do; channel routing stays the driver's job.
@@ -83,18 +84,10 @@ struct TransportOp
 struct BackendTraits
 {
     BackendKind kind = BackendKind::Nvdimmc;
-    const char* name = "nvdimmc";
     /** Channel-interleave granule of the host-visible address space.
      *  NVDIMM-C pins it to 4 KiB (a cache slot must live in its own
-     *  module's DRAM for window DMA); CXL and pmem stripe at 256 B. */
+     *  module's DRAM for window DMA); CXL stripes at 256 B. */
     std::uint32_t interleaveGranule = 4096;
-    /** Miss transport only moves data inside refresh-window DMA. */
-    bool usesRefreshWindows = false;
-    /** A completed submit() means the data is power-fail safe (the
-     *  device captured it into a PLP-backed buffer). */
-    bool durableOnAck = false;
-    /** False = no cache/miss path at all (the pmem baseline). */
-    bool hasMissTransport = false;
 };
 
 /**
@@ -111,9 +104,9 @@ class MediaBackend
 
     /**
      * Submit one transport op for @p channel. @p done fires on the
-     * host side when the op completes (for traits().durableOnAck
-     * backends: when the payload is power-fail safe). Merged ops
-     * complete once, after both halves.
+     * host side when the op completes, and a completed op's payload is
+     * power-fail safe (the device captured it into a PLP-backed
+     * buffer). Merged ops complete once, after both halves.
      */
     virtual void submit(std::uint32_t channel, const TransportOp& op,
                         Callback done) = 0;

@@ -34,11 +34,7 @@ NvdimmcBackend::NvdimmcBackend(
     NVDC_ASSERT(!layouts.empty(),
                 "CP transport needs at least one module");
     traits_.kind = BackendKind::Nvdimmc;
-    traits_.name = "nvdimmc";
     traits_.interleaveGranule = dram::ChannelInterleave::kPageGranule;
-    traits_.usesRefreshWindows = true;
-    traits_.durableOnAck = true;
-    traits_.hasMissTransport = true;
 
     layouts_.reserve(layouts.size());
     for (std::uint32_t ch = 0; ch < channels_; ++ch) {

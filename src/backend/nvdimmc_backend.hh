@@ -12,7 +12,7 @@
  *
  * Ack semantics are the firmware's: a writeback ack means the victim's
  * bytes were captured into the FPGA's power-safe buffer (the NAND
- * program continues in the background), so durableOnAck holds.
+ * program continues in the background), so a completed op is durable.
  */
 
 #ifndef NVDIMMC_BACKEND_NVDIMMC_BACKEND_HH
@@ -38,7 +38,7 @@ class Nvmc;
 namespace nvdimmc::backend
 {
 
-/** Timing knobs of the CP transport (driver-side constants). The
+/** Timing of the CP transport (driver-side constants, DESIGN §6). The
  *  queue depth is each module's layout.maxCommands. */
 struct NvdimmcBackendConfig
 {

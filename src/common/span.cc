@@ -340,6 +340,15 @@ drainWindow(std::array<Histogram, kClassCount>& hist,
 }
 
 std::uint64_t
+phaseSumPs(Phase p)
+{
+    std::uint64_t total = 0;
+    for (const detail::ClassAgg& agg : detail::reg().agg)
+        total += agg.phaseSumsPs[static_cast<std::uint32_t>(p)];
+    return total;
+}
+
+std::uint64_t
 openedCount()
 {
     return detail::reg().opened;

@@ -224,6 +224,10 @@ AuditResult audit();
 std::uint64_t openedCount();
 std::uint64_t closedCount();
 
+/** Picoseconds attributed to phase @p p by closed spans, summed over
+ *  every op class (the sum_ps fields of the breakdown's phase). */
+std::uint64_t phaseSumPs(Phase p);
+
 /**
  * Drain the *interval-reset* per-class end-to-end histograms: copy
  * the e2e latency distribution of every span closed since the last

@@ -149,4 +149,13 @@ StatRegistry::collect() const
     return out;
 }
 
+std::string
+channelStatName(std::uint32_t ch, std::uint32_t channels,
+                const std::string& name)
+{
+    if (channels == 1)
+        return name;
+    return "ch" + std::to_string(ch) + "." + name;
+}
+
 } // namespace nvdimmc

@@ -49,6 +49,8 @@ class Histogram
     Tick min() const { return count_ ? min_ : 0; }
     Tick max() const { return max_; }
     double mean() const;
+    /** Sum of every sample (exact while it stays below 2^53 ps). */
+    double sum() const { return sum_; }
     /** @param p percentile in [0, 100]. */
     Tick percentile(double p) const;
     void reset();
@@ -147,6 +149,15 @@ class StatRegistry
   private:
     std::vector<std::pair<std::string, Getter>> entries_;
 };
+
+/**
+ * The name channel @p ch of a @p channels-channel system registers its
+ * component @p name under: @p name itself on one channel,
+ * "ch<ch>.<name>" on several, where the owner adds the flat @p name
+ * aggregates.
+ */
+std::string channelStatName(std::uint32_t ch, std::uint32_t channels,
+                            const std::string& name);
 
 } // namespace nvdimmc
 

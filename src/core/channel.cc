@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "common/stats.hh"
 #include "nvm/sttmram.hh"
 
 namespace nvdimmc::core
@@ -12,21 +13,24 @@ Channel::Channel(EventQueue& eq, const SystemConfig& cfg,
     : index_(index)
 {
     map_ = std::make_unique<dram::AddressMap>(cfg.dramCacheBytes);
-    dram_ = std::make_unique<dram::DramDevice>(
-        *map_, cfg.dramTiming, cfg.storeData, cfg.strictHardware);
-    bus_ = std::make_unique<bus::MemoryBus>(eq, *dram_,
-                                            cfg.strictHardware);
+    dram_ = std::make_unique<dram::DramDevice>(*map_, cfg.dramTiming,
+                                               cfg.storeData, false);
+    bus_ = std::make_unique<bus::MemoryBus>(eq, *dram_, false);
 
     // Stagger the refresh clocks so the per-channel tRFC blackouts
-    // (and DMA windows) spread evenly over the tREFI period.
+    // (and DMA windows) spread evenly over the tREFI period. Plain
+    // DRAM has no windows to spread: the pmem baseline refreshes at
+    // phase 0 on every channel.
+    const bool pmem = cfg.backendKind == backend::BackendKind::Pmem;
     const auto refresh = dram::RefreshSchedule::make(
         cfg.refresh, dram_->timing().tRFC,
-        index * (cfg.refresh.tREFI / count));
+        pmem ? 0 : index * (cfg.refresh.tREFI / count));
 
     imc::ImcConfig imc_cfg = cfg.imc;
-    if (count > 1)
-        imc_cfg.name = "ch" + std::to_string(index) + ".imc";
+    imc_cfg.name = channelStatName(index, count, imc_cfg.name);
     imc_ = std::make_unique<imc::Imc>(eq, *bus_, imc_cfg, refresh);
+    if (pmem)
+        return;
 
     switch (cfg.media) {
       case MediaKind::ZNand:

@@ -18,6 +18,9 @@
  * windows the NVMCs steal from them) never line up across the whole
  * system. Channel 0 — and any single-channel system — keeps phase 0,
  * leaving the legacy timeline untouched.
+ *
+ * On the pmem baseline a channel is a plain RDIMM: only the map, DRAM,
+ * bus and iMC are built, and every channel refreshes at phase 0.
  */
 
 #ifndef NVDIMMC_CORE_CHANNEL_HH
@@ -28,6 +31,7 @@
 
 #include "bus/memory_bus.hh"
 #include "common/event_queue.hh"
+#include "common/logging.hh"
 #include "core/system_config.hh"
 #include "dram/dram_device.hh"
 #include "ftl/ftl.hh"
@@ -61,8 +65,18 @@ class Channel
     const bus::MemoryBus& bus() const { return *bus_; }
     imc::Imc& imc() { return *imc_; }
     const imc::Imc& imc() const { return *imc_; }
-    nvm::PageBackend& backend() { return *backend_; }
-    const nvmc::ReservedLayout& layout() const { return *layout_; }
+    /** The module's media and reserved layout; a pmem channel is plain
+     *  DRAM with neither, and both panic there. */
+    nvm::PageBackend& backend()
+    {
+        NVDC_ASSERT(backend_, "channel ", index_, " has no media");
+        return *backend_;
+    }
+    const nvmc::ReservedLayout& layout() const
+    {
+        NVDC_ASSERT(layout_, "channel ", index_, " has no reserved layout");
+        return *layout_;
+    }
     nvmc::Nvmc* nvmc() { return nvmc_.get(); }
     const nvmc::Nvmc* nvmc() const { return nvmc_.get(); }
     nvm::ZNand* znand() { return znand_.get(); }

@@ -13,8 +13,11 @@
  * is the identity and the system behaves byte-identically to the
  * original single-channel assembly.
  *
- * BaselineSystem builds the /dev/pmem0 comparison machine (optionally
- * multi-channel with line-granular interleave, as plain RDIMMs allow).
+ * The same class builds all three backends of SystemConfig::backendKind.
+ * The CXL hybrid swaps the CP transport for a CXL.mem link. The pmem
+ * baseline (/dev/pmem0) keeps only each channel's DRAM, bus and iMC and
+ * puts the emulated-pmem driver on the memcpy engine: it has no DRAM
+ * cache, transport or nvdc driver, and the accessors for those panic.
  */
 
 #ifndef NVDIMMC_CORE_SYSTEM_HH
@@ -46,7 +49,8 @@
 namespace nvdimmc::core
 {
 
-/** The full NVDIMM-C machine. */
+/** The full NVDIMM-C machine, or one of the machines it is compared
+ *  against. */
 class NvdimmcSystem
 {
   public:
@@ -88,12 +92,21 @@ class NvdimmcSystem
 
     cpu::CpuCacheModel& cpuCache() { return *cpuCache_; }
     cpu::MemcpyEngine& engine() { return *engine_; }
-    driver::NvdcDriver& driver() { return *driver_; }
+    /** The nvdc driver (hybrid backends only). */
+    driver::NvdcDriver& driver() { return part(driver_, "driver()"); }
+    /** The emulated-pmem driver (pmem baseline only). */
+    driver::PmemDriver& pmemDriver()
+    {
+        return part(pmem_, "pmemDriver()");
+    }
     /** The media-transport backend the driver talks through. */
-    backend::MediaBackend& transport() { return *transport_; }
+    backend::MediaBackend& transport()
+    {
+        return part(transport_, "transport()");
+    }
     const backend::MediaBackend& transport() const
     {
-        return *transport_;
+        return part(transport_, "transport()");
     }
     const SystemConfig& config() const { return cfg_; }
 
@@ -122,13 +135,15 @@ class NvdimmcSystem
 
     /**
      * Register every layer's statistics under the hierarchical names
-     * (dram.*, bus.*, imc.*, cpu.*, nvdc.*, nvmc.*, ftl.*, znand.*)
-     * plus the flat legacy aliases (cache.*, fw.*) older tooling
-     * parses. On a multi-channel system the per-channel hardware
-     * registers under ch<i>.-prefixed names (ch1.imc.*, ...) and the
-     * un-prefixed names become aggregates (sums; max for
-     * imc.refresh.overhead_pct). The registry holds live getters: it
-     * must not outlive this system.
+     * (dram.*, bus.*, imc.*, cpu.*, then nvdc.*, nvmc.*, ftl.*,
+     * znand.* or the baseline's pmem.*) plus the flat legacy aliases
+     * (cache.*, fw.*) older tooling parses. One rule holds at every
+     * channel count: on one channel each channel's components
+     * register under the flat names; on several they register under
+     * ch<i>.-prefixed names (ch1.imc.*, ...) and the flat names are
+     * added as aggregates (sums; max for imc.refresh.overhead_pct).
+     * The registry holds live getters: it must not outlive this
+     * system.
      */
     void registerStats(StatRegistry& reg) const;
 
@@ -150,6 +165,21 @@ class NvdimmcSystem
      *  every component exists). */
     void registerTelemetry(telemetry::Collector& t);
 
+    /** Build the transport and the nvdc driver of a hybrid backend
+     *  (construction-time, after the channels and the CPU side). */
+    void buildHybrid(bool is_cxl);
+
+    /** *@p p, or a panic naming @p what when this system's backend
+     *  has no such part. */
+    template <typename T>
+    T& part(const std::unique_ptr<T>& p, const char* what) const
+    {
+        if (!p)
+            absent(what);
+        return *p;
+    }
+    [[noreturn]] void absent(const char* what) const;
+
     SystemConfig cfg_;
     EventQueue eq_;
 
@@ -162,60 +192,12 @@ class NvdimmcSystem
      *  transport per cfg_.backendKind; declared before driver_, which
      *  holds a non-owning pointer to it. */
     std::unique_ptr<backend::MediaBackend> transport_;
+    /** Exactly one of driver_ (hybrid backends) and pmem_ (the
+     *  baseline) is set. */
     std::unique_ptr<driver::NvdcDriver> driver_;
+    std::unique_ptr<driver::PmemDriver> pmem_;
     /** Null unless telemetry::enabled() at construction. Declared
      *  after every probed component (its getters read them). */
-    std::unique_ptr<telemetry::Collector> telemetry_;
-};
-
-/** The /dev/pmem0 baseline machine. */
-class BaselineSystem
-{
-  public:
-    explicit BaselineSystem(const BaselineConfig& cfg);
-
-    EventQueue& eq() { return eq_; }
-    std::uint32_t channelCount() const
-    {
-        return static_cast<std::uint32_t>(imcs_.size());
-    }
-    bus::MemoryBus& bus() { return *buses_[0]; }
-    imc::Imc& imc() { return *imcs_[0]; }
-    imc::Imc& imc(std::uint32_t ch) { return *imcs_[ch]; }
-    imc::HostPort& hostPort() { return *hostPort_; }
-    cpu::MemcpyEngine& engine() { return *engine_; }
-    driver::PmemDriver& driver() { return *driver_; }
-    const BaselineConfig& config() const { return cfg_; }
-
-    void run(Tick duration) { eq_.runFor(duration); }
-
-    /** Register every statistic (same layout rules as the NVDIMM-C
-     *  system). */
-    void registerStats(StatRegistry& reg) const;
-    void dumpStats(std::ostream& os) const;
-    void dumpStatsJson(std::ostream& os) const;
-
-    /** The time-series collector, or null when telemetry was off at
-     *  construction. */
-    telemetry::Collector* telemetryCollector()
-    {
-        return telemetry_.get();
-    }
-
-  private:
-    void registerTelemetry(telemetry::Collector& t);
-
-    BaselineConfig cfg_;
-    EventQueue eq_;
-    std::vector<std::unique_ptr<dram::AddressMap>> maps_;
-    std::vector<std::unique_ptr<dram::DramDevice>> drams_;
-    std::vector<std::unique_ptr<bus::MemoryBus>> buses_;
-    std::vector<std::unique_ptr<imc::Imc>> imcs_;
-    std::unique_ptr<imc::HostPort> hostPort_;
-    std::unique_ptr<cpu::CpuCacheModel> cpuCache_;
-    std::unique_ptr<cpu::MemcpyEngine> engine_;
-    std::unique_ptr<driver::PmemDriver> driver_;
-    /** Null unless telemetry::enabled() at construction. */
     std::unique_ptr<telemetry::Collector> telemetry_;
 };
 

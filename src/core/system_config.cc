@@ -71,21 +71,12 @@ SystemConfig::scaledBench()
     return c;
 }
 
-BaselineConfig
-BaselineConfig::paper()
+SystemConfig
+SystemConfig::scaledPmem()
 {
-    BaselineConfig c;
-    c.capacityBytes = 128 * kGiB;
-    c.refresh = dram::RefreshRegisters::nvdimmc();
-    c.memcpy.bulkMode = true;
-    return c;
-}
-
-BaselineConfig
-BaselineConfig::scaledBench()
-{
-    BaselineConfig c;
-    c.capacityBytes = 8 * kGiB;
+    SystemConfig c;
+    c.backendKind = backend::BackendKind::Pmem;
+    c.dramCacheBytes = 8 * kGiB;
     c.refresh = dram::RefreshRegisters::nvdimmc();
     c.memcpy.bulkMode = true;
     return c;

@@ -51,7 +51,9 @@ struct SystemConfig
      * physical address space interleaves across the channels
      * (dram/channel_interleave.hh); NVDIMM-C systems always interleave
      * at page (4 KB) granularity because a module's NVMC can only fill
-     * its own DRAM — interleaveGranule is clamped accordingly. */
+     * its own DRAM — interleaveGranule is clamped accordingly. The
+     * plain-DRAM pmem baseline takes 4096 or 256 and rejects any
+     * other granule. */
     /** @{ */
     std::uint32_t channels = 1;
     std::uint32_t interleaveGranule = 4096;
@@ -61,7 +63,7 @@ struct SystemConfig
      *  machine model: construction rejects anything but 0. */
     std::uint32_t threads = 0;
 
-    /** @name DRAM cache DIMM. */
+    /** @name DRAM cache DIMM (the whole module on the pmem baseline). */
     /** @{ */
     std::uint64_t dramCacheBytes = 16 * kGiB;
     dram::Ddr4Timing dramTiming = dram::Ddr4Timing::ddr4_1600();
@@ -72,17 +74,22 @@ struct SystemConfig
     dram::RefreshRegisters refresh = dram::RefreshRegisters::nvdimmc();
     /** @} */
 
-    /** @name Media transport.
-     * Which interface fronts the hybrid device. Nvdimmc is the
-     * paper's CP-over-DDR4 module; CxlHybrid swaps it for a
+    /** @name Backend kind.
+     * Which device the system builds. Nvdimmc is the paper's
+     * CP-over-DDR4 module; CxlHybrid swaps its transport for a
      * CMM-H-style device behind a modeled CXL.mem link (no NVMC, no
-     * refresh windows, fine interleave allowed). BackendKind::Pmem is
-     * not valid here — the emulated-pmem baseline is BaselineSystem. */
+     * refresh windows, fine interleave allowed). Pmem is the
+     * /dev/pmem0 baseline: plain DRAM modules of dramCacheBytes each
+     * behind the emulated-pmem driver, with no cache, media or NVMC,
+     * interleaved at 4096 or 256 B. */
     /** @{ */
     backend::BackendKind backendKind = backend::BackendKind::Nvdimmc;
     /** Link/device model when backendKind == CxlHybrid (its
      *  interleaveGranule is overridden by the system's). */
     backend::CxlBackendConfig cxl;
+    /** Software costs of the emulated-pmem driver when backendKind ==
+     *  Pmem. */
+    driver::PmemDriverConfig pmem;
     /** @} */
 
     /** @name Backend. */
@@ -109,8 +116,6 @@ struct SystemConfig
     bool nvmcEnabled = true;
     /** Keep actual bytes in DRAM/NAND (tests on; big benches off). */
     bool storeData = true;
-    /** Abort on any bus conflict / DRAM protocol violation. */
-    bool strictHardware = false;
 
     /**
      * Flip this config to the CXL.mem hybrid backend: no NVMC (no CP
@@ -128,6 +133,10 @@ struct SystemConfig
     static SystemConfig scaledTest();
     /** Medium config for benches (512 MiB cache, bulk memcpy). */
     static SystemConfig scaledBench();
+    /** The /dev/pmem0 baseline for benches: 8 GiB of plain DRAM per
+     *  module, the PoC's refresh registers (Table I: the baseline
+     *  RDIMM ran with tRFC = 1250 ns too) and bulk memcpy. */
+    static SystemConfig scaledPmem();
 
     /**
      * Shared derivation every preset builds on: a @p cacheBytes DRAM
@@ -137,31 +146,6 @@ struct SystemConfig
      * ratios that drive the paper's results.
      */
     static SystemConfig deriveScaled(std::uint64_t cacheBytes);
-};
-
-/** Baseline (/dev/pmem0) system configuration. */
-struct BaselineConfig
-{
-    /** Plain DRAM may interleave at line granularity (256 B) — there
-     *  is no per-module NVMC tying a page to one channel. */
-    std::uint32_t channels = 1;
-    std::uint32_t interleaveGranule = 4096;
-    std::uint64_t capacityBytes = 128 * kGiB;
-    dram::Ddr4Timing dramTiming = dram::Ddr4Timing::ddr4_1600();
-    /** Table I: the baseline RDIMM also ran with tRFC = 1250 ns.
-     *  Every channel's iMC runs it at phase 0. */
-    dram::RefreshRegisters refresh = dram::RefreshRegisters::nvdimmc();
-
-    /** Telemetry sampling cadence; same contract as SystemConfig. */
-    Tick telemetryIntervalTicks = 0;
-    driver::PmemDriverConfig pmem;
-    imc::ImcConfig imc;
-    cpu::CpuCacheModel::Params cpuCache;
-    cpu::MemcpyParams memcpy;
-    bool storeData = true;
-
-    static BaselineConfig paper();
-    static BaselineConfig scaledBench();
 };
 
 } // namespace nvdimmc::core

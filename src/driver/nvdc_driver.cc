@@ -34,9 +34,11 @@ NvdcDriver::NvdcDriver(EventQueue& eq, cpu::CpuCacheModel& cache_model,
     for (std::uint32_t ch = 0; ch < channels_; ++ch) {
         const nvmc::ReservedLayout& lay = *layouts[ch];
         layouts_.push_back(lay);
+        // Seed 1 + ch: each channel's RANDOM policy draws its own
+        // stream.
         caches_.emplace_back(
             lay.slotCount(), backend_pages_total / channels_,
-            ReplacementPolicy::create(cfg.policy, cfg.policySeed + ch));
+            ReplacementPolicy::create(cfg.policy, 1 + ch));
         locks_.push_back(std::make_unique<SimMutex>(eq));
     }
 }
@@ -788,15 +790,12 @@ NvdcDriver::registerStats(StatRegistry& reg,
     reg.addCounter(prefix + ".prefetch_hits", stats_.prefetchHits);
     reg.addHistogram(prefix + ".hit_latency", stats_.hitLatency);
     reg.addHistogram(prefix + ".fault_latency", stats_.faultLatency);
-    if (channels_ == 1) {
-        caches_[0].registerStats(reg, prefix + ".cache");
-        return;
-    }
-    // Multi-channel: per-module cache blocks plus the aggregate the
-    // flat cache.* aliases and sweep tooling key on.
     for (std::uint32_t ch = 0; ch < channels_; ++ch)
         caches_[ch].registerStats(
-            reg, prefix + ".ch" + std::to_string(ch) + ".cache");
+            reg, prefix + "." + channelStatName(ch, channels_, "cache"));
+    if (channels_ == 1)
+        return;
+    // The aggregate the flat cache.* aliases and sweep tooling key on.
     reg.add(prefix + ".cache.hits", [this] {
         double v = 0;
         for (const auto& c : caches_)

@@ -85,8 +85,6 @@ struct NvdcDriverConfig
     /** @name Fault path. */
     /** @{ */
     Tick faultOverhead = 1500 * kNs;   ///< Fault entry + slot mgmt.
-    Tick cpWriteCost = 300 * kNs;      ///< Compose + store CP command.
-    Tick ackPollInterval = 500 * kNs;
     /** Filling a slot for a never-written block needs no NAND read:
      *  the driver just zeroes the slot (CPU stores). This is why the
      *  paper's file copy runs at SSD speed while free slots last
@@ -124,7 +122,6 @@ struct NvdcDriverConfig
     /** @} */
 
     std::string policy = "lrc";
-    std::uint64_t policySeed = 1;
 };
 
 /** Driver statistics. */

@@ -166,30 +166,20 @@ Firmware::runWriteback(std::shared_ptr<Op> op, std::uint64_t nand_page,
         // Data left the DRAM; it is power-safe in the FPGA buffer.
         // The program is off the host's critical path (the ack does
         // not wait for it), so it rides with no span.
-        auto program = [this, op, nand_page] {
-            backend_.writePage(nand_page, op->buffer2->data(),
-                               [op] { /* retained until programmed */ });
-        };
+        backend_.writePage(nand_page, op->buffer2->data(),
+                           [op] { /* retained until programmed */ });
         if (then_cachefill) {
             // Merged op: the NAND program of the evicted page and the
             // cachefill of the new one proceed in parallel. From this
             // instant the slot's content is no longer the victim's —
             // note the capture so a power-fail dump skips the slot
             // until the install rewrites its metadata.
-            program();
             mergedCaptured_[dram_slot] = nand_page;
             runCachefill(op, op->cmd.nandPage2, op->cmd.dramSlot2,
                          true);
-        } else if (cfg_.ackEarlyWriteback) {
-            program();
+        } else {
             eq_.scheduleAfter(cfg_.postOpDelay,
                               [this, op] { writeAck(op); });
-        } else {
-            backend_.writePage(
-                nand_page, op->buffer2->data(), [this, op] {
-                    eq_.scheduleAfter(cfg_.postOpDelay,
-                                      [this, op] { writeAck(op); });
-                }, op->cmd.spanId);
         }
     };
     dma_.enqueue(std::move(req));

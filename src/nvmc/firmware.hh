@@ -43,12 +43,10 @@ struct FirmwareConfig
 {
     /** CP decode + command dispatch on the A53 (software FSM). */
     Tick decodeDelay = 8 * kUs;
-    /** Software work between op completion and the ack enqueue. */
+    /** Software work between op completion and the ack enqueue. A
+     *  writeback is acked once its data left DRAM: the NAND program
+     *  finishes in the background from the battery-backed buffer. */
     Tick postOpDelay = 3 * kUs;
-    /** Ack a writeback as soon as the data left DRAM (the NAND
-     *  program finishes in the background from the battery-backed
-     *  buffer). */
-    bool ackEarlyWriteback = true;
 
     /** PoC defaults (calibrated to §VII-B2's 8.9x tREFI pair). */
     static FirmwareConfig poc() { return {}; }

@@ -15,9 +15,11 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "backend/media_backend.hh"
+#include "common/logging.hh"
 #include "common/span.hh"
 #include "core/power.hh"
 #include "core/system.hh"
@@ -80,16 +82,10 @@ TEST_P(BackendConformance, TraitsMatchTheArchitecture)
     NvdimmcSystem sys(testConfig(GetParam()));
     const backend::BackendTraits& t = sys.transport().traits();
     EXPECT_EQ(t.kind, GetParam());
-    EXPECT_TRUE(t.hasMissTransport);
-    // Both hybrid transports ack a writeback once the device captured
-    // the bytes into a power-safe buffer.
-    EXPECT_TRUE(t.durableOnAck);
     if (GetParam() == backend::BackendKind::Nvdimmc) {
-        EXPECT_TRUE(t.usesRefreshWindows);
         EXPECT_EQ(t.interleaveGranule, 4096u);
         EXPECT_NE(sys.nvmc(), nullptr);
     } else {
-        EXPECT_FALSE(t.usesRefreshWindows);
         EXPECT_EQ(t.interleaveGranule, 256u);
         // No CP page to poll: the module-side controller is not built.
         EXPECT_EQ(sys.nvmc(), nullptr);
@@ -123,7 +119,7 @@ TEST_P(BackendConformance, MissFillRoundTripsThroughTheMedia)
 
 TEST_P(BackendConformance, CompletedWritebackSurvivesPowerFailure)
 {
-    // The durableOnAck contract: once the driver's transport op
+    // The durable-on-ack contract: once the driver's transport op
     // completed, a power failure (with ADR) must not lose the page.
     NvdimmcSystem sys(testConfig(GetParam()));
     std::vector<std::uint8_t> buf(4096, 0x77);
@@ -343,6 +339,100 @@ TEST(CxlBackend, ByteIdenticalOnRerun)
     std::string first = cxlRun();
     EXPECT_EQ(first, cxlRun());
     EXPECT_NE(first.find("nvdc.cxl.cachefills"), std::string::npos);
+}
+
+/** A small pmem baseline of @p channels modules. */
+SystemConfig
+pmemConfig(std::uint32_t channels)
+{
+    SystemConfig cfg = SystemConfig::scaledPmem();
+    cfg.channels = channels;
+    cfg.dramCacheBytes = 64 * kMiB;
+    return cfg;
+}
+
+std::vector<std::string>
+statKeys(const NvdimmcSystem& sys)
+{
+    StatRegistry reg;
+    sys.registerStats(reg);
+    std::vector<std::string> keys;
+    for (const auto& [name, value] : reg.collect())
+        keys.push_back(name);
+    return keys;
+}
+
+// The baseline's stat keys in export order, as the backends sweep's
+// pmem points write them: one channel's DRAM, bus and iMC, then the
+// host side.
+const std::vector<std::string> kPmemChannelKeys = {
+    "dram.activates", "dram.reads", "dram.writes", "dram.precharges",
+    "dram.precharge_alls", "dram.refreshes", "dram.self_refresh_enters",
+    "dram.self_refresh_exits", "dram.violations", "bus.conflicts",
+    "bus.commands.host-imc", "imc.reads_accepted", "imc.writes_accepted",
+    "imc.wpq_forwards", "imc.refreshes_issued", "imc.read_latency.count",
+    "imc.read_latency.mean", "imc.read_latency.p50",
+    "imc.read_latency.p99", "imc.read_latency.max",
+    "imc.read_latency_mean_ns", "imc.rdq.occupancy", "imc.wpq.occupancy",
+    "imc.refresh.blocked_ticks", "imc.refresh.overhead_pct"};
+const std::vector<std::string> kPmemHostKeys = {
+    "cpu.load_hits", "cpu.load_misses", "cpu.stores", "cpu.nt_stores",
+    "cpu.flushes", "cpu.flush_writebacks", "cpu.invalidations",
+    "cpu.capacity_evictions", "cpu.resident_lines", "pmem.read_ops",
+    "pmem.write_ops", "pmem.op_latency_mean_us"};
+
+TEST(PmemBaseline, StatKeysOnOneChannel)
+{
+    std::vector<std::string> want = kPmemChannelKeys;
+    want.insert(want.end(), kPmemHostKeys.begin(), kPmemHostKeys.end());
+    EXPECT_EQ(statKeys(NvdimmcSystem(pmemConfig(1))), want);
+}
+
+TEST(PmemBaseline, StatKeysOnFourChannels)
+{
+    // Each channel under ch<i>., then the flat refresh total. The
+    // channels refresh in step, so there is no stagger maximum.
+    std::vector<std::string> want;
+    for (int i = 0; i < 4; ++i)
+        for (const std::string& key : kPmemChannelKeys)
+            want.push_back("ch" + std::to_string(i) + "." + key);
+    want.push_back("dram.refreshes");
+    want.insert(want.end(), kPmemHostKeys.begin(), kPmemHostKeys.end());
+    EXPECT_EQ(statKeys(NvdimmcSystem(pmemConfig(4))), want);
+}
+
+TEST(PmemBaseline, InterleavesOnlyAtAPageOrALine)
+{
+    for (std::uint32_t granule : {4096u, 256u}) {
+        SystemConfig cfg = pmemConfig(2);
+        cfg.interleaveGranule = granule;
+        EXPECT_NO_THROW(NvdimmcSystem{cfg}) << granule;
+    }
+    SystemConfig cfg = pmemConfig(2);
+    cfg.interleaveGranule = 1024;
+    try {
+        NvdimmcSystem sys(cfg);
+        FAIL() << "a 1024 B pmem interleave was accepted";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("interleaveGranule = 1024"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(PmemBaseline, CachePartsFailLoudly)
+{
+    // The baseline has no DRAM cache, transport or nvdc driver.
+    NvdimmcSystem sys(pmemConfig(1));
+    EXPECT_THROW(sys.driver(), PanicError);
+    EXPECT_THROW(sys.precondition(0, 1, false), PanicError);
+    EXPECT_THROW(sys.layout(), PanicError);
+    EXPECT_THROW(sys.totalSlotCount(), PanicError);
+    EXPECT_THROW(sys.transport(), PanicError);
+    EXPECT_TRUE(sys.hardwareClean());
+
+    NvdimmcSystem hybrid(testConfig(backend::BackendKind::Nvdimmc));
+    EXPECT_THROW(hybrid.pmemDriver(), PanicError);
 }
 
 } // namespace

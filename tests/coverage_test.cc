@@ -226,32 +226,32 @@ TEST_F(BulkFixture, TransferStartingInsideBlackoutWaits)
 
 TEST(PmemDriverTest, LatencyStatsAccumulate)
 {
-    core::BaselineConfig cfg = core::BaselineConfig::scaledBench();
-    cfg.capacityBytes = 64 * kMiB;
+    core::SystemConfig cfg = core::SystemConfig::scaledPmem();
+    cfg.dramCacheBytes = 64 * kMiB;
     cfg.memcpy.bulkMode = false;
     cfg.storeData = true;
-    core::BaselineSystem sys(cfg);
+    core::NvdimmcSystem sys(cfg);
+    driver::PmemDriver& drv = sys.pmemDriver();
 
     std::vector<std::uint8_t> buf(4096, 0x21);
     for (int i = 0; i < 4; ++i) {
         bool done = false;
-        sys.driver().write(static_cast<Addr>(i) * 4096, 4096,
-                           buf.data(), [&] { done = true; });
+        drv.write(static_cast<Addr>(i) * 4096, 4096, buf.data(),
+                  [&] { done = true; });
         while (!done && sys.eq().runOne()) {
         }
     }
-    EXPECT_EQ(sys.driver().stats().writeOps.value(), 4u);
-    EXPECT_GT(sys.driver().stats().latency.mean(), 0.0);
+    EXPECT_EQ(drv.stats().writeOps.value(), 4u);
+    EXPECT_GT(drv.stats().latency.mean(), 0.0);
 
     bool done = false;
     std::vector<std::uint8_t> r(4096, 0);
     sys.eq().runFor(100 * kUs);
-    sys.driver().read(0, 4096, r.data(), [&] { done = true; });
+    drv.read(0, 4096, r.data(), [&] { done = true; });
     while (!done && sys.eq().runOne()) {
     }
     EXPECT_EQ(r[0], 0x21);
-    EXPECT_THROW(sys.driver().read(cfg.capacityBytes, 64, nullptr,
-                                   [] {}),
+    EXPECT_THROW(drv.read(cfg.dramCacheBytes, 64, nullptr, [] {}),
                  PanicError);
 }
 

@@ -458,21 +458,21 @@ TEST(Integration, StreamAgingTestIsClean)
 
 TEST(Integration, BaselineSystemServesReadsAndWrites)
 {
-    core::BaselineConfig cfg = core::BaselineConfig::scaledBench();
-    cfg.capacityBytes = 64 * kMiB;
+    core::SystemConfig cfg = core::SystemConfig::scaledPmem();
+    cfg.dramCacheBytes = 64 * kMiB;
     cfg.storeData = true;
     cfg.memcpy.bulkMode = false;
-    core::BaselineSystem sys(cfg);
+    core::NvdimmcSystem sys(cfg);
 
     std::vector<std::uint8_t> w(4096, 0x66), r(4096, 0);
     bool done = false;
-    sys.driver().write(0x3000, 4096, w.data(), [&] { done = true; });
+    sys.pmemDriver().write(0x3000, 4096, w.data(), [&] { done = true; });
     while (!done && sys.eq().runOne()) {
     }
     ASSERT_TRUE(done);
     sys.eq().runFor(100 * kUs); // Drain the WPQ.
     done = false;
-    sys.driver().read(0x3000, 4096, r.data(), [&] { done = true; });
+    sys.pmemDriver().read(0x3000, 4096, r.data(), [&] { done = true; });
     while (!done && sys.eq().runOne()) {
     }
     ASSERT_TRUE(done);

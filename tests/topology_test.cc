@@ -222,12 +222,13 @@ TEST(Refresh, BaselineKeepsZeroPhaseOnEveryChannel)
 {
     // Plain DRAM has no NVMC windows to spread out;
     // backends/pmem/fig8/cached_4ch depends on this timeline.
-    core::BaselineConfig cfg = core::BaselineConfig::scaledBench();
+    core::SystemConfig cfg = core::SystemConfig::scaledPmem();
     cfg.channels = 4;
-    cfg.capacityBytes = 64 * kMiB;
-    core::BaselineSystem sys(cfg);
+    cfg.dramCacheBytes = 64 * kMiB;
+    core::NvdimmcSystem sys(cfg);
     for (std::uint32_t i = 0; i < 4; ++i)
-        EXPECT_EQ(sys.imc(i).refresh().phase(), 0u) << "channel " << i;
+        EXPECT_EQ(sys.channel(i).imc().refresh().phase(), 0u)
+            << "channel " << i;
 }
 
 /** The FatalError message NvdimmcSystem's constructor throws for
