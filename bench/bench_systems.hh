@@ -139,8 +139,6 @@ struct BenchDevice
         return sys->config().backendKind == backend::BackendKind::Pmem;
     }
 
-    EventQueue& eq() { return sys->eq(); }
-
     workload::AccessFn access()
     {
         return pmem() ? driverAccess(sys->pmemDriver())

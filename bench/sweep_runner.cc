@@ -209,7 +209,7 @@ fioPoint(const FioSpec& spec, BenchDevice dev)
     std::tie(cfg.regionOffset, cfg.regionBytes) =
         spec.uncached ? dev.missRegion() : dev.cachedRegion();
     PointResult out;
-    out.metrics = fioMetrics(runFio(dev.eq(), dev.access(), cfg));
+    out.metrics = fioMetrics(runFio(dev.sys->eq(), dev.access(), cfg));
     if (spec.paperMBps > 0)
         out.metrics.emplace_back("paper_MBps", spec.paperMBps);
     if (spec.paperKiops > 0)
@@ -256,13 +256,13 @@ runBackendTpchPoint(BackendKind kind, int qid)
     run_cfg.maxAccesses = 6000;
     run_cfg.parallelism = 4;
 
-    core::NvdimmcSystem base(core::SystemConfig::scaledPmem());
-    Tick t_base = workload::runTpchQuery(
-        base.eq(), driverAccess(base.pmemDriver()), spec, run_cfg);
+    BenchDevice base = makeDevice(BackendKind::Pmem, /*uncached=*/false);
+    Tick t_base = workload::runTpchQuery(base.sys->eq(), base.access(),
+                                         spec, run_cfg);
 
     BenchDevice dev = makeDevice(kind, /*uncached=*/true);
     armSpanAuditor(dev.sys->config(), spec.accessBytes);
-    Tick t_dev = workload::runTpchQuery(dev.eq(), dev.access(), spec,
+    Tick t_dev = workload::runTpchQuery(dev.sys->eq(), dev.access(), spec,
                                         run_cfg);
 
     PointResult out;
@@ -311,7 +311,7 @@ runBackendMixedloadPoint(BackendKind kind, unsigned users)
 {
     BenchDevice dev = makeMixedloadDevice(kind, 1);
     workload::MixedLoadResult res =
-        workload::runMixedLoad(dev.eq(), dev.data(), mixedLoad(users));
+        workload::runMixedLoad(dev.sys->eq(), dev.data(), mixedLoad(users));
 
     PointResult out;
     out.metrics = {
@@ -352,7 +352,7 @@ runAgingPoint(unsigned false_permille)
     sc.elements = perfect ? 65536 : 16384; // 512 KB / 128 KB arrays.
     sc.iterations = perfect ? 4 : 2;
     workload::StreamResult res =
-        workload::runStream(dev.eq(), dev.data(), sc);
+        workload::runStream(dev.sys->eq(), dev.data(), sc);
 
     core::NvdimmcSystem& sys = *dev.sys;
     const auto conflicts = static_cast<double>(sys.bus().conflictCount());
@@ -1048,7 +1048,7 @@ runTelemetryMixedPoint(const char* label)
     span::enable();
     PointResult run;
     BenchDevice dev = makeMixedloadDevice(BackendKind::Nvdimmc, 2);
-    workload::runMixedLoad(dev.eq(), dev.data(), mixedLoad(125));
+    workload::runMixedLoad(dev.sys->eq(), dev.data(), mixedLoad(125));
     run.device = keep(std::move(dev));
     return finishTelemetryPoint(std::move(run), label);
 }

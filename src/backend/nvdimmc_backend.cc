@@ -22,11 +22,9 @@ toString(BackendKind kind)
 
 NvdimmcBackend::NvdimmcBackend(
     EventQueue& eq, cpu::CpuCacheModel& cache_model,
-    const std::vector<const nvmc::ReservedLayout*>& layouts,
-    const NvdimmcBackendConfig& cfg)
+    const std::vector<const nvmc::ReservedLayout*>& layouts)
     : eq_(eq),
       cacheModel_(cache_model),
-      cfg_(cfg),
       channels_(static_cast<std::uint32_t>(layouts.size())),
       il_(channels_, dram::ChannelInterleave::kPageGranule),
       nvmcs_(layouts.size(), nullptr)
@@ -133,7 +131,7 @@ NvdimmcBackend::beginTransaction(CpSlot& s)
 {
     // Waiting for a free CP slot (queue depth contention).
     span::phase(s.cmd.spanId, span::Phase::CpQueue, eq_.now());
-    eq_.scheduleAfter(cfg_.cpWriteCost,
+    eq_.scheduleAfter(kCpWriteCost,
                       [this, slot = &s] { writeCommand(*slot); });
 }
 
@@ -174,7 +172,7 @@ NvdimmcBackend::ackLoaded(CpSlot& s)
 {
     nvmc::CpAck ack = nvmc::decodeCpAck(s.ack.data());
     if (ack.phase != s.phase || ack.status != 1) {
-        eq_.scheduleAfter(cfg_.ackPollInterval,
+        eq_.scheduleAfter(kAckPollInterval,
                           [this, slot = &s] { pollAck(*slot); });
         return;
     }

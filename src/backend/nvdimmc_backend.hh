@@ -38,14 +38,6 @@ class Nvmc;
 namespace nvdimmc::backend
 {
 
-/** Timing of the CP transport (driver-side constants, DESIGN §6). The
- *  queue depth is each module's layout.maxCommands. */
-struct NvdimmcBackendConfig
-{
-    Tick cpWriteCost = 300 * kNs;    ///< Compose + store CP command.
-    Tick ackPollInterval = 500 * kNs;
-};
-
 struct NvdimmcBackendStats
 {
     Counter ackPolls;
@@ -55,12 +47,18 @@ struct NvdimmcBackendStats
 class NvdimmcBackend : public MediaBackend
 {
   public:
+    /** @name Timing of the CP transport (driver-side constants, DESIGN
+     *  §6). The queue depth is each module's layout.maxCommands. */
+    /** @{ */
+    static constexpr Tick kCpWriteCost = 300 * kNs; ///< Compose + store.
+    static constexpr Tick kAckPollInterval = 500 * kNs;
+    /** @} */
+
     /** One reserved layout per module, channel order. CP lines are
      *  addressed through @p cache_model at flat interleaved addresses
      *  (page granule — the NVDIMM-C constraint). */
     NvdimmcBackend(EventQueue& eq, cpu::CpuCacheModel& cache_model,
-                   const std::vector<const nvmc::ReservedLayout*>& layouts,
-                   const NvdimmcBackendConfig& cfg);
+                   const std::vector<const nvmc::ReservedLayout*>& layouts);
 
     const BackendTraits& traits() const override { return traits_; }
 
@@ -145,7 +143,6 @@ class NvdimmcBackend : public MediaBackend
     EventQueue& eq_;
     cpu::CpuCacheModel& cacheModel_;
     std::vector<nvmc::ReservedLayout> layouts_;
-    NvdimmcBackendConfig cfg_;
     BackendTraits traits_;
 
     std::uint32_t channels_;

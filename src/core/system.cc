@@ -72,7 +72,7 @@ NvdimmcSystem::NvdimmcSystem(const SystemConfig& cfg) : cfg_(cfg)
     if (is_pmem) {
         // The baseline: fsdax over plain DRAM, no cache and no media.
         pmem_ = std::make_unique<driver::PmemDriver>(
-            eq_, *engine_, cfg_.dramCacheBytes * cfg_.channels, cfg_.pmem);
+            eq_, *engine_, cfg_.dramCacheBytes * cfg_.channels);
     } else {
         buildHybrid(is_cxl);
     }
@@ -115,7 +115,7 @@ NvdimmcSystem::buildHybrid(bool is_cxl)
         transport_ = std::move(cxl_transport);
     } else {
         auto nvdc_transport = std::make_unique<backend::NvdimmcBackend>(
-            eq_, *cpuCache_, layouts, backend::NvdimmcBackendConfig{});
+            eq_, *cpuCache_, layouts);
         for (std::uint32_t i = 0; i < channels_.size(); ++i)
             if (channels_[i]->nvmc())
                 nvdc_transport->attachNvmc(i, channels_[i]->nvmc());

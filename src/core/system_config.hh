@@ -22,7 +22,6 @@
 #include "cpu/cache_model.hh"
 #include "cpu/memcpy_engine.hh"
 #include "driver/nvdc_driver.hh"
-#include "driver/pmem_driver.hh"
 #include "dram/timing.hh"
 #include "ftl/ftl.hh"
 #include "imc/imc.hh"
@@ -87,9 +86,6 @@ struct SystemConfig
     /** Link/device model when backendKind == CxlHybrid (its
      *  interleaveGranule is overridden by the system's). */
     backend::CxlBackendConfig cxl;
-    /** Software costs of the emulated-pmem driver when backendKind ==
-     *  Pmem. */
-    driver::PmemDriverConfig pmem;
     /** @} */
 
     /** @name Backend. */

@@ -6,9 +6,8 @@ namespace nvdimmc::driver
 {
 
 PmemDriver::PmemDriver(EventQueue& eq, cpu::MemcpyEngine& engine,
-                       std::uint64_t capacity_bytes,
-                       const PmemDriverConfig& cfg)
-    : eq_(eq), engine_(engine), capacity_(capacity_bytes), cfg_(cfg)
+                       std::uint64_t capacity_bytes)
+    : eq_(eq), engine_(engine), capacity_(capacity_bytes)
 {
 }
 
@@ -19,7 +18,7 @@ PmemDriver::read(Addr offset, std::uint32_t len, std::uint8_t* buf,
     NVDC_ASSERT(offset + len <= capacity_, "pmem read out of range");
     stats_.readOps.inc();
     Tick start = eq_.now();
-    Tick overhead = cfg_.opOverhead + (len / 64) * cfg_.perLineOverhead;
+    Tick overhead = kOpOverhead + (len / 64) * kPerLineOverhead;
     eq_.scheduleAfter(overhead, [this, offset, len, buf, start,
                                         cb = std::move(done)]() mutable {
         engine_.read(offset, len, buf, true,
@@ -37,12 +36,12 @@ PmemDriver::write(Addr offset, std::uint32_t len,
     NVDC_ASSERT(offset + len <= capacity_, "pmem write out of range");
     stats_.writeOps.inc();
     Tick start = eq_.now();
-    Tick overhead = cfg_.opOverhead + (len / 64) * cfg_.perLineOverhead;
+    Tick overhead = kOpOverhead + (len / 64) * kPerLineOverhead;
     eq_.scheduleAfter(overhead, [this, offset, len, data, start,
                                         cb = std::move(done)]() mutable {
         engine_.writeNt(offset, len, data,
                         [this, start, cb = std::move(cb)]() mutable {
-            eq_.scheduleAfter(cfg_.persistCost,
+            eq_.scheduleAfter(kPersistCost,
                               [this, start, cb = std::move(cb)] {
                 stats_.latency.record(eq_.now() - start);
                 cb();

@@ -22,18 +22,6 @@
 namespace nvdimmc::driver
 {
 
-/** Baseline configuration. */
-struct PmemDriverConfig
-{
-    /** Per-op software cost (fio + libpmem + DAX mapping). */
-    Tick opOverhead = 250 * kNs;
-    /** Per-64B-line software cost (loop + coherence work). */
-    Tick perLineOverhead = 2 * kNs;
-    /** Extra cost of the persist step on writes (store-buffer and
-     *  WPQ-visibility wait after the NT stream). */
-    Tick persistCost = 350 * kNs;
-};
-
 /** Baseline statistics. */
 struct PmemDriverStats
 {
@@ -46,9 +34,16 @@ struct PmemDriverStats
 class PmemDriver
 {
   public:
+    /** Per-op software cost (fio + libpmem + DAX mapping). */
+    static constexpr Tick kOpOverhead = 250 * kNs;
+    /** Per-64B-line software cost (loop + coherence work). */
+    static constexpr Tick kPerLineOverhead = 2 * kNs;
+    /** Extra cost of the persist step on writes (store-buffer and
+     *  WPQ-visibility wait after the NT stream). */
+    static constexpr Tick kPersistCost = 350 * kNs;
+
     PmemDriver(EventQueue& eq, cpu::MemcpyEngine& engine,
-               std::uint64_t capacity_bytes,
-               const PmemDriverConfig& cfg);
+               std::uint64_t capacity_bytes);
 
     std::uint64_t capacityBytes() const { return capacity_; }
 
@@ -63,7 +58,6 @@ class PmemDriver
     EventQueue& eq_;
     cpu::MemcpyEngine& engine_;
     std::uint64_t capacity_;
-    PmemDriverConfig cfg_;
     PmemDriverStats stats_;
 };
 
