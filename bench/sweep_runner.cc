@@ -849,7 +849,6 @@ makeAblationSweep()
                 .tweak = [enabled](core::SystemConfig& c) {
                     c.driver.trackDirty = true;
                     c.driver.prefetchEnabled = enabled;
-                    c.driver.prefetchDepth = 2;
                     c.driver.cpQueueDepth = 4;
                 }});
     }
@@ -888,7 +887,7 @@ runNvdimmFPoint(FioConfig::Pattern pattern)
                      dram::RefreshRegisters::standard(),
                      ch_dev.timing().tRFC, 0));
 
-    driver::NvdimmFDriver drv(eq, *ftl, imc, driver::NvdimmFConfig{});
+    driver::NvdimmFDriver drv(eq, *ftl, imc);
 
     FioConfig cfg;
     cfg.pattern = pattern;

@@ -22,10 +22,11 @@
  *   stats     1 = dump all per-layer statistics           [0]
  *
  * Exits 1 with a "fatal:" message naming the key or field when the
- * config is unusable: a malformed or unknown key, or refresh
- * registers the iMC and the NVMC cannot both honour (trfc_ns below
- * the DRAM's own 350 ns, or leaving no window after it; trfc_ns not
- * below trefi_ns).
+ * config is unusable: a malformed or unknown key; refresh registers
+ * the iMC and the NVMC cannot both honour (trfc_ns below the DRAM's
+ * own 350 ns, or leaving no window after it; trfc_ns not below
+ * trefi_ns); or a job with no thread, no window, or a block larger
+ * than its region.
  */
 
 #include <cstdio>

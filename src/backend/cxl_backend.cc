@@ -8,15 +8,11 @@ namespace nvdimmc::backend
 {
 
 CxlHybridBackend::CxlHybridBackend(EventQueue& eq,
-                                   const CxlBackendConfig& cfg)
-    : eq_(eq), cfg_(cfg)
+                                   std::uint32_t interleave_granule)
+    : eq_(eq)
 {
-    NVDC_ASSERT(cfg.maxPendingReads >= 1 && cfg.maxPendingWrites >= 1,
-                "CXL credit pools must be at least one deep");
-    NVDC_ASSERT(cfg.reqLatency > 0 && cfg.respLatency > 0,
-                "CXL link crossings need positive latency");
     traits_.kind = BackendKind::CxlHybrid;
-    traits_.interleaveGranule = cfg.interleaveGranule;
+    traits_.interleaveGranule = interleave_granule;
 }
 
 void
@@ -31,8 +27,8 @@ CxlHybridBackend::attachChannel(std::uint32_t ch,
     c.dram = &dram;
     c.media = &media;
     c.layout = &layout;
-    c.readCredits = cfg_.maxPendingReads;
-    c.writeCredits = cfg_.maxPendingWrites;
+    c.readCredits = kMaxPendingReads;
+    c.writeCredits = kMaxPendingWrites;
 }
 
 bool
@@ -94,13 +90,13 @@ CxlHybridBackend::pumpWaiters(std::uint32_t ch)
 void
 CxlHybridBackend::toDevice(Callback fn)
 {
-    eq_.scheduleAfter(cfg_.reqLatency, std::move(fn));
+    eq_.scheduleAfter(kReqLatency, std::move(fn));
 }
 
 void
 CxlHybridBackend::toHost(Callback fn)
 {
-    eq_.scheduleAfter(cfg_.respLatency, std::move(fn));
+    eq_.scheduleAfter(kRespLatency, std::move(fn));
 }
 
 void
@@ -170,10 +166,10 @@ CxlHybridBackend::deviceExec(std::uint32_t ch, TransportOp op,
         nvm::PageBackend::kPageBytes);
     readDramDirect(ch, c.layout->slotAddr(slot),
                    nvm::PageBackend::kPageBytes, buf->data());
-    eq_.scheduleAfter(cfg_.devCopyLatency, [this, ch, op, slot,
-                                            nand_page, buf,
-                                            respond = std::move(
-                                                respond)]() mutable {
+    eq_.scheduleAfter(kDevCopyLatency, [this, ch, op, slot,
+                                        nand_page, buf,
+                                        respond = std::move(
+                                            respond)]() mutable {
         Channel& cc = channels_[ch];
         span::phase(op.span, span::Phase::DevCopy, eq_.now());
         // From this instant the slot may be overwritten by a fill;
@@ -210,7 +206,7 @@ CxlHybridBackend::deviceFill(std::uint32_t ch, const TransportOp& op,
         [this, ch, op, slot, buf, respond = std::move(respond)]() mutable {
             // NAND data in the device buffer; copy it into the slot.
             eq_.scheduleAfter(
-                cfg_.devCopyLatency,
+                kDevCopyLatency,
                 [this, ch, op, slot, buf,
                  respond = std::move(respond)] {
                     Channel& c2 = channels_[ch];

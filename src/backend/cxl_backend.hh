@@ -22,8 +22,8 @@
  * (minus slots whose capture is already programmed-or-buffered, same
  * rule the firmware's dump applies).
  *
- * Timing defaults derive from published CXL-NVM figures: ~110 ns per
- * link crossing (a ~390 ns CMM-H load round trip minus the device
+ * The timing constants derive from published CXL-NVM figures: ~110 ns
+ * per link crossing (a ~390 ns CMM-H load round trip minus the device
  * DRAM access itself), a 64/128-deep read/write credit pool, and a
  * ~256 ns device-side 4 KiB copy (16 GB/s internal path).
  */
@@ -47,25 +47,6 @@
 namespace nvdimmc::backend
 {
 
-/** CXL.mem link + device-controller model knobs. */
-struct CxlBackendConfig
-{
-    /** Request flit host -> device (issue + link + device decode). */
-    Tick reqLatency = 110 * kNs;
-    /** Response flit device -> host. */
-    Tick respLatency = 110 * kNs;
-    /** Device-side 4 KiB copy between the NAND buffer / PLP capture
-     *  buffer and the device DRAM (internal fabric, not the link). */
-    Tick devCopyLatency = 256 * kNs;
-    /** Outstanding-request credit pools (the device's queue depths). */
-    std::uint32_t maxPendingReads = 64;
-    std::uint32_t maxPendingWrites = 128;
-    /** Host-visible interleave granule. The device copies pages
-     *  internally, so nothing pins it to the page size; 256 B line
-     *  interleave is the natural CXL choice. */
-    std::uint32_t interleaveGranule = 256;
-};
-
 struct CxlBackendStats
 {
     Counter cachefills;
@@ -81,7 +62,24 @@ struct CxlBackendStats
 class CxlHybridBackend : public MediaBackend
 {
   public:
-    CxlHybridBackend(EventQueue& eq, const CxlBackendConfig& cfg);
+    /** @name Link and device timing (DESIGN §6, §8). */
+    /** @{ */
+    /** Request flit host -> device (issue + link + device decode). */
+    static constexpr Tick kReqLatency = 110 * kNs;
+    /** Response flit device -> host. */
+    static constexpr Tick kRespLatency = 110 * kNs;
+    /** Device-side 4 KiB copy between the NAND buffer / PLP capture
+     *  buffer and the device DRAM (internal fabric, not the link). */
+    static constexpr Tick kDevCopyLatency = 256 * kNs;
+    /** Outstanding-request credit pools (the device's queue depths). */
+    static constexpr std::uint32_t kMaxPendingReads = 64;
+    static constexpr std::uint32_t kMaxPendingWrites = 128;
+    /** @} */
+
+    /** Host addresses stripe across the channels at
+     *  @p interleave_granule bytes: the device copies pages
+     *  internally, so nothing pins it to the page size. */
+    CxlHybridBackend(EventQueue& eq, std::uint32_t interleave_granule);
 
     /**
      * Wire channel @p ch's device halves in: @p dram the device DRAM,
@@ -109,8 +107,8 @@ class CxlHybridBackend : public MediaBackend
     {
         std::uint64_t depth = 0;
         for (const auto& ch : channels_)
-            depth += (cfg_.maxPendingReads - ch.readCredits) +
-                     (cfg_.maxPendingWrites - ch.writeCredits) +
+            depth += (kMaxPendingReads - ch.readCredits) +
+                     (kMaxPendingWrites - ch.writeCredits) +
                      ch.creditWaiters.size();
         return depth;
     }
@@ -179,7 +177,6 @@ class CxlHybridBackend : public MediaBackend
     /** @} */
 
     EventQueue& eq_;
-    CxlBackendConfig cfg_;
     BackendTraits traits_;
 
     std::vector<Channel> channels_;

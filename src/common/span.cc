@@ -110,13 +110,10 @@ struct SpanState
 struct ClassAgg
 {
     Histogram e2e;
-    std::uint64_t e2eSumPs = 0;
     std::array<Histogram, kPhaseCount> phases;
-    std::array<std::uint64_t, kPhaseCount> phaseSumsPs{};
     /** Interval-reset shadow of e2e: cleared by every drainWindow()
      *  call (the telemetry sampling cadence). */
     Histogram winE2e;
-    std::uint64_t winSumPs = 0;
 };
 
 /** One thread's recorder. Opens, marks and closes arrive from the
@@ -242,9 +239,7 @@ closeImpl(Id id, Tick now)
     ClassAgg& agg = r.agg[static_cast<std::uint32_t>(s.cls)];
     Tick e2e = now - s.openedAt;
     agg.e2e.record(e2e);
-    agg.e2eSumPs += e2e;
     agg.winE2e.record(e2e);
-    agg.winSumPs += e2e;
     if (telemetry::flightArmed())
         telemetry::flightRecordSpan(
             static_cast<std::uint8_t>(s.cls),
@@ -254,7 +249,6 @@ closeImpl(Id id, Tick now)
         if (s.phaseTicks[p] == 0)
             continue;
         agg.phases[p].record(s.phaseTicks[p]);
-        agg.phaseSumsPs[p] += s.phaseTicks[p];
     }
     ++r.closed;
 
@@ -326,16 +320,13 @@ audit()
 }
 
 void
-drainWindow(std::array<Histogram, kClassCount>& hist,
-            std::array<std::uint64_t, kClassCount>& sumPs)
+drainWindow(std::array<Histogram, kClassCount>& hist)
 {
     detail::Registry& r = detail::reg();
     for (std::uint32_t c = 0; c < kClassCount; ++c) {
         detail::ClassAgg& agg = r.agg[c];
         hist[c] = agg.winE2e;
-        sumPs[c] = agg.winSumPs;
         agg.winE2e.reset();
-        agg.winSumPs = 0;
     }
 }
 
@@ -344,7 +335,7 @@ phaseSumPs(Phase p)
 {
     std::uint64_t total = 0;
     for (const detail::ClassAgg& agg : detail::reg().agg)
-        total += agg.phaseSumsPs[static_cast<std::uint32_t>(p)];
+        total += agg.phases[static_cast<std::uint32_t>(p)].sum();
     return total;
 }
 
@@ -396,6 +387,7 @@ writeBreakdownTable(std::ostream& os, const std::string& title)
                       "phase", "count", "share%", "p50_us", "p95_us",
                       "p99_us", "max_us");
         os << line;
+        const std::uint64_t e2e_sum = agg.e2e.sum();
         for (std::uint32_t p = 0; p < kPhaseCount; ++p) {
             const Histogram& h = agg.phases[p];
             if (h.count() == 0)
@@ -403,10 +395,8 @@ writeBreakdownTable(std::ostream& os, const std::string& title)
             // Exact integer share in tenths of a percent: phase sums
             // tile the e2e latency, so the column sums to ~100%.
             std::uint64_t tenths =
-                agg.e2eSumPs == 0
-                    ? 0
-                    : (agg.phaseSumsPs[p] * 1000 + agg.e2eSumPs / 2) /
-                          agg.e2eSumPs;
+                e2e_sum == 0 ? 0
+                             : (h.sum() * 1000 + e2e_sum / 2) / e2e_sum;
             std::snprintf(
                 line, sizeof(line),
                 "   %-14s %10" PRIu64 " %6" PRIu64 ".%" PRIu64
@@ -433,8 +423,8 @@ void
 writeBreakdownJson(std::ostream& os)
 {
     detail::Registry& r = detail::reg();
-    auto histo = [&os](const Histogram& h, std::uint64_t sumPs) {
-        os << "{\"count\":" << h.count() << ",\"sum_ps\":" << sumPs
+    auto histo = [&os](const Histogram& h) {
+        os << "{\"count\":" << h.count() << ",\"sum_ps\":" << h.sum()
            << ",\"p50_ps\":" << h.percentile(50.0)
            << ",\"p95_ps\":" << h.percentile(95.0)
            << ",\"p99_ps\":" << h.percentile(99.0)
@@ -459,7 +449,7 @@ writeBreakdownJson(std::ostream& os)
         firstClass = false;
         os << '"' << toString(static_cast<OpClass>(c))
            << "\":{\"spans\":" << agg.e2e.count() << ",\"e2e\":";
-        histo(agg.e2e, agg.e2eSumPs);
+        histo(agg.e2e);
         os << ",\"phases\":{";
         bool firstPhase = true;
         for (std::uint32_t p = 0; p < kPhaseCount; ++p) {
@@ -469,7 +459,7 @@ writeBreakdownJson(std::ostream& os)
                 os << ',';
             firstPhase = false;
             os << '"' << toString(static_cast<Phase>(p)) << "\":";
-            histo(agg.phases[p], agg.phaseSumsPs[p]);
+            histo(agg.phases[p]);
         }
         os << "}}";
     }

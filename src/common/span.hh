@@ -231,14 +231,13 @@ std::uint64_t phaseSumPs(Phase p);
 /**
  * Drain the *interval-reset* per-class end-to-end histograms: copy
  * the e2e latency distribution of every span closed since the last
- * drain (or reset()) into @p hist / @p sumPs, then clear the window.
+ * drain (or reset()) into @p hist, then clear the window.
  * The telemetry Collector calls this once per sampling interval —
  * the windowed-percentile (SLO) substrate. Closes run in
  * deterministic event order, so consecutive drains at fixed sample
  * ticks see identical windows on every rerun.
  */
-void drainWindow(std::array<Histogram, kClassCount>& hist,
-                 std::array<std::uint64_t, kClassCount>& sumPs);
+void drainWindow(std::array<Histogram, kClassCount>& hist);
 
 /** Human-readable per-class x per-phase breakdown table. */
 void writeBreakdownTable(std::ostream& os, const std::string& title);

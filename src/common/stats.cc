@@ -22,13 +22,14 @@ Histogram::record(Tick sample)
     ++count_;
     min_ = std::min(min_, sample);
     max_ = std::max(max_, sample);
-    sum_ += static_cast<double>(sample);
+    sum_ += sample;
 }
 
 double
 Histogram::mean() const
 {
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+    return count_ ? static_cast<double>(sum_) / static_cast<double>(count_)
+                  : 0.0;
 }
 
 Tick
@@ -71,7 +72,7 @@ Histogram::reset()
     count_ = 0;
     min_ = std::numeric_limits<Tick>::max();
     max_ = 0;
-    sum_ = 0.0;
+    sum_ = 0;
 }
 
 void

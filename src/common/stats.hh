@@ -49,8 +49,8 @@ class Histogram
     Tick min() const { return count_ ? min_ : 0; }
     Tick max() const { return max_; }
     double mean() const;
-    /** Sum of every sample (exact while it stays below 2^53 ps). */
-    double sum() const { return sum_; }
+    /** Exact sum of every sample. */
+    std::uint64_t sum() const { return sum_; }
     /** @param p percentile in [0, 100]. */
     Tick percentile(double p) const;
     void reset();
@@ -65,7 +65,7 @@ class Histogram
     std::uint64_t count_ = 0;
     Tick min_ = std::numeric_limits<Tick>::max();
     Tick max_ = 0;
-    double sum_ = 0.0;
+    std::uint64_t sum_ = 0;
 };
 
 /**

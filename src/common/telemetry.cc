@@ -178,13 +178,12 @@ Collector::sample()
     }
 
     std::array<Histogram, span::kClassCount> hist;
-    std::array<std::uint64_t, span::kClassCount> sums{};
-    span::drainWindow(hist, sums);
+    span::drainWindow(hist);
     for (std::uint32_t c = 0; c < span::kClassCount; ++c) {
         WindowDigest& d = rec.window[c];
         const Histogram& h = hist[c];
         d.count = h.count();
-        d.sumPs = sums[c];
+        d.sumPs = h.sum();
         if (d.count > 0) {
             d.p50 = h.percentile(50.0);
             d.p95 = h.percentile(95.0);

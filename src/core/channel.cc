@@ -13,8 +13,8 @@ Channel::Channel(EventQueue& eq, const SystemConfig& cfg,
     : index_(index)
 {
     map_ = std::make_unique<dram::AddressMap>(cfg.dramCacheBytes);
-    dram_ = std::make_unique<dram::DramDevice>(*map_, cfg.dramTiming,
-                                               cfg.storeData, false);
+    dram_ = std::make_unique<dram::DramDevice>(
+        *map_, dram::Ddr4Timing::ddr4_1600());
     bus_ = std::make_unique<bus::MemoryBus>(eq, *dram_, false);
 
     // Stagger the refresh clocks so the per-channel tRFC blackouts

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "backend/cxl_backend.hh"
 #include "backend/nvdimmc_backend.hh"
 #include "common/logging.hh"
 
@@ -104,10 +105,8 @@ NvdimmcSystem::buildHybrid(bool is_cxl)
     // per-channel devices; the system owns it so the config can swap
     // the CP-over-DDR4 protocol for the CXL.mem link.
     if (is_cxl) {
-        backend::CxlBackendConfig cxl_cfg = cfg_.cxl;
-        cxl_cfg.interleaveGranule = cfg_.interleaveGranule;
-        auto cxl_transport =
-            std::make_unique<backend::CxlHybridBackend>(eq_, cxl_cfg);
+        auto cxl_transport = std::make_unique<backend::CxlHybridBackend>(
+            eq_, cfg_.interleaveGranule);
         for (std::uint32_t i = 0; i < channels_.size(); ++i)
             cxl_transport->attachChannel(i, channels_[i]->dram(),
                                          channels_[i]->backend(),
@@ -397,7 +396,7 @@ NvdimmcSystem::registerStats(StatRegistry& reg) const
         reg.add("fw.commands", fw(&nvmc::FirmwareStats::commandsAccepted));
         reg.add("fw.acks", fw(&nvmc::FirmwareStats::acksWritten));
         reg.add("fw.op_latency_mean_us", [this] {
-            double sum = 0;
+            std::uint64_t sum = 0;
             std::uint64_t count = 0;
             for (const auto& ch : channels_) {
                 const auto& h = ch->nvmc()->firmware().stats().opLatency;
@@ -405,7 +404,8 @@ NvdimmcSystem::registerStats(StatRegistry& reg) const
                 count += h.count();
             }
             return count == 0 ? 0.0
-                              : sum / static_cast<double>(count) / 1e6;
+                              : static_cast<double>(sum) /
+                                    static_cast<double>(count) / 1e6;
         });
     }
     if (channels_[0]->ftl()) {

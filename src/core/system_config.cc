@@ -1,19 +1,9 @@
 #include "core/system_config.hh"
 
+#include "dram/channel_interleave.hh"
+
 namespace nvdimmc::core
 {
-
-SystemConfig
-SystemConfig::deriveScaled(std::uint64_t cacheBytes)
-{
-    SystemConfig c;
-    c.dramCacheBytes = cacheBytes;
-    c.dramTiming = dram::Ddr4Timing::ddr4_1600();
-    c.refresh = dram::RefreshRegisters::nvdimmc();
-    c.media = MediaKind::ZNand;
-    c.nvmc.firmware = nvmc::FirmwareConfig::poc();
-    return c;
-}
 
 SystemConfig&
 SystemConfig::applyCxlBackend()
@@ -27,18 +17,17 @@ SystemConfig::applyCxlBackend()
     refresh = dram::RefreshRegisters::standard();
     // Nothing pins a cache slot to one module's DRAM anymore: stripe
     // at the CXL line granule.
-    interleaveGranule = cxl.interleaveGranule;
+    interleaveGranule = dram::ChannelInterleave::kLineGranule;
     return *this;
 }
 
 SystemConfig
 SystemConfig::paperPoc()
 {
-    SystemConfig c = deriveScaled(16 * kGiB);
-    c.znand = nvm::ZNandParams::poc128GB();
+    SystemConfig c;
     // Full-scale runs are throughput studies; the analytic memcpy
-    // keeps bulk data out of the byte store (which must stay on for
-    // the CP/ack/metadata channel the driver and FPGA share).
+    // keeps bulk data out of the byte store, which still carries the
+    // CP/ack/metadata channel the driver and FPGA share.
     c.memcpy.bulkMode = true;
     return c;
 }
@@ -48,19 +37,20 @@ SystemConfig::scaledTest()
 {
     // Cache intentionally much smaller than the NAND so eviction and
     // writeback paths are exercised quickly.
-    SystemConfig c = deriveScaled(4 * kMiB);
+    SystemConfig c;
+    c.dramCacheBytes = 4 * kMiB;
     c.znand = nvm::ZNandParams::tiny();
     c.ftl.gcLowWaterBlocks = 2;
     c.ftl.gcHighWaterBlocks = 4;
     c.cpuCache.capacityLines = 16 * 1024;
-    c.storeData = true;
     return c;
 }
 
 SystemConfig
 SystemConfig::scaledBench()
 {
-    SystemConfig c = deriveScaled(512 * kMiB);
+    SystemConfig c;
+    c.dramCacheBytes = 512 * kMiB;
     // 4 GiB of NAND (3.75 GiB exposed): tiny() geometry scaled up.
     c.znand = nvm::ZNandParams::tiny();
     c.znand.diesPerChannel = 2;
@@ -77,7 +67,6 @@ SystemConfig::scaledPmem()
     SystemConfig c;
     c.backendKind = backend::BackendKind::Pmem;
     c.dramCacheBytes = 8 * kGiB;
-    c.refresh = dram::RefreshRegisters::nvdimmc();
     c.memcpy.bulkMode = true;
     return c;
 }

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <string>
 
-#include "backend/cxl_backend.hh"
 #include "backend/media_backend.hh"
 #include "cpu/cache_model.hh"
 #include "cpu/memcpy_engine.hh"
@@ -62,10 +61,10 @@ struct SystemConfig
      *  machine model: construction rejects anything but 0. */
     std::uint32_t threads = 0;
 
-    /** @name DRAM cache DIMM (the whole module on the pmem baseline). */
+    /** @name DRAM cache DIMM (the whole module on the pmem baseline).
+     * Every module is DDR4-1600 (Table I). */
     /** @{ */
     std::uint64_t dramCacheBytes = 16 * kGiB;
-    dram::Ddr4Timing dramTiming = dram::Ddr4Timing::ddr4_1600();
     /** The host's programmed refresh registers. Each channel derives
      *  its dram::RefreshSchedule from them (channel i of N at phase
      *  i * tREFI / N); its iMC and NVMC read refresh timing from that
@@ -83,9 +82,6 @@ struct SystemConfig
      * interleaved at 4096 or 256 B. */
     /** @{ */
     backend::BackendKind backendKind = backend::BackendKind::Nvdimmc;
-    /** Link/device model when backendKind == CxlHybrid (its
-     *  interleaveGranule is overridden by the system's). */
-    backend::CxlBackendConfig cxl;
     /** @} */
 
     /** @name Backend. */
@@ -110,8 +106,6 @@ struct SystemConfig
 
     /** Build the NVMC at all (off for the hypothetical device). */
     bool nvmcEnabled = true;
-    /** Keep actual bytes in DRAM/NAND (tests on; big benches off). */
-    bool storeData = true;
 
     /**
      * Flip this config to the CXL.mem hybrid backend: no NVMC (no CP
@@ -123,9 +117,15 @@ struct SystemConfig
      */
     SystemConfig& applyCxlBackend();
 
+    /** @name Presets.
+     * The defaults above are Table I's timing: DDR4-1600, programmed
+     * tRFC 1250 ns against tREFI 7.8 us, Z-NAND behind the FTL and
+     * the PoC firmware. Presets adjust capacities and workload knobs
+     * on top, never the ratios that drive the paper's results. */
+    /** @{ */
     /** Table I as evaluated. */
     static SystemConfig paperPoc();
-    /** Small config for unit/integration tests (64 MiB cache). */
+    /** Small config for unit/integration tests (4 MiB cache). */
     static SystemConfig scaledTest();
     /** Medium config for benches (512 MiB cache, bulk memcpy). */
     static SystemConfig scaledBench();
@@ -133,15 +133,7 @@ struct SystemConfig
      *  module, the PoC's refresh registers (Table I: the baseline
      *  RDIMM ran with tRFC = 1250 ns too) and bulk memcpy. */
     static SystemConfig scaledPmem();
-
-    /**
-     * Shared derivation every preset builds on: a @p cacheBytes DRAM
-     * cache in front of Z-NAND with the paper's timing ratios
-     * (DDR4-1600, programmed tRFC 1250 ns vs tREFI 7.8 us). Presets
-     * only adjust capacities and workload knobs on top — never the
-     * ratios that drive the paper's results.
-     */
-    static SystemConfig deriveScaled(std::uint64_t cacheBytes);
+    /** @} */
 };
 
 } // namespace nvdimmc::core

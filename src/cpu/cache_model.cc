@@ -57,7 +57,7 @@ CpuCacheModel::load(Addr addr, std::uint8_t* buf, Callback done)
         stats_.loadHits.inc();
         if (buf)
             std::memcpy(buf, it->second.data.data(), 64);
-        eq_.scheduleAfter(params_.hitLatency, std::move(done));
+        eq_.scheduleAfter(kHitLatency, std::move(done));
         return;
     }
 
@@ -120,7 +120,7 @@ CpuCacheModel::store(Addr addr, const std::uint8_t* data, Callback done)
     if (data)
         std::memcpy(it->second.data.data(), data, 64);
     it->second.dirty = true;
-    eq_.scheduleAfter(params_.hitLatency, std::move(done));
+    eq_.scheduleAfter(kHitLatency, std::move(done));
 }
 
 bool
@@ -147,20 +147,20 @@ CpuCacheModel::clflush(Addr addr, Callback done)
     stats_.flushes.inc();
     auto it = lines_.find(line_addr);
     if (it == lines_.end()) {
-        eq_.scheduleAfter(params_.flushCost, std::move(done));
+        eq_.scheduleAfter(kFlushCost, std::move(done));
         return;
     }
     bool dirty = it->second.dirty;
     auto data = it->second.data;
     lines_.erase(it);
     if (!dirty) {
-        eq_.scheduleAfter(params_.flushCost, std::move(done));
+        eq_.scheduleAfter(kFlushCost, std::move(done));
         return;
     }
     stats_.flushWritebacks.inc();
     // The flush retires once its cost has passed and the WPQ, inside
     // the ADR domain, holds the line; a parked line is not yet safe.
-    Tick retire = eq_.now() + params_.flushCost;
+    Tick retire = eq_.now() + kFlushCost;
     writeBack(line_addr, data,
               [this, retire, cb = std::move(done)]() mutable {
                   eq_.schedule(std::max(retire, eq_.now()), std::move(cb));

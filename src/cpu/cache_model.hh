@@ -59,10 +59,12 @@ class CpuCacheModel
     {
         /** Line capacity (Platinum 8168: 33 MB LLC ~= 512 Ki lines). */
         std::size_t capacityLines = 512 * 1024;
-        Tick hitLatency = 15 * kNs;
-        /** Software cost of one clflush instruction. */
-        Tick flushCost = 30 * kNs;
     };
+
+    /** A load or store that finds its line resident. */
+    static constexpr Tick kHitLatency = 15 * kNs;
+    /** Software cost of one clflush instruction. */
+    static constexpr Tick kFlushCost = 30 * kNs;
 
     /** Lines route through @p port's interleave map; the port must
      *  outlive the model. */

@@ -134,7 +134,7 @@ MemcpyEngine::pumpWrite(std::uint32_t i)
     }
     t.issued += 64;
     // Non-temporal stores issue at the core's store-throughput rate.
-    eq_.scheduleAfter(params_.ntIssueGap, [this, i] { pumpWrite(i); });
+    eq_.scheduleAfter(kNtIssueGap, [this, i] { pumpWrite(i); });
 }
 
 } // namespace nvdimmc::cpu

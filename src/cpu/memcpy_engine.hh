@@ -28,8 +28,6 @@ struct MemcpyParams
 {
     /** Outstanding line loads per bulk read (LFB-limited). */
     unsigned parallelism = 10;
-    /** Issue gap between successive non-temporal stores. */
-    Tick ntIssueGap = 10 * kNs / 1; // 10 ns => ~6.4 GB/s per thread.
     /**
      * Use the iMC's analytic bulk model instead of per-line commands.
      * Big sweeps opt in; data-integrity tests stay detailed. A test
@@ -43,6 +41,10 @@ class MemcpyEngine
 {
   public:
     using Params = MemcpyParams;
+
+    /** Issue gap between successive non-temporal stores (~6.4 GB/s
+     *  per thread). */
+    static constexpr Tick kNtIssueGap = 10 * kNs;
 
     /** Lines and bulk slices route through @p port; the port must
      *  outlive the engine. */

@@ -236,14 +236,14 @@ NvdcDriver::postCost(const Segment& seg) const
 {
     Tick lines = seg.len / 64;
     if (seg.isWrite)
-        return cfg_.hitWriteCoherence + lines * cfg_.postWritePerLine;
-    return cfg_.hitPostCoherence + lines * cfg_.postReadPerLine;
+        return kHitWriteCoherence + lines * kPostWritePerLine;
+    return kHitPostCoherence + lines * kPostReadPerLine;
 }
 
 Tick
 NvdcDriver::lockCost(const Segment& seg) const
 {
-    return cfg_.lockHold + (seg.len / 64) * cfg_.lockPerLine;
+    return kLockHold + (seg.len / 64) * kLockPerLine;
 }
 
 void
@@ -270,13 +270,13 @@ void
 NvdcDriver::hitPath(std::shared_ptr<Segment> seg, std::uint32_t slot)
 {
     std::uint32_t ch = channelOf(seg->devPage);
-    Tick pre = seg->firstInOp ? cfg_.hitPreOverhead : 0;
+    Tick pre = seg->firstInOp ? kHitPreOverhead : 0;
     eq_.scheduleAfter(pre, [this, seg, slot, ch] {
         span::phase(seg->span, span::Phase::CacheLookup, eq_.now());
         locks_[ch]->acquire([this, seg, slot, ch] {
             span::phase(seg->span, span::Phase::LockWait, eq_.now());
             Tick hold = seg->firstInOp ? lockCost(*seg)
-                                       : cfg_.continuationLockHold;
+                                       : kContinuationLockHold;
             eq_.scheduleAfter(hold, [this, seg, slot, ch] {
                 span::phase(seg->span, span::Phase::LockHold,
                             eq_.now());
@@ -330,7 +330,7 @@ NvdcDriver::hypotheticalFault(std::shared_ptr<Segment> seg)
     span::classify(seg->span, span::OpClass::CleanMiss);
     locks_[ch]->acquire([this, seg, ch] {
         span::phase(seg->span, span::Phase::LockWait, eq_.now());
-        eq_.scheduleAfter(cfg_.faultOverhead, [this, seg, ch] {
+        eq_.scheduleAfter(kFaultOverhead, [this, seg, ch] {
             span::phase(seg->span, span::Phase::FaultEntry, eq_.now());
             DramCache& cache = caches_[ch];
             const std::uint64_t local = localPage(seg->devPage);
@@ -383,7 +383,7 @@ NvdcDriver::faultPath(std::shared_ptr<Segment> seg)
     span::classify(seg->span, span::OpClass::CleanMiss);
     locks_[ch]->acquire([this, seg, ch] {
         span::phase(seg->span, span::Phase::LockWait, eq_.now());
-        eq_.scheduleAfter(cfg_.faultOverhead, [this, seg, ch] {
+        eq_.scheduleAfter(kFaultOverhead, [this, seg, ch] {
             span::phase(seg->span, span::Phase::FaultEntry, eq_.now());
             DramCache& cache = caches_[ch];
             const std::uint64_t local = localPage(seg->devPage);
@@ -525,7 +525,7 @@ NvdcDriver::faultPath(std::shared_ptr<Segment> seg)
                 }
                 auto fill = [this, seg, slot, ch, install, zero_fill] {
                     if (zero_fill) {
-                        eq_.scheduleAfter(cfg_.zeroFillCost,
+                        eq_.scheduleAfter(kZeroFillCost,
                                           [this, seg, install] {
                             span::phase(seg->span,
                                         span::Phase::ZeroFill,
@@ -591,7 +591,7 @@ NvdcDriver::faultPath(std::shared_ptr<Segment> seg)
 void
 NvdcDriver::maybePrefetch(std::uint64_t page)
 {
-    for (std::uint32_t k = 1; k <= cfg_.prefetchDepth; ++k) {
+    for (std::uint32_t k = 1; k <= kPrefetchDepth; ++k) {
         std::uint64_t next = page + k;
         if (next >= backendPages_)
             break;

@@ -56,42 +56,10 @@ namespace nvdimmc::driver
 
 using Callback = std::function<void()>;
 
-/** Driver configuration (timing constants: DESIGN.md §6). */
+/** Driver configuration; its timing constants are NvdcDriver's
+ *  (DESIGN.md §6). */
 struct NvdcDriverConfig
 {
-    /** @name Hit path.
-     * Costs have a fixed per-op part and a per-64B-line part: the
-     * coherence instructions (clflush/sfence) and mapping-management
-     * work scale with the bytes touched, which is why the paper's
-     * driver overhead is ~25% at 4 KB yet tiny for 128 B accesses
-     * (Fig 10). 4 KB totals: lock ~870 ns, read post ~240 ns, write
-     * post ~680 ns. */
-    /** @{ */
-    Tick hitPreOverhead = 150 * kNs;    ///< PTE walk / entry.
-    /** Continuation pages of a multi-page op skip the per-op entry
-     *  and pay only a small per-page mapping touch (the paper's
-     *  64 KB ops run at ~1.3 us per 4 KB page, below the 4 KB op
-     *  cost). */
-    Tick continuationLockHold = 100 * kNs;
-    Tick lockHold = 100 * kNs;          ///< Lock base cost.
-    Tick lockPerLine = 10 * kNs;        ///< Mapping mgmt per line.
-    Tick hitPostCoherence = 50 * kNs;   ///< Read post base (sfence).
-    Tick postReadPerLine = 3 * kNs;
-    /** Writes pay the full clflush/sfence persistence discipline. */
-    Tick hitWriteCoherence = 100 * kNs; ///< Write post base.
-    Tick postWritePerLine = 6 * kNs;
-    /** @} */
-
-    /** @name Fault path. */
-    /** @{ */
-    Tick faultOverhead = 1500 * kNs;   ///< Fault entry + slot mgmt.
-    /** Filling a slot for a never-written block needs no NAND read:
-     *  the driver just zeroes the slot (CPU stores). This is why the
-     *  paper's file copy runs at SSD speed while free slots last
-     *  (Fig 7). */
-    Tick zeroFillCost = 900 * kNs;
-    /** @} */
-
     /** Track dirtiness (the PoC does not: every eviction writes
      *  back). */
     bool trackDirty = false;
@@ -105,15 +73,12 @@ struct NvdcDriverConfig
      *  and the CP transport and the firmware both use all of them. */
     std::uint32_t cpQueueDepth = 1;
 
-    /** @name Sequential prefetch (paper §VII-C, ref [37]).
-     * On a fault that continues a sequential miss stream, enqueue
-     * background cachefills for the next pages. Only pays off with
-     * cpQueueDepth > 1 (the PoC's depth-1 CP serializes everything).
-     */
-    /** @{ */
+    /** Sequential prefetch (paper §VII-C, ref [37]): on a fault that
+     *  continues a sequential miss stream, enqueue background
+     *  cachefills for the next NvdcDriver::kPrefetchDepth pages. Only
+     *  pays off with cpQueueDepth > 1 (the PoC's depth-1 CP
+     *  serializes everything). */
     bool prefetchEnabled = false;
-    std::uint32_t prefetchDepth = 2;
-    /** @} */
 
     /** @name Hypothetical device mode (paper §VII-D1, Fig 12). */
     /** @{ */
@@ -144,6 +109,41 @@ class NvdcDriver
 {
   public:
     static constexpr std::uint32_t kPageBytes = 4096;
+
+    /** @name Hit path (DESIGN §6).
+     * Costs have a fixed per-op part and a per-64B-line part: the
+     * coherence instructions (clflush/sfence) and mapping-management
+     * work scale with the bytes touched, which is why the paper's
+     * driver overhead is ~25% at 4 KB yet tiny for 128 B accesses
+     * (Fig 10). 4 KB totals: lock ~870 ns, read post ~240 ns, write
+     * post ~680 ns. */
+    /** @{ */
+    static constexpr Tick kHitPreOverhead = 150 * kNs; ///< PTE walk.
+    /** Continuation pages of a multi-page op skip the per-op entry
+     *  and pay only a small per-page mapping touch (the paper's
+     *  64 KB ops run at ~1.3 us per 4 KB page, below the 4 KB op
+     *  cost). */
+    static constexpr Tick kContinuationLockHold = 100 * kNs;
+    static constexpr Tick kLockHold = 100 * kNs;   ///< Lock base cost.
+    static constexpr Tick kLockPerLine = 10 * kNs; ///< Mapping mgmt.
+    static constexpr Tick kHitPostCoherence = 50 * kNs; ///< Read post.
+    static constexpr Tick kPostReadPerLine = 3 * kNs;
+    /** Writes pay the full clflush/sfence persistence discipline. */
+    static constexpr Tick kHitWriteCoherence = 100 * kNs; ///< Write post.
+    static constexpr Tick kPostWritePerLine = 6 * kNs;
+    /** @} */
+
+    /** @name Fault path. */
+    /** @{ */
+    static constexpr Tick kFaultOverhead = 1500 * kNs; ///< Entry + slot.
+    /** Filling a slot for a never-written block needs no NAND read:
+     *  the driver just zeroes the slot (CPU stores). This is why the
+     *  paper's file copy runs at SSD speed while free slots last
+     *  (Fig 7). */
+    static constexpr Tick kZeroFillCost = 900 * kNs;
+    /** Pages a sequential-stream fault prefetches beyond itself. */
+    static constexpr std::uint32_t kPrefetchDepth = 2;
+    /** @} */
 
     /**
      * One reserved layout per module (in channel order) and the

@@ -6,8 +6,8 @@ namespace nvdimmc::driver
 {
 
 NvdimmFDriver::NvdimmFDriver(EventQueue& eq, ftl::Ftl& ftl,
-                             imc::Imc& imc, const NvdimmFConfig& cfg)
-    : eq_(eq), ftl_(ftl), imc_(imc), cfg_(cfg)
+                             imc::Imc& imc)
+    : eq_(eq), ftl_(ftl), imc_(imc)
 {
 }
 
@@ -20,8 +20,8 @@ NvdimmFDriver::read(Addr offset, std::uint32_t len, std::uint8_t* buf,
     NVDC_ASSERT(offset + len <= capacityBytes(), "read out of range");
     stats_.readOps.inc();
     Tick started = eq_.now();
-    eq_.scheduleAfter(cfg_.opOverhead, [this, offset, len, buf, started,
-                                        cb = std::move(done)]() mutable {
+    eq_.scheduleAfter(kOpOverhead, [this, offset, len, buf, started,
+                                    cb = std::move(done)]() mutable {
         readPages(offset / kPageBytes, len / kPageBytes, buf,
                   std::move(cb), started);
     });
@@ -39,9 +39,9 @@ NvdimmFDriver::readPages(std::uint64_t page, std::uint32_t pages,
     }
     // Doorbell, NAND read into the aperture, then the host pulls the
     // block across the DDR4 bus.
-    eq_.scheduleAfter(cfg_.commandCost, [this, page, pages, buf,
-                                         started,
-                                         cb = std::move(done)]() mutable {
+    eq_.scheduleAfter(kCommandCost, [this, page, pages, buf,
+                                     started,
+                                     cb = std::move(done)]() mutable {
         ftl_.readPage(page, buf, [this, page, pages, buf, started,
                                   cb = std::move(cb)]() mutable {
             imc_.bulkTransfer(kPageBytes, false,
@@ -65,9 +65,9 @@ NvdimmFDriver::write(Addr offset, std::uint32_t len,
     NVDC_ASSERT(offset + len <= capacityBytes(), "write out of range");
     stats_.writeOps.inc();
     Tick started = eq_.now();
-    eq_.scheduleAfter(cfg_.opOverhead, [this, offset, len, data,
-                                        started,
-                                        cb = std::move(done)]() mutable {
+    eq_.scheduleAfter(kOpOverhead, [this, offset, len, data,
+                                    started,
+                                    cb = std::move(done)]() mutable {
         writePages(offset / kPageBytes, len / kPageBytes, data,
                    std::move(cb), started);
     });
@@ -83,9 +83,9 @@ NvdimmFDriver::writePages(std::uint64_t page, std::uint32_t pages,
         done();
         return;
     }
-    eq_.scheduleAfter(cfg_.commandCost, [this, page, pages, data,
-                                         started,
-                                         cb = std::move(done)]() mutable {
+    eq_.scheduleAfter(kCommandCost, [this, page, pages, data,
+                                     started,
+                                     cb = std::move(done)]() mutable {
         imc_.bulkTransfer(kPageBytes, true,
                           [this, page, pages, data, started,
                            cb = std::move(cb)]() mutable {

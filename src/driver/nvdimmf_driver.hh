@@ -25,15 +25,6 @@
 namespace nvdimmc::driver
 {
 
-/** NVDIMM-F configuration. */
-struct NvdimmFConfig
-{
-    /** Block-layer software cost per request. */
-    Tick opOverhead = 900 * kNs;
-    /** Command/doorbell exchange with the DIMM controller. */
-    Tick commandCost = 250 * kNs;
-};
-
 /** NVDIMM-F statistics. */
 struct NvdimmFStats
 {
@@ -47,9 +38,12 @@ class NvdimmFDriver
 {
   public:
     static constexpr std::uint32_t kPageBytes = 4096;
+    /** Block-layer software cost per request. */
+    static constexpr Tick kOpOverhead = 900 * kNs;
+    /** Command/doorbell exchange with the DIMM controller. */
+    static constexpr Tick kCommandCost = 250 * kNs;
 
-    NvdimmFDriver(EventQueue& eq, ftl::Ftl& ftl, imc::Imc& imc,
-                  const NvdimmFConfig& cfg);
+    NvdimmFDriver(EventQueue& eq, ftl::Ftl& ftl, imc::Imc& imc);
 
     std::uint64_t capacityBytes() const
     {
@@ -77,7 +71,6 @@ class NvdimmFDriver
     EventQueue& eq_;
     ftl::Ftl& ftl_;
     imc::Imc& imc_;
-    NvdimmFConfig cfg_;
     NvdimmFStats stats_;
 };
 

@@ -39,8 +39,6 @@ class ReplacementPolicy
     /** Choose a victim among installed slots (never called empty). */
     virtual std::uint32_t pickVictim() = 0;
 
-    virtual const char* name() const = 0;
-
     /** Factory: "lrc", "lru", "clock", "random". */
     static std::unique_ptr<ReplacementPolicy>
     create(const std::string& policy_name, std::uint64_t seed = 1);
@@ -55,7 +53,6 @@ class LrcPolicy : public ReplacementPolicy
     void onAccess(std::uint32_t slot) override {(void)slot;}
     void onEvict(std::uint32_t slot) override;
     std::uint32_t pickVictim() override;
-    const char* name() const override { return "lrc"; }
 
   private:
     std::deque<std::uint32_t> fifo_;
@@ -71,7 +68,6 @@ class LruPolicy : public ReplacementPolicy
     void onAccess(std::uint32_t slot) override;
     void onEvict(std::uint32_t slot) override;
     std::uint32_t pickVictim() override;
-    const char* name() const override { return "lru"; }
 
   private:
     static constexpr std::uint32_t kNil = ~std::uint32_t{0};
@@ -95,7 +91,6 @@ class ClockPolicy : public ReplacementPolicy
     void onAccess(std::uint32_t slot) override;
     void onEvict(std::uint32_t slot) override;
     std::uint32_t pickVictim() override;
-    const char* name() const override { return "clock"; }
 
   private:
     std::vector<std::uint8_t> state_; ///< 0 absent, 1 present, 2 ref.
@@ -114,7 +109,6 @@ class RandomPolicy : public ReplacementPolicy
     void onAccess(std::uint32_t slot) override {(void)slot;}
     void onEvict(std::uint32_t slot) override;
     std::uint32_t pickVictim() override;
-    const char* name() const override { return "random"; }
 
   private:
     Rng rng_;

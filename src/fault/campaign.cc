@@ -150,9 +150,9 @@ runPowerFailCampaign(const PowerFailCampaignConfig& cfg)
     // The super-caps must power each dumped page's channel transfer +
     // program; that is the module's flush-on-fail energy/latency bill.
     Tick per_page =
-        sc.znand.tPROG +
-        nsToTicks(static_cast<double>(sc.znand.pageBytes) * 1000.0 /
-                  sc.znand.channelMBps);
+        nvm::ZNand::kTPROG +
+        nsToTicks(static_cast<double>(nvm::ZNand::kPageBytes) * 1000.0 /
+                  nvm::ZNand::kChannelMBps);
     res.recoveryTicks = static_cast<Tick>(res.pagesDumped) * per_page;
 
     fp.add(res.transactions);

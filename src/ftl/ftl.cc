@@ -29,7 +29,7 @@ Ftl::Ftl(EventQueue& eq, nvm::ZNand& nand, const FtlConfig& cfg)
       wl_(nand, cfg.wearThreshold),
       ecc_(cfg.ecc),
       blocks_(nand.params().totalBlocks()),
-      activeBlocks_(std::size_t{nand.params().channels} *
+      activeBlocks_(std::size_t{nvm::ZNandParams::kChannels} *
                         nand.params().diesPerChannel,
                     kUnmapped),
       gcStepEvent_([this] { gcStep(); }, "ftl-gc-step")

@@ -68,7 +68,7 @@ Imc::readLine(Addr addr, std::uint8_t* buf, Callback done)
                             dram::AddressMap::kBurstBytes);
             }
             Tick enq = eq_.now();
-            eq_.scheduleAfter(cfg_.forwardLatency,
+            eq_.scheduleAfter(kForwardLatency,
                               [this, enq, cb = std::move(done)] {
                                   stats_.readLatency.record(eq_.now() -
                                                             enq);
@@ -158,7 +158,7 @@ Imc::completeRead(MemRequest& req, Tick data_end)
     if (req.readBuf)
         bus_.dram().readBurst(req.coord, req.readBuf);
     Tick enq = req.enqueued;
-    eq_.schedule(data_end + cfg_.frontendLatency,
+    eq_.schedule(data_end + kFrontendLatency,
                  [this, enq, cb = std::move(req.onComplete)] {
                      stats_.readLatency.record(eq_.now() - enq);
                      if (cb)
@@ -266,9 +266,9 @@ Imc::tick()
     bool drain_writes =
         wpq_.aboveWatermark() ||
         (!wpq_.empty() &&
-         now >= wpq_.front().enqueued + cfg_.wpqMaxAge);
+         now >= wpq_.front().enqueued + kWpqMaxAge);
     SchedDecision d = pickNext(readQ_, wpq_, drain_writes, shadow_, map,
-                               cfg_.schedWindow);
+                               kSchedWindow);
     if (d.action == SchedDecision::Action::None) {
         // Sleep until a new request arrives — but keep the refresh
         // cadence armed regardless.
@@ -374,23 +374,20 @@ Imc::bulkTransfer(std::uint32_t bytes, bool is_write, Callback done)
 
     // Channel occupancy: DDR4 x64 moves 16 B per tCK at peak.
     double peak_bytes_per_ps = 16.0 / static_cast<double>(t.tCK);
-    double eff = cfg_.bulkEfficiency;
     auto channel_busy = static_cast<Tick>(
-        static_cast<double>(bytes) / (peak_bytes_per_ps * eff));
+        static_cast<double>(bytes) / (peak_bytes_per_ps * kBulkEfficiency));
 
     Tick channel_start = std::max(now, bulkBusyUntil_);
     Tick channel_done =
-        refreshWalk(channel_start, channel_busy + cfg_.bulkOpOverhead);
+        refreshWalk(channel_start, channel_busy + kBulkOpOverhead);
     bulkBusyUntil_ = channel_done;
 
     // Thread-side stream limit (MLP for loads, issue rate for NT
     // stores).
-    double stream_mbps =
-        is_write ? cfg_.streamWriteMBps : cfg_.streamReadMBps;
+    double stream_mbps = is_write ? kStreamWriteMBps : kStreamReadMBps;
     auto stream_busy = static_cast<Tick>(
         static_cast<double>(bytes) / (stream_mbps * 1e6 / 1e12));
-    Tick stream_done =
-        refreshWalk(now, stream_busy + cfg_.bulkOpOverhead);
+    Tick stream_done = refreshWalk(now, stream_busy + kBulkOpOverhead);
 
     Tick finish = std::max(channel_done, stream_done);
     if (is_write)

@@ -33,46 +33,12 @@ namespace nvdimmc::imc
 {
 
 /** iMC configuration knobs; refresh timing is the RefreshSchedule the
- *  Imc is built with. */
+ *  Imc is built with, and the timing constants are Imc's. */
 struct ImcConfig
 {
     std::size_t readQueueCap = 64;
     std::size_t wpqCap = 64;
     std::size_t wpqWatermark = 32;
-    /** Entries older than this drain even below the watermark (real
-     *  controllers age writes out; unbounded postponement would let
-     *  the NVMC read stale slot data). */
-    Tick wpqMaxAge = 1 * kUs;
-    std::size_t schedWindow = 16;
-    /** Latency of a WPQ store-to-load forward. */
-    Tick forwardLatency = 20 * kNs;
-    /**
-     * Core-to-iMC round trip added to every read delivery (L3 miss
-     * path, on-die interconnect, controller frontend). This is what
-     * makes a single thread's 4 KB memcpy take ~1.1 us instead of
-     * running at channel speed, matching the paper's single-thread
-     * numbers.
-     */
-    Tick frontendLatency = 120 * kNs;
-
-    /** @name Bulk (analytic) transfer model.
-     * Big data movement can bypass per-line scheduling: occupancy is
-     * computed from the channel's data rate and the per-thread stream
-     * rate, and stretched across refresh blackouts mechanistically —
-     * so tREFI sweeps (paper Fig 13) behave the same in both modes.
-     */
-    /** @{ */
-    /** Channel efficiency vs theoretical peak (bank conflicts,
-     *  turnarounds). */
-    double bulkEfficiency = 0.88;
-    /** Single-thread load-stream rate (MLP-limited). */
-    double streamReadMBps = 4000.0;
-    /** Single-thread NT-store stream rate. */
-    double streamWriteMBps = 4500.0;
-    /** Fixed per-bulk-op cost (row activation etc.). */
-    Tick bulkOpOverhead = 40 * kNs;
-    /** @} */
-
     /** Stat/trace identity of this controller ("imc", "ch1.imc", ...);
      *  names the Perfetto tracks so channels get separate rows. */
     std::string name = "imc";
@@ -98,6 +64,42 @@ struct ImcStats
 class Imc
 {
   public:
+    /** WPQ entries older than this drain even below the watermark
+     *  (real controllers age writes out; unbounded postponement would
+     *  let the NVMC read stale slot data). */
+    static constexpr Tick kWpqMaxAge = 1 * kUs;
+    /** Requests per queue the FR-FCFS pick scans (a bounded
+     *  associative search). */
+    static constexpr std::size_t kSchedWindow = 16;
+    /** Latency of a WPQ store-to-load forward. */
+    static constexpr Tick kForwardLatency = 20 * kNs;
+    /**
+     * Core-to-iMC round trip added to every read delivery (L3 miss
+     * path, on-die interconnect, controller frontend). This is what
+     * makes a single thread's 4 KB memcpy take ~1.1 us instead of
+     * running at channel speed, matching the paper's single-thread
+     * numbers.
+     */
+    static constexpr Tick kFrontendLatency = 120 * kNs;
+
+    /** @name Bulk (analytic) transfer model.
+     * Big data movement can bypass per-line scheduling: occupancy is
+     * computed from the channel's data rate and the per-thread stream
+     * rate, and stretched across refresh blackouts mechanistically —
+     * so tREFI sweeps (paper Fig 13) behave the same in both modes.
+     */
+    /** @{ */
+    /** Channel efficiency vs theoretical peak (bank conflicts,
+     *  turnarounds). */
+    static constexpr double kBulkEfficiency = 0.88;
+    /** Single-thread load-stream rate (MLP-limited). */
+    static constexpr double kStreamReadMBps = 4000.0;
+    /** Single-thread NT-store stream rate. */
+    static constexpr double kStreamWriteMBps = 4500.0;
+    /** Fixed per-bulk-op cost (row activation etc.). */
+    static constexpr Tick kBulkOpOverhead = 40 * kNs;
+    /** @} */
+
     /** Refresh follows @p refresh: the first REF at its
      *  firstRefreshDue(), then one every tREFI, each followed by a
      *  programmed-tRFC blackout. */
@@ -133,7 +135,7 @@ class Imc
     }
 
     /**
-     * Analytic bulk transfer (see ImcConfig bulk parameters): the
+     * Analytic bulk transfer (see the bulk constants above): the
      * channel is occupied FCFS, the calling thread is limited by its
      * stream rate, and both stall across refresh blackouts. No
      * per-line commands are issued; data does not move.

@@ -12,17 +12,12 @@ ZNandParams
 ZNandParams::poc128GB()
 {
     ZNandParams p;
-    p.channels = 2;
     p.diesPerChannel = 2;
     p.planesPerDie = 2;
     p.pagesPerBlock = 256;
-    p.pageBytes = 4096;
     // 2ch * 2die * 2plane * 16384 blocks * 256 pages * 4 KiB = 128 GiB.
     p.blocksPerPlane = 16384;
-    p.tR = 3 * kUs;
-    p.tPROG = 75 * kUs;
     p.tBERS = 1000 * kUs;
-    p.channelMBps = 200.0;
     return p;
 }
 
@@ -30,25 +25,26 @@ ZNandParams
 ZNandParams::tiny()
 {
     ZNandParams p;
-    p.channels = 2;
     p.diesPerChannel = 1;
     p.planesPerDie = 1;
     p.blocksPerPlane = 64;
     p.pagesPerBlock = 16;
-    p.pageBytes = 4096;
-    p.tR = 3 * kUs;
-    p.tPROG = 75 * kUs;
     p.tBERS = 500 * kUs;
-    p.channelMBps = 200.0;
     return p;
+}
+
+std::uint64_t
+ZNandParams::capacityBytes() const
+{
+    return totalPages() * ZNand::kPageBytes;
 }
 
 ZNand::ZNand(EventQueue& eq, const ZNandParams& p)
     : eq_(eq),
       params_(p),
-      dies_(std::size_t{p.channels} * p.diesPerChannel),
-      channelBusyUntil_(p.channels, 0),
-      pageData_(p.pageBytes)
+      dies_(std::size_t{ZNandParams::kChannels} * p.diesPerChannel),
+      channelBusyUntil_(ZNandParams::kChannels, 0),
+      pageData_(kPageBytes)
 {
 }
 
@@ -106,8 +102,8 @@ ZNand::dieOf(std::uint64_t page_no)
 Tick
 ZNand::channelTransferTime() const
 {
-    double bytes_per_ps = params_.channelMBps * 1e6 / 1e12;
-    return static_cast<Tick>(static_cast<double>(params_.pageBytes) /
+    double bytes_per_ps = kChannelMBps * 1e6 / 1e12;
+    return static_cast<Tick>(static_cast<double>(kPageBytes) /
                              bytes_per_ps);
 }
 
@@ -135,16 +131,16 @@ ZNand::readPage(std::uint64_t page_no, std::uint8_t* buf, Callback done,
     }
 
     DieState& die = dieOf(page_no);
-    Tick array_done = std::max(eq_.now(), die.busyUntil) + params_.tR;
+    Tick array_done = std::max(eq_.now(), die.busyUntil) + kTR;
     die.busyUntil = array_done;
     Tick finish = claimChannel(page_no, array_done);
     stats_.readLatency.record(finish - eq_.now());
 
     if (buf) {
         if (const std::uint8_t* page = pageData_.leaf(page_no))
-            std::memcpy(buf, page, params_.pageBytes);
+            std::memcpy(buf, page, kPageBytes);
         else
-            std::memset(buf, 0xff, params_.pageBytes); // Erased state.
+            std::memset(buf, 0xff, kPageBytes); // Erased state.
     }
     eq_.schedule(finish, std::move(done));
 }
@@ -176,7 +172,7 @@ ZNand::programPage(std::uint64_t page_no, const std::uint8_t* data,
         stats_.programFailures.inc();
         DieState& fdie = dieOf(page_no);
         Tick ffinish =
-            std::max(eq_.now(), fdie.busyUntil) + params_.tPROG;
+            std::max(eq_.now(), fdie.busyUntil) + kTPROG;
         fdie.busyUntil = ffinish;
         // The failure indication is only valid inside the completion
         // callback (concurrent programs would otherwise race on it).
@@ -207,12 +203,12 @@ ZNand::programPage(std::uint64_t page_no, const std::uint8_t* data,
     // Data crosses the channel first, then the die programs.
     Tick xfer_done = claimChannel(page_no, eq_.now());
     DieState& die = dieOf(page_no);
-    Tick finish = std::max(xfer_done, die.busyUntil) + params_.tPROG;
+    Tick finish = std::max(xfer_done, die.busyUntil) + kTPROG;
     die.busyUntil = finish;
     stats_.programLatency.record(finish - eq_.now());
 
     if (data)
-        std::memcpy(pageData_.touch(page_no), data, params_.pageBytes);
+        std::memcpy(pageData_.touch(page_no), data, kPageBytes);
     eq_.schedule(finish, std::move(done));
 }
 
@@ -341,7 +337,7 @@ ZNand::saveState(ByteWriter& w) const
     w.u64(pageData_.leafCount());
     pageData_.forEachLeaf([&](std::uint64_t p, const std::uint8_t* page) {
         w.u64(p);
-        w.bytes(page, params_.pageBytes);
+        w.bytes(page, kPageBytes);
     });
 
     auto bad_keys = sortedKeys(badBlocks_);
@@ -379,7 +375,7 @@ ZNand::loadState(ByteReader& r)
             fatal("ZNand checkpoint holds page ", p, ", past the ",
                   params_.totalPages(), " pages of the device");
         }
-        r.bytes(pageData_.touch(p), params_.pageBytes);
+        r.bytes(pageData_.touch(p), kPageBytes);
     }
 
     badBlocks_.clear();

@@ -45,40 +45,33 @@ struct NandAddr
     bool operator==(const NandAddr&) const = default;
 };
 
-/** Z-NAND geometry and timing. */
+/** Z-NAND geometry and erase time; the page size and timing are
+ *  ZNand's. */
 struct ZNandParams
 {
-    std::uint32_t channels = 2;
+    /** NAND channels per module (Table I: 2 x 64 GB of Z-NAND). */
+    static constexpr std::uint32_t kChannels = 2;
     std::uint32_t diesPerChannel = 2;
     std::uint32_t planesPerDie = 2;
     std::uint32_t blocksPerPlane = 1024;
     std::uint32_t pagesPerBlock = 256;
-    std::uint32_t pageBytes = 4096;
 
-    Tick tR = 3 * kUs;       ///< Page read (array -> register).
-    Tick tPROG = 75 * kUs;   ///< Page program.
     Tick tBERS = 1000 * kUs; ///< Block erase.
-    /** Channel transfer bandwidth (PoC: 50 MHz PHY ~= 200 MB/s). */
-    double channelMBps = 200.0;
 
     std::uint64_t
     totalPages() const
     {
-        return std::uint64_t{channels} * diesPerChannel * planesPerDie *
-               blocksPerPlane * pagesPerBlock;
+        return totalBlocks() * pagesPerBlock;
     }
 
     std::uint64_t
     totalBlocks() const
     {
-        return std::uint64_t{channels} * diesPerChannel * planesPerDie *
+        return std::uint64_t{kChannels} * diesPerChannel * planesPerDie *
                blocksPerPlane;
     }
 
-    std::uint64_t capacityBytes() const
-    {
-        return totalPages() * pageBytes;
-    }
+    std::uint64_t capacityBytes() const;
 
     /** The paper's 2 x 64 GB configuration. */
     static ZNandParams poc128GB();
@@ -103,6 +96,13 @@ struct ZNandStats
 class ZNand
 {
   public:
+    static constexpr std::uint32_t kPageBytes = 4096;
+    /** Page read (array -> register). */
+    static constexpr Tick kTR = 3 * kUs;
+    static constexpr Tick kTPROG = 75 * kUs; ///< Page program.
+    /** Channel transfer bandwidth (PoC: 50 MHz PHY ~= 200 MB/s). */
+    static constexpr double kChannelMBps = 200.0;
+
     ZNand(EventQueue& eq, const ZNandParams& p);
 
     const ZNandParams& params() const { return params_; }
@@ -118,7 +118,7 @@ class ZNand
     /** @} */
 
     /**
-     * Read one page. @p buf (nullable) receives pageBytes of data at
+     * Read one page. @p buf (nullable) receives kPageBytes of data at
      * completion. @p span, if non-zero, gets its NandRead phase
      * stamped at media-completion time.
      */

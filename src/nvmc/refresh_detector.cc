@@ -9,7 +9,7 @@ RefreshDetector::RefreshDetector(EventQueue& eq, Tick tCK,
                                  const Params& p,
                                  RefreshCallback on_refresh)
     : eq_(eq), tCK_(tCK), params_(p), onRefresh_(std::move(on_refresh)),
-      rng_(p.seed)
+      rng_(kSeed)
 {
 }
 

@@ -55,8 +55,10 @@ class RefreshDetector : public bus::CaSnooper
         double missRate = 0.0;
         /** Probability a non-REF frame is misread as REF. */
         double falseRate = 0.0;
-        std::uint64_t seed = 42;
     };
+
+    /** Seed of the injected misses and false positives. */
+    static constexpr std::uint64_t kSeed = 42;
 
     /** @p tCK is the bus clock the deserializers sample at. */
     RefreshDetector(EventQueue& eq, Tick tCK, const Params& p,

@@ -13,9 +13,16 @@ FioJob::FioJob(EventQueue& eq, AccessFn access, const FioConfig& cfg)
         fatal("FioJob: blockSize ", cfg.blockSize,
               " must be a non-zero multiple of 64");
     }
-    NVDC_ASSERT(cfg.regionBytes >= cfg.blockSize,
-                "FIO region smaller than one block");
-    NVDC_ASSERT(cfg.threads >= 1, "FIO needs at least one thread");
+    if (cfg.regionBytes < cfg.blockSize) {
+        fatal("FioJob: blockSize ", cfg.blockSize,
+              " exceeds the regionBytes ", cfg.regionBytes,
+              " it draws offsets from");
+    }
+    if (cfg.threads == 0)
+        fatal("FioJob: threads must be at least 1");
+    // A zero window measures nothing: it would report 0 IOPS.
+    if (cfg.runTime == 0)
+        fatal("FioJob: runTime must be positive");
 }
 
 Addr

@@ -202,7 +202,8 @@ TEST_F(BulkFixture, BulkWriteFollowsStreamRate)
     m.bulkTransfer(65536, true, [&] { done_at = eq.now(); });
     eq.runFor(100 * kUs);
     ASSERT_EQ(dev.refreshCount(), 0u);
-    double expect_us = 65536.0 / (cfg.streamWriteMBps * 1e6) * 1e6;
+    double expect_us =
+        65536.0 / (imc::Imc::kStreamWriteMBps * 1e6) * 1e6;
     EXPECT_NEAR(ticksToUs(done_at), expect_us + 0.04, 1.0);
 }
 
@@ -229,7 +230,6 @@ TEST(PmemDriverTest, LatencyStatsAccumulate)
     core::SystemConfig cfg = core::SystemConfig::scaledPmem();
     cfg.dramCacheBytes = 64 * kMiB;
     cfg.memcpy.bulkMode = false;
-    cfg.storeData = true;
     core::NvdimmcSystem sys(cfg);
     driver::PmemDriver& drv = sys.pmemDriver();
 

@@ -89,7 +89,7 @@ TEST_F(CpuFixture, SecondLoadHits)
     drain();
     Tick before = eq.now();
     cache.load(0x2000, nullptr, [&] { d2 = true; });
-    eq.runFor(cacheParams().hitLatency + 1);
+    eq.runFor(CpuCacheModel::kHitLatency + 1);
     EXPECT_TRUE(d1);
     EXPECT_TRUE(d2);
     EXPECT_EQ(cache.stats().loadHits.value(), 1u);
@@ -129,7 +129,7 @@ TEST_F(CpuFixture, ClflushOfAbsentLineIsCheap)
 {
     bool flushed = false;
     cache.clflush(0x5000, [&] { flushed = true; });
-    eq.runFor(cacheParams().flushCost + 1);
+    eq.runFor(CpuCacheModel::kFlushCost + 1);
     EXPECT_TRUE(flushed);
     EXPECT_EQ(cache.stats().flushWritebacks.value(), 0u);
 }
@@ -422,9 +422,7 @@ TEST_F(CpuFixture, MemcpyReadLatencyScalesWithMlp)
 
 TEST_F(CpuFixture, NtWritePacingLimitsSingleThreadRate)
 {
-    MemcpyParams p;
-    p.ntIssueGap = 10 * kNs;
-    MemcpyEngine engine(eq, port, nullptr, p);
+    MemcpyEngine engine(eq, port, nullptr);
     Tick start = eq.now();
     bool done = false;
     engine.writeNt(0, 4096, nullptr, [&] { done = true; });

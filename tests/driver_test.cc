@@ -82,11 +82,18 @@ TEST(RandomPolicyTest, PicksOnlyInstalledSlots)
 
 TEST(PolicyFactoryTest, CreatesAllKnownPolicies)
 {
-    for (const char* name : {"lrc", "lru", "clock", "random"}) {
-        auto p = ReplacementPolicy::create(name);
-        ASSERT_NE(p, nullptr);
-        EXPECT_STREQ(p->name(), name);
-    }
+    EXPECT_NE(dynamic_cast<LrcPolicy*>(
+                  ReplacementPolicy::create("lrc").get()),
+              nullptr);
+    EXPECT_NE(dynamic_cast<LruPolicy*>(
+                  ReplacementPolicy::create("lru").get()),
+              nullptr);
+    EXPECT_NE(dynamic_cast<ClockPolicy*>(
+                  ReplacementPolicy::create("clock").get()),
+              nullptr);
+    EXPECT_NE(dynamic_cast<RandomPolicy*>(
+                  ReplacementPolicy::create("random").get()),
+              nullptr);
     EXPECT_THROW(ReplacementPolicy::create("mru"), FatalError);
 }
 

@@ -203,7 +203,6 @@ TEST(Prefetch, SequentialMissStreamTriggersPrefetch)
 {
     auto sys = makeSystem([](SystemConfig& c) {
         c.driver.prefetchEnabled = true;
-        c.driver.prefetchDepth = 2;
         c.driver.cpQueueDepth = 4;
         c.driver.trackDirty = true;
     });
@@ -222,7 +221,6 @@ TEST(Prefetch, PrefetchedDataIsCorrect)
 {
     auto sys = makeSystem([](SystemConfig& c) {
         c.driver.prefetchEnabled = true;
-        c.driver.prefetchDepth = 2;
         c.driver.cpQueueDepth = 4;
         c.driver.trackDirty = true;
     });
@@ -275,7 +273,7 @@ struct NvdimmFFixture : public ::testing::Test
               dram::RefreshSchedule::make(
                   dram::RefreshRegisters::standard(),
                   dev.timing().tRFC, 0)),
-          drv(eq, ftl, imc, driver::NvdimmFConfig{})
+          drv(eq, ftl, imc)
     {
     }
 
@@ -325,7 +323,7 @@ TEST_F(NvdimmFFixture, EveryAccessPaysTheNand)
     };
     Tick first = timed_read();
     Tick second = timed_read();
-    EXPECT_GE(first, nand.params().tR);
+    EXPECT_GE(first, nvm::ZNand::kTR);
     EXPECT_NEAR(static_cast<double>(second),
                 static_cast<double>(first),
                 static_cast<double>(first) * 0.2);

@@ -304,7 +304,7 @@ TEST(FtlPrecondition, SequentialFillMapsInstantly)
     ftl.readPage(5, nullptr, [&] { done = true; });
     eq.runAll();
     ASSERT_TRUE(done);
-    EXPECT_GE(eq.now() - start, nand.params().tR);
+    EXPECT_GE(eq.now() - start, nvm::ZNand::kTR);
 }
 
 TEST(MappingTableUnit, MapRemapReverse)

@@ -568,7 +568,7 @@ TEST_F(ImcFixture, BulkTransferRatesAndRefreshStalls)
     eq.runFor(10 * kUs);
     ASSERT_TRUE(done);
     double expect_us =
-        4096.0 / (cfg.streamReadMBps * 1e6) * 1e6; // ~1.1 us.
+        4096.0 / (Imc::kStreamReadMBps * 1e6) * 1e6; // ~1.1 us.
     EXPECT_NEAR(ticksToUs(finish), expect_us, 0.5);
 }
 

@@ -460,7 +460,6 @@ TEST(Integration, BaselineSystemServesReadsAndWrites)
 {
     core::SystemConfig cfg = core::SystemConfig::scaledPmem();
     cfg.dramCacheBytes = 64 * kMiB;
-    cfg.storeData = true;
     cfg.memcpy.bulkMode = false;
     core::NvdimmcSystem sys(cfg);
 

@@ -26,7 +26,6 @@ TEST(ZNandParams, PocGeometryIs128GiB)
 {
     auto p = ZNandParams::poc128GB();
     EXPECT_EQ(p.capacityBytes(), 128 * kGiB);
-    EXPECT_EQ(p.channels, 2u);
 }
 
 TEST(ZNandParams, TinyGeometryIsSmall)
@@ -52,7 +51,7 @@ TEST_F(ZNandFixture, FlatPageRoundTrip)
                                p.totalPages() - 1}) {
         NandAddr a = nand.fromFlatPage(page);
         EXPECT_EQ(nand.flatPage(a), page);
-        EXPECT_LT(a.channel, p.channels);
+        EXPECT_LT(a.channel, ZNandParams::kChannels);
         EXPECT_LT(a.die, p.diesPerChannel);
         EXPECT_LT(a.plane, p.planesPerDie);
         EXPECT_LT(a.block, p.blocksPerPlane);
@@ -92,12 +91,11 @@ TEST_F(ZNandFixture, ReadLatencyIncludesArrayAndTransfer)
     });
     eq.runAll();
     ASSERT_TRUE(done);
-    const auto& p = nand.params();
     // tR plus ~20.5 us of transfer at 200 MB/s.
-    Tick xfer = static_cast<Tick>(p.pageBytes / (p.channelMBps * 1e6) *
-                                  1e12);
-    EXPECT_GE(finish, p.tR + xfer);
-    EXPECT_LE(finish, p.tR + xfer + kUs);
+    Tick xfer = static_cast<Tick>(
+        ZNand::kPageBytes / (ZNand::kChannelMBps * 1e6) * 1e12);
+    EXPECT_GE(finish, ZNand::kTR + xfer);
+    EXPECT_LE(finish, ZNand::kTR + xfer + kUs);
 }
 
 TEST_F(ZNandFixture, ProgramOccupiesDieForTprog)
@@ -110,12 +108,11 @@ TEST_F(ZNandFixture, ProgramOccupiesDieForTprog)
     });
     eq.runAll();
     ASSERT_TRUE(done);
-    EXPECT_GE(finish, nand.params().tPROG);
+    EXPECT_GE(finish, ZNand::kTPROG);
 }
 
 TEST_F(ZNandFixture, DieSerializationAndChannelParallelism)
 {
-    const auto& p = nand.params();
     // Two reads to the same die serialize; reads to different
     // channels overlap.
     std::uint64_t same_die_a = 0;
@@ -128,7 +125,7 @@ TEST_F(ZNandFixture, DieSerializationAndChannelParallelism)
     nand.readPage(same_die_b, nullptr, [&] { t_b = eq.now(); });
     nand.readPage(other_channel, nullptr, [&] { t_c = eq.now(); });
     eq.runAll();
-    EXPECT_GE(t_b, t_a + p.tR) << "same-die reads serialize on tR";
+    EXPECT_GE(t_b, t_a + ZNand::kTR) << "same-die reads serialize on tR";
     EXPECT_LT(t_c, t_b) << "other-channel read overlaps";
 }
 
@@ -217,7 +214,7 @@ TEST_F(ZNandFixture, CheckpointHoldsProgrammedPagesInOrder)
     }
     const std::vector<std::uint64_t> want = {b2, b2 + 1, b5, b5 + 1};
     ASSERT_EQ(r.u64(), want.size());
-    std::vector<std::uint8_t> page(p.pageBytes);
+    std::vector<std::uint8_t> page(ZNand::kPageBytes);
     for (std::uint64_t expect : want) {
         EXPECT_EQ(r.u64(), expect);
         r.bytes(page.data(), page.size());
@@ -246,7 +243,7 @@ TEST_F(ZNandFixture, CheckpointHoldsProgrammedPagesInOrder)
     bad.u64(0); // No blocks.
     bad.u64(1);
     bad.u64(p.totalPages());
-    std::vector<std::uint8_t> zeros(p.pageBytes, 0);
+    std::vector<std::uint8_t> zeros(ZNand::kPageBytes, 0);
     bad.bytes(zeros.data(), zeros.size());
     bad.u64(0); // No bad blocks.
     ZNand fresh(eq2, p);

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -59,6 +60,19 @@ struct TelemetryScope
     }
 };
 
+/** FIO access through @p sys's nvdc driver. */
+workload::AccessFn
+driverAccess(core::NvdimmcSystem& sys)
+{
+    return [&sys](Addr off, std::uint32_t len, bool is_write,
+                  std::function<void()> done) {
+        if (is_write)
+            sys.driver().write(off, len, nullptr, std::move(done));
+        else
+            sys.driver().read(off, len, nullptr, std::move(done));
+    };
+}
+
 std::string
 slurp(const std::string& path)
 {
@@ -95,15 +109,7 @@ telemetryRun(std::string* stats_out = nullptr)
     fio.rampTime = 50 * kUs;
     fio.runTime = 500 * kUs;
     fio.seed = 42;
-    workload::AccessFn fn = [&sys](Addr off, std::uint32_t len,
-                                   bool is_write,
-                                   std::function<void()> done) {
-        if (is_write)
-            sys.driver().write(off, len, nullptr, std::move(done));
-        else
-            sys.driver().read(off, len, nullptr, std::move(done));
-    };
-    workload::FioJob job(sys.eq(), fn, fio);
+    workload::FioJob job(sys.eq(), driverAccess(sys), fio);
     workload::FioResult res = job.run();
     EXPECT_TRUE(sys.hardwareClean());
 
@@ -202,15 +208,7 @@ TEST(TelemetryWindow, PercentilesMatchOfflineRecompute)
     fio.regionBytes = std::uint64_t{pages} * 2 * 4096;
     fio.runTime = 500 * kUs;
     fio.seed = 7;
-    workload::AccessFn fn = [&sys](Addr off, std::uint32_t len,
-                                   bool is_write,
-                                   std::function<void()> done) {
-        if (is_write)
-            sys.driver().write(off, len, nullptr, std::move(done));
-        else
-            sys.driver().read(off, len, nullptr, std::move(done));
-    };
-    workload::FioJob(sys.eq(), fn, fio).run();
+    workload::FioJob(sys.eq(), driverAccess(sys), fio).run();
 
     ASSERT_NE(sys.telemetryCollector(), nullptr);
     const auto& recs = sys.telemetryCollector()->records();
@@ -248,6 +246,45 @@ TEST(TelemetryWindow, PercentilesMatchOfflineRecompute)
     }
     // A write-heavy over-capacity run must fill write windows.
     EXPECT_GT(nonempty, 10u);
+}
+
+// ---------------------------------------------------------------------
+// System probes.
+
+TEST(TelemetryProbes, CxlQueueDepthSeesTheLinkInFlight)
+{
+    TelemetryScope scope;
+    core::SystemConfig cfg = core::SystemConfig::scaledBench();
+    cfg.applyCxlBackend();
+    core::NvdimmcSystem sys(cfg);
+    // The benches' uncached device: a full cache of dirty pages on a
+    // device whose pages all hold data, so a read above it sends a
+    // writeback and a cachefill across the link.
+    sys.precondition(0, sys.totalSlotCount(), true);
+    sys.driver().markEverWritten(0, sys.driver().capacityBytes() / 4096);
+
+    workload::FioConfig fio;
+    fio.pattern = workload::FioConfig::Pattern::RandRead;
+    fio.threads = 4;
+    fio.regionOffset = std::uint64_t{sys.totalSlotCount() + 128} * 4096;
+    fio.regionBytes = sys.driver().capacityBytes() - fio.regionOffset;
+    fio.rampTime = 200 * kUs;
+    fio.runTime = 2 * kMs;
+    workload::FioJob(sys.eq(), driverAccess(sys), fio).run();
+
+    ASSERT_NE(sys.telemetryCollector(), nullptr);
+    const telemetry::Collector& t = *sys.telemetryCollector();
+    const auto& names = t.probeNames();
+    const auto probe =
+        std::find(names.begin(), names.end(), "backend.queue_depth");
+    ASSERT_NE(probe, names.end());
+    const auto col = static_cast<std::size_t>(probe - names.begin());
+    std::uint64_t busy = 0;
+    for (const telemetry::IntervalRecord& rec : t.records())
+        busy += rec.values[col] > 0 ? 1 : 0;
+    EXPECT_GT(busy, 0u) << "of " << t.records().size() << " intervals";
+    // The run winds every op down: no credit is still out.
+    EXPECT_EQ(sys.transport().queueDepth(), 0u);
 }
 
 // ---------------------------------------------------------------------
